@@ -305,11 +305,14 @@ def cmd_run(args, geodesic: bool) -> int:
             bundle.system, bundle.measure, wcfg, geodesic=geodesic
         )
         analysis = _analysis(bundle, results)
-    except (fuchsian.NonTerminationError, walk_mod.ZariskiCheckError) as exc:
+    except (fuchsian.NonTerminationError, walk_mod.ZariskiCheckError,
+            ArithmeticError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
     outdir = args.out or "."
-    summary = _summary(bundle, results, {"analysis": analysis})
+    # only fixed starts build a table, and all trajectories share that start
+    engine = {"orbit_states": results[0].summary.orbit_states if results else None}
+    summary = _summary(bundle, results, {"engine": engine, "analysis": analysis})
     _atomic_write(os.path.join(outdir, "records.csv"), _records_csv(results, bundle.spec.d))
     _atomic_write(os.path.join(outdir, "records.jsonl"), _records_jsonl(results))
     _atomic_write(
@@ -430,7 +433,7 @@ def cmd_recurrence(args) -> int:
             bundle.system, bundle.measure, wcfg, geodesic=cfg.mode == "geodesic"
         )
         rep = stats_mod.recurrence_report(results, bundle.spec.d, bundle.spec.dim_EC)
-    except (fuchsian.NonTerminationError, ValueError) as exc:
+    except (fuchsian.NonTerminationError, ValueError, ArithmeticError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
     print(f"d = {rep.d}, dim E_C = {rep.dim_EC}: expected {rep.verdict_hint}")
@@ -482,7 +485,7 @@ def cmd_report(args) -> int:
     for p, data in summaries:
         lines.append(f"== {os.path.relpath(p, args.dir)}")
         for key in ("config_hash", "mode", "steps", "trajectories",
-                    "drift_mean", "lyapunov", "verdict_hint"):
+                    "drift_mean", "lyapunov", "verdict_hint", "engine"):
             if key in data:
                 lines.append(f"   {key}: {data[key]}")
         for key, val in (data.get("analysis") or {}).items():

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import hyp2
 from . import fuchsian
@@ -354,6 +355,14 @@ class CoverSystem:
             self.corner_signed_phi[best],
         )
 
+    @cached_property
+    def haar_parts(
+        self,
+    ) -> tuple[tuple[fuchsian.CuspSector, ...], fuchsian.CoreRegion]:
+        """The cusp sectors and compact core at height 0 that
+        ``fuchsian.haar_sample`` draws from; computed on first use."""
+        return fuchsian.cusp_neighborhoods(self.polygon, self.cusps, 0.0)
+
     # -- fast primitives ----------------------------------------------------
 
     def reduce_raw(
@@ -495,7 +504,7 @@ class CoverSystem:
         therefore walk its compiled OrbitTable, (state, letter) -> (state,
         index change), in integers.  Any other letter, and every step after
         it, goes through apply_step: the plain reduce_raw kernel, no cache.
-        The trajectory engine keeps its own pinning cache for finite orbits.
+        The trajectory engine makes the same split over its step letters.
         """
         table = self.orbit_table(p.rep, self.letters, ORBIT_TABLE_STATES)
         letter_pos = {g.as_tuple(): j for j, g in enumerate(self.letters)}

@@ -837,19 +837,6 @@ def cusp_height(cusps: tuple[CuspData, ...], x: float, y: float) -> float:
     return best
 
 
-def which_cusp(
-    cusps: tuple[CuspData, ...], x: float, y: float, h: float
-) -> int:
-    """Index of the cusp whose height-h sector contains the point, or -1."""
-    for j, cusp in enumerate(cusps):
-        for corner in cusp.corners:
-            m = corner.chart
-            cx = m.c * x + m.d
-            im = y / (cx * cx + (m.c * y) ** 2)
-            if im > math.exp(h):
-                return j
-    return -1
-
 # ---------------------------------------------------------------------------
 # builtin lattices
 

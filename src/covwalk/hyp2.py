@@ -210,20 +210,6 @@ def geodesic_flow(x: UnitTangent, t: float) -> UnitTangent:
     return UnitTangent(compose(x.rep, translation(t)))
 
 
-def rotate_tangent(x: UnitTangent, theta: float) -> UnitTangent:
-    """Spin the tangent by theta without moving its base point."""
-    return UnitTangent(compose(x.rep, rotation(theta)))
-
-
-def tangent_at(z: PointH, theta: float = 0.0) -> UnitTangent:
-    """Tangent at z; theta = 0 points upward."""
-    s = math.sqrt(z.y)
-    up = GroupElement(*canonical_entries(s, z.x / s, 0.0, 1.0 / s))
-    if theta == 0.0:
-        return UnitTangent(up)
-    return UnitTangent(compose(up, rotation(theta)))
-
-
 @dataclass(frozen=True, slots=True)
 class IwasawaCoords:
     """g = unipotent(u) * translation(t) * rotation(theta), theta in [0, 2pi)."""

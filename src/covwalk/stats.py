@@ -171,7 +171,7 @@ def haar_mean_sigma(
         raise NonIntegrableConfigurationError(
             "an unfolded cusp makes the one-step index change non-integrable"
         )
-    parts = fuchsian.cusp_neighborhoods(system.polygon, system.cusps, 0.0)
+    parts = system.haar_parts
     vals = np.empty((n_samples, system.d), dtype=float)
     for i in range(n_samples):
         x = fuchsian.haar_sample(

@@ -6,6 +6,14 @@ moves to an exact integer sheet index.  The per-step loop is written with
 plain floats and tuples on purpose: it runs tens of millions of times in
 the acceptance experiments.
 
+Each step is a pure function of the current state and the letter drawn,
+with the same split as ``CoverSystem.stepper``.  A fixed start whose orbit
+under the step letters (the atoms, or the flow step) has at most
+``ENGINE_ORBIT_STATES`` states walks that orbit's compiled ``OrbitTable`` in
+integers, so its index path is exact however long the run.  Every other
+run (Haar starts, parametric measures, larger orbits) multiplies and
+reduces with no cache, step for step as ``CoverSystem.apply_step``.
+
 Randomness is counter-based and splittable: trajectory k of a run seeded
 with s draws from Philox keyed by SeedSequence([s, k]), so runs are
 bit-reproducible under any scheduling of trajectories.
@@ -24,9 +32,17 @@ from . import hyp2
 from . import fuchsian
 from . import cover as cover_mod
 from .hyp2 import GroupElement, UnitTangent
-from .cover import CoverPoint, CoverSystem, IntVec
+from .cover import CoverSystem, IntVec
 
 _RNG_BLOCK = 4096
+
+# A fixed start whose orbit under the step letters has at most this many
+# states walks it as an OrbitTable.  Finite orbits this large occur: the
+# gamma2 start z -> z + 1/5 has 36 states under A and B, and the plain
+# kernel leaves it within a few dozen steps.  Giving up on an infinite
+# orbit costs this many states times the number of letters in apply_step
+# calls: about 0.8 ms per trajectory for two atoms on a 2-vCPU Xeon.
+ENGINE_ORBIT_STATES = 64
 
 
 class ZariskiCheckError(RuntimeError):
@@ -244,6 +260,7 @@ class TrajectorySummary:
     start_rep: tuple[float, float, float, float]
     returns: ReturnStats | None = None
     atom_counts: tuple[int, ...] = ()
+    orbit_states: int | None = None  # OrbitTable size when the run walked one
 
 
 @dataclass(frozen=True)
@@ -282,7 +299,7 @@ def simulate_trajectory(
 
     if cfg.start.mode == "haar":
         x0 = fuchsian.haar_sample(
-            system.polygon, system.cusps, system.pres, rng, _parts(system)
+            system.polygon, system.cusps, system.pres, rng, system.haar_parts
         )
     else:
         x0 = cfg.start.tangent if cfg.start.tangent is not None else hyp2.BASE_TANGENT
@@ -313,6 +330,22 @@ def simulate_trajectory(
         counts = [0] * n_atoms
     # parametric handled inline
 
+    # a fixed start may lie on a finite orbit of the step letters; a Haar
+    # start almost surely does not, and parametric letters are never reused
+    table = None
+    if cfg.start.mode != "haar" and (geodesic or atoms):
+        letters = (
+            (hyp2.translation(cfg.dt),)
+            if geodesic
+            else tuple(g for g, _ in measure.atoms)
+        )
+        table = system.orbit_table(x0, letters, ENGINE_ORBIT_STATES)
+    if table is not None:
+        moves = table.moves
+        state_xy = tuple(_base_xy(*r.rep.as_tuple()) for r in table.reps)
+        state = 0
+        ai = 0  # a flow run's only letter
+
     checkpoints = cfg.checkpoints.steps(n)
     cp_pos = 0
     records: list[CheckpointRecord] = []
@@ -337,19 +370,6 @@ def simulate_trajectory(
     # running product for the Cartan displacement (walk runs only)
     ta, tb, tc, td = 1.0, 0.0, 0.0, 1.0
     tlog = 0.0
-
-    # Finite-orbit pinning.  On a finite orbit the reduced representative
-    # revisits the same handful of states, but conjugation by hyperbolic
-    # increments amplifies floating error exponentially, so without help the
-    # trajectory would drift off the orbit within ~100 steps.  Snapping the
-    # representative to the stored state whenever it returns within rounding
-    # distance resets that error to zero every visit.  Generic trajectories
-    # see > 64 distinct states almost immediately and the cache switches off.
-    orbit_cache: dict | None = {}
-    a0, b0, c0, d0 = hyp2.canonical_entries(a, b, c, d)
-    orbit_cache[
-        (round(a0 * 1e6), round(b0 * 1e6), round(c0 * 1e6), round(d0 * 1e6))
-    ] = (a, b, c, d)
 
     uni = rng.random(_RNG_BLOCK)
     upos = 0
@@ -388,72 +408,62 @@ def simulate_trajectory(
                 gc = s1 * e * c2 + c1 * ei * s2
                 gd = -s1 * e * s2 + c1 * ei * c2
 
-        # -- position update: multiply and reduce
-        a, b, c, d = (
-            a * ga + b * gc,
-            a * gb + b * gd,
-            c * ga + d * gc,
-            c * gb + d * gd,
-        )
-        it = 0
-        while True:
-            den = c * c + d * d
-            px = (a * c + b * d) / den
-            py = 1.0 / den
-            pr2 = px * px + py * py
-            hit = -1
-            i = 0
-            for (al, be, de) in planes:
-                if al * pr2 + be * px + de > eps:
-                    hit = i
-                    break
-                i += 1
-            if hit < 0:
-                break
-            if it & 63 == 63:
-                # deep cusp winding: unwind whole strip widths in one stroke
-                unw = system.fast_unwind(a, b, c, d)
-                if unw is not None:
-                    a, b, c, d, kw_, ph = unw
-                    for j in range(dim):
-                        idx[j] += kw_ * ph[j]
-                    it += 1
-                    continue
-            pa, pb, pc, pd = mats[hit]
-            a, b, c, d = (
-                pa * a + pb * c,
-                pa * b + pb * d,
-                pc * a + pd * c,
-                pc * b + pd * d,
-            )
-            det = a * d - b * c
-            if abs(det - 1.0) > 1e-12:
-                s = 1.0 / math.sqrt(det)
-                a, b, c, d = a * s, b * s, c * s, d * s
-            ph = phis[hit]
+        # -- position update: walk the orbit table, or multiply and reduce
+        if table is not None:
+            state, delta = moves[state][ai]
             for j in range(dim):
-                idx[j] -= ph[j]
-            it += 1
-            if it > max_iter:
-                raise fuchsian.NonTerminationError(
-                    f"trajectory {traj} step {k}: reduction did not terminate"
-                )
-
-        if orbit_cache is not None:
-            a0, b0, c0, d0 = hyp2.canonical_entries(a, b, c, d)
-            key = (
-                round(a0 * 1e6),
-                round(b0 * 1e6),
-                round(c0 * 1e6),
-                round(d0 * 1e6),
+                idx[j] += delta[j]
+            px, py = state_xy[state]
+        else:
+            a, b, c, d = (
+                a * ga + b * gc,
+                a * gb + b * gd,
+                c * ga + d * gc,
+                c * gb + d * gd,
             )
-            got = orbit_cache.get(key)
-            if got is not None:
-                a, b, c, d = got
-            elif len(orbit_cache) >= 64:
-                orbit_cache = None
-            else:
-                orbit_cache[key] = (a, b, c, d)
+            it = 0
+            while True:
+                den = c * c + d * d
+                px = (a * c + b * d) / den
+                py = 1.0 / den
+                pr2 = px * px + py * py
+                hit = -1
+                i = 0
+                for (al, be, de) in planes:
+                    if al * pr2 + be * px + de > eps:
+                        hit = i
+                        break
+                    i += 1
+                if hit < 0:
+                    break
+                if it & 63 == 63:
+                    # deep cusp winding: unwind whole strip widths in one stroke
+                    unw = system.fast_unwind(a, b, c, d)
+                    if unw is not None:
+                        a, b, c, d, kw_, ph = unw
+                        for j in range(dim):
+                            idx[j] += kw_ * ph[j]
+                        it += 1
+                        continue
+                pa, pb, pc, pd = mats[hit]
+                a, b, c, d = (
+                    pa * a + pb * c,
+                    pa * b + pb * d,
+                    pc * a + pd * c,
+                    pc * b + pd * d,
+                )
+                det = a * d - b * c
+                if abs(det - 1.0) > 1e-12:
+                    s = 1.0 / math.sqrt(det)
+                    a, b, c, d = a * s, b * s, c * s, d * s
+                ph = phis[hit]
+                for j in range(dim):
+                    idx[j] -= ph[j]
+                it += 1
+                if it > max_iter:
+                    raise fuchsian.NonTerminationError(
+                        f"trajectory {traj} step {k}: reduction did not terminate"
+                    )
 
         # -- running Cartan product (walk mode only)
         if not geodesic:
@@ -570,6 +580,7 @@ def simulate_trajectory(
         start_rep=start_rep,
         returns=rstats,
         atom_counts=tuple(counts) if (atoms and cfg.count_atoms and not geodesic) else (),
+        orbit_states=None if table is None else len(table.reps),
     )
     return TrajectoryResult(records=tuple(records), summary=summary)
 
@@ -577,17 +588,6 @@ def simulate_trajectory(
 def _base_xy(a: float, b: float, c: float, d: float) -> tuple[float, float]:
     den = c * c + d * d
     return (a * c + b * d) / den, 1.0 / den
-
-
-_PARTS_CACHE: dict[int, tuple] = {}
-
-
-def _parts(system: CoverSystem):
-    parts = _PARTS_CACHE.get(id(system))
-    if parts is None:
-        parts = fuchsian.cusp_neighborhoods(system.polygon, system.cusps, 0.0)
-        _PARTS_CACHE[id(system)] = parts
-    return parts
 
 
 # ---------------------------------------------------------------------------

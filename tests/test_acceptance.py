@@ -16,6 +16,8 @@ from covwalk import hyp2 as H
 from covwalk import stats as S
 from covwalk import walk as W
 
+pytestmark = pytest.mark.acceptance
+
 SEED = 20240601
 
 

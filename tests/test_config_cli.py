@@ -9,6 +9,8 @@ import pytest
 
 from covwalk import cli
 from covwalk import config as CFG
+from covwalk import hyp2 as H
+from covwalk import walk as W
 
 DRIFT_HALF = """
 [lattice]
@@ -33,6 +35,25 @@ start = special
 
 [analysis]
 reports = drift
+"""
+
+RECURRENCE = """
+[lattice]
+preset = punctured_square_torus
+[weights]
+g1 = 1 0
+g2 = 0 1
+[measure]
+type = atoms
+atom.1 = g1 0.5
+atom.2 = g2 0.5
+[walk]
+steps = 3000
+trajectories = 10
+seed = 5
+checkpoints = linear:3000
+return_radius = 2.0
+return_grid = 1000 3000
 """
 
 
@@ -158,6 +179,8 @@ class TestRunCommands:
         assert summary["build"]["package"] == "covwalk"
         assert summary["analysis"]["drift"]["target"] == [0.5]
         assert abs(summary["drift_mean"][0] - 0.5) < 0.05
+        # the upward tangent at i is a one-state orbit of g1 and g2
+        assert summary["engine"] == {"orbit_states": 1}
 
     def test_mode_mismatch(self, tmp_path):
         cfgp = tmp_path / "exp.cfg"
@@ -192,6 +215,30 @@ dt = 0.25
         rows = (out / "records.csv").read_text().splitlines()
         assert rows[0] == "traj,n,k1,drift1,cusp_height,cartan_t"
         assert len(rows) == 11
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["engine"] == {"orbit_states": None}  # Haar starts
+
+    @pytest.mark.parametrize(
+        "exc",
+        [ZeroDivisionError("float division by zero"),
+         OverflowError("math range error"),
+         H.DegenerateImageError("image at infinity")],
+        ids=lambda e: type(e).__name__,
+    )
+    def test_arithmetic_error_exits_3(self, tmp_path, monkeypatch, exc):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(W, "run_trajectories", fail)
+        for command, text in (("walk run", DRIFT_HALF), ("recurrence", RECURRENCE)):
+            cfgp = tmp_path / "exp.cfg"
+            cfgp.write_text(text)
+            out = tmp_path / "o"
+            code, printed = run_cli(*command.split(), "--config", str(cfgp), "--out", str(out))
+            assert code == 3, command
+            assert f"runtime error: {exc}" in printed
+            assert "Traceback" not in printed
+            assert not out.exists()
 
 
 class TestFitCommand:
@@ -236,26 +283,8 @@ class TestFitCommand:
 
 class TestRecurrenceCommand:
     def test_runs_and_reports(self, tmp_path):
-        text = """
-[lattice]
-preset = punctured_square_torus
-[weights]
-g1 = 1 0
-g2 = 0 1
-[measure]
-type = atoms
-atom.1 = g1 0.5
-atom.2 = g2 0.5
-[walk]
-steps = 3000
-trajectories = 10
-seed = 5
-checkpoints = linear:3000
-return_radius = 2.0
-return_grid = 1000 3000
-"""
         cfgp = tmp_path / "rec.cfg"
-        cfgp.write_text(text)
+        cfgp.write_text(RECURRENCE)
         code, out = run_cli("recurrence", "--config", str(cfgp), "--out", str(tmp_path))
         assert code == 0
         assert "expected recurrent" in out
@@ -282,6 +311,7 @@ class TestReportCommand:
         code, text = run_cli("report", "--dir", str(tmp_path))
         assert code == 0
         assert "config_hash" in text
+        assert "engine: {'orbit_states': 1}" in text
         assert (tmp_path / "dashboard.txt").exists()
         assert (out / "drift_ecdf.dat").exists()
 

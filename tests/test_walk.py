@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -176,6 +177,134 @@ class TestEngine:
         for wm, hm in zip(walk_means, haar_means):
             se = math.sqrt(hm * (1 - hm) + 1e-6) * (1 / math.sqrt(60000 / 50) + 1 / math.sqrt(n))
             assert abs(wm - hm) <= 4.0 * se
+
+
+def atom_draws(measure, cfg, traj):
+    """The atoms simulate_trajectory draws for trajectory traj, in order:
+    one uniform per step from the trajectory's Philox stream, inverted
+    through the cumulative weights."""
+    rng = W.trajectory_rng(cfg.master_seed, traj)
+    cum = list(itertools.accumulate(p for _, p in measure.atoms))
+    uni, pos = rng.random(W._RNG_BLOCK), 0
+    for _ in range(cfg.steps):
+        if pos >= len(uni):
+            uni, pos = rng.random(W._RNG_BLOCK), 0
+        u = uni[pos]
+        pos += 1
+        ai = 0
+        while cum[ai] < u:
+            ai += 1
+        yield measure.atoms[ai][0]
+
+
+def parametric_draws(measure, cfg, traj):
+    rng = W.trajectory_rng(cfg.master_seed, traj)
+    uni, pos = rng.random(W._RNG_BLOCK), 0
+    for _ in range(cfg.steps):
+        if pos + 3 > len(uni):
+            uni, pos = rng.random(W._RNG_BLOCK), 0
+        yield engine_increment(measure, *uni[pos:pos + 3])
+        pos += 3
+
+
+class TestHistoryFreeEngine:
+    @pytest.mark.parametrize("kind", ["fair", "symmetric"])
+    def test_orbit_table_matches_stepper(self, torus_d1, kind):
+        # the upward tangent at i is a one-state orbit: the engine walks its
+        # table over the atoms, CoverSystem.stepper its table over the
+        # generators and their inverses, and the index paths agree exactly
+        gm = torus_d1.pres.gen_map()
+        if kind == "fair":
+            mu = W.two_atom_measure(torus_d1.pres)
+        else:
+            mu = W.measure_from_atoms(
+                [(gm["g2"], 0.25), (H.inverse(gm["g2"]), 0.25),
+                 (gm["g1"], 0.25), (H.inverse(gm["g1"]), 0.25)]
+            )
+        cfg = W.WalkConfig(steps=6000, trajectories=3, master_seed=31,
+                           checkpoints=W.CheckpointPlan(stride=500),
+                           start=W.StartSpec(mode="fixed", tangent=H.BASE_TANGENT))
+        for traj in range(cfg.trajectories):
+            res = W.simulate_trajectory(torus_d1, mu, cfg, traj)
+            assert res.summary.orbit_states == 1
+            step = torus_d1.stepper(torus_d1.start_point(H.BASE_TANGENT))
+            want = []
+            for k, g in enumerate(atom_draws(mu, cfg, traj), 1):
+                p = step(g)
+                if k % 500 == 0:
+                    want.append(p.index)
+            assert [r.index for r in res.records] == want
+
+    def test_large_finite_orbit_walks_its_table(self, gamma2_d1):
+        # z -> z + 1/5 has a 36-state orbit under A and B, more than the
+        # stepper's table holds; the plain kernel leaves it within ~30 steps
+        system = gamma2_d1
+        start = H.UnitTangent(H.unipotent(0.2))
+        mu = W.two_atom_measure(system.pres)
+        table = system.orbit_table(start, tuple(g for g, _ in mu.atoms), 4096)
+        assert len(table.reps) == 36
+        cfg = W.WalkConfig(steps=6000, trajectories=1, master_seed=1,
+                           checkpoints=W.CheckpointPlan(stride=500),
+                           start=W.StartSpec(mode="fixed", tangent=start))
+        res = W.simulate_trajectory(system, mu, cfg, 0)
+        assert res.summary.orbit_states == 36
+        letter = {g.as_tuple(): j for j, (g, _) in enumerate(mu.atoms)}
+        state, index, want = 0, 0, []
+        for k, g in enumerate(atom_draws(mu, cfg, 0), 1):
+            state, delta = table.moves[state][letter[g.as_tuple()]]
+            index += delta[0]
+            if k % 500 == 0:
+                want.append((index,))
+        assert [r.index for r in res.records] == want
+
+    @pytest.mark.parametrize("kind", ["atoms", "parametric"])
+    def test_plain_kernel_matches_apply_step(self, gamma2_d1, kind):
+        # a generic fixed start has an infinite orbit, so the engine runs the
+        # plain kernel; with no cache it is a pure function of (state,
+        # letter) and an apply_step replay follows it exactly
+        system = gamma2_d1
+        start = H.UnitTangent(H.compose(H.translation(0.37), H.rotation(1.234)))
+        if kind == "atoms":
+            mu = W.two_atom_measure(system.pres)
+            draws = atom_draws
+        else:
+            mu = W.parametric_measure(0.5, 1.5)
+            draws = parametric_draws
+        cfg = W.WalkConfig(steps=5000, trajectories=2, master_seed=17,
+                           checkpoints=W.CheckpointPlan(stride=500),
+                           start=W.StartSpec(mode="fixed", tangent=start))
+        for traj in range(cfg.trajectories):
+            res = W.simulate_trajectory(system, mu, cfg, traj)
+            assert res.summary.orbit_states is None
+            p = system.start_point(start)
+            want = []
+            for k, g in enumerate(draws(mu, cfg, traj), 1):
+                p = system.apply_step(p, g)
+                if k % 500 == 0:
+                    want.append(p.index)
+            assert [r.index for r in res.records] == want
+            assert res.summary.final_index == p.index
+
+    def test_haar_start_uses_its_own_geometry(self):
+        # systems built and dropped in turn reuse ids; each Haar start must
+        # still come from its own system's cusp partition
+        mu = W.parametric_measure(0.5, 1.5)
+        cfg = W.WalkConfig(steps=0, trajectories=1, master_seed=5)
+        covers = [("punctured_square_torus", {"g1": (0,), "g2": (1,)}),
+                  ("gamma2", {"A": (1,), "B": (0,)})]
+        for i in range(40):
+            name, weights = covers[i % 2]
+            pres, poly, cusps = F.builtin_lattice(name)
+            system = C.cover_system(pres, poly, cusps,
+                                    C.validate_cover(pres, cusps, weights))
+            res = W.simulate_trajectory(system, mu, cfg, i)
+            assert res.summary.orbit_states is None
+            rep = res.summary.start_rep
+            again = F.reduce(H.UnitTangent(H.GroupElement(*rep)), poly, pres)
+            assert again.rep.rep.as_tuple() == rep
+            own = F.haar_sample(poly, cusps, pres, W.trajectory_rng(5, i),
+                                F.cusp_neighborhoods(poly, cusps, 0.0))
+            assert own.rep.as_tuple() == rep
 
 
 class TestReturns:
