@@ -15,7 +15,6 @@ import math
 import os
 import sys
 import tempfile
-from importlib import metadata
 
 import numpy as np
 
@@ -28,6 +27,8 @@ from . import walk as walk_mod
 
 
 def _version() -> str:
+    from importlib import metadata
+
     try:
         return metadata.version("covwalk")
     except metadata.PackageNotFoundError:

@@ -16,11 +16,21 @@ reduces with no cache, step for step as ``CoverSystem.apply_step``.
 
 Randomness is counter-based and splittable: trajectory k of a run seeded
 with s draws from Philox keyed by SeedSequence([s, k]), so runs are
-bit-reproducible under any scheduling of trajectories.
+bit-reproducible under any scheduling of trajectories.  The stream is read
+``_RNG_BLOCK`` uniforms at a time, and each block is turned into its letters
+in one pass (``_draw_block``): an atom index per uniform, or a parametric
+increment per three uniforms, with the same bits as the scalar formula.
+
+The sheet index is only read at checkpoints unless a per-step observer
+(return tracking or a step trace) is on.  Without one, the descent counts
+the pairings it applies per polygon side and a random walk on an orbit table
+counts its (state, letter) moves; both are folded into the index at each
+checkpoint, and the last checkpoint is always the final step.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -35,6 +45,9 @@ from .hyp2 import GroupElement, UnitTangent
 from .cover import CoverSystem, IntVec
 
 _RNG_BLOCK = 4096
+# the orbit-table loop ends its segments on the 64-step Cartan renormalization
+# grid and expects every block end to fall on it
+assert _RNG_BLOCK % 64 == 0
 
 # A fixed start whose orbit under the step letters has at most this many
 # states walks it as an OrbitTable.  Finite orbits this large occur: the
@@ -316,19 +329,16 @@ def simulate_trajectory(
     eps = fuchsian.EPS_GEOM
     max_iter = fuchsian.MAX_REDUCE_ITER
 
-    atoms = measure is not None and measure.kind == "atoms"
+    atoms = not geodesic and measure is not None and measure.kind == "atoms"
+    cum = None  # parametric letters are built from the uniforms
     if geodesic:
-        step_mat = hyp2.translation(cfg.dt).as_tuple()
+        ga, gb, gc, gd = hyp2.translation(cfg.dt).as_tuple()
     elif atoms:
         mats_atoms = [g.as_tuple() for g, _ in measure.atoms]
-        cum = []
-        acc = 0.0
-        for _, p in measure.atoms:
-            acc += p
-            cum.append(acc)
-        n_atoms = len(mats_atoms)
-        counts = [0] * n_atoms
-    # parametric handled inline
+        cum = _cumulative_weights(measure)
+    counts = [0] * len(measure.atoms) if atoms and cfg.count_atoms else None
+    block: list = []  # the letters of the current Philox block
+    upos = 0
 
     # a fixed start may lie on a finite orbit of the step letters; a Haar
     # start almost surely does not, and parametric letters are never reused
@@ -347,7 +357,8 @@ def simulate_trajectory(
         ai = 0  # a flow run's only letter
 
     checkpoints = cfg.checkpoints.steps(n)
-    cp_pos = 0
+    cps = iter(checkpoints)
+    next_cp = next(cps, n + 1)
     records: list[CheckpointRecord] = []
 
     ret = cfg.returns
@@ -365,186 +376,207 @@ def simulate_trajectory(
         max_exc_by = [0] * len(grid)
         returned_by = [False] * len(grid)
         gpos = 0
-        zero = tuple([0] * dim)
+    # without a per-step observer the index is only read at checkpoints
+    observe = track_returns or step_trace is not None
 
     # running product for the Cartan displacement (walk runs only)
     ta, tb, tc, td = 1.0, 0.0, 0.0, 1.0
     tlog = 0.0
 
-    uni = rng.random(_RNG_BLOCK)
-    upos = 0
-
-    for k in range(1, n + 1):
-        # -- draw the increment
-        if geodesic:
-            ga, gb, gc, gd = step_mat
-        else:
-            if upos >= _RNG_BLOCK:
-                uni = rng.random(_RNG_BLOCK)
+    if table is not None and not observe and not geodesic:
+        # walk the table in segments that end at a checkpoint or at a
+        # multiple of 64 (the Cartan renormalization, and the end of every
+        # _RNG_BLOCK atom letters); moves are counted per (state, letter)
+        # and folded into the index at checkpoints.  Move t = row + letter,
+        # where row = state * n_letters; nxt[t] is the row of the next state
+        n_letters = len(moves[0])
+        nxt = [s * n_letters for out in moves for s, _ in out]
+        deltas = [dl for out in moves for _, dl in out]
+        tcount = [0] * len(nxt)
+        row = 0
+        k = 0
+        while k < n:
+            if upos == len(block):
+                block = _draw_block(rng, measure, cum)
                 upos = 0
-            if atoms:
-                u = uni[upos]
-                upos += 1
-                ai = 0
-                while cum[ai] < u:
-                    ai += 1
+            stop = min(next_cp, (k | 63) + 1)
+            for ai in block[upos:upos + stop - k]:
+                t = row + ai
+                tcount[t] += 1
+                row = nxt[t]
                 ga, gb, gc, gd = mats_atoms[ai]
-                if cfg.count_atoms:
-                    counts[ai] += 1
-            else:
-                if upos + 3 > _RNG_BLOCK:
-                    uni = rng.random(_RNG_BLOCK)
-                    upos = 0
-                th1 = uni[upos] * 6.283185307179586
-                tau = measure.tau_min + uni[upos + 1] * (measure.tau_max - measure.tau_min)
-                th2 = uni[upos + 2] * 6.283185307179586
-                upos += 3
-                c1, s1 = math.cos(0.5 * th1), math.sin(0.5 * th1)
-                c2, s2 = math.cos(0.5 * th2), math.sin(0.5 * th2)
-                e = math.exp(0.5 * tau)
-                ei = 1.0 / e
-                ga = c1 * e * c2 - s1 * ei * s2
-                gb = -c1 * e * s2 - s1 * ei * c2
-                gc = s1 * e * c2 + c1 * ei * s2
-                gd = -s1 * e * s2 + c1 * ei * c2
-
-        # -- position update: walk the orbit table, or multiply and reduce
-        if table is not None:
-            state, delta = moves[state][ai]
-            for j in range(dim):
-                idx[j] += delta[j]
-            px, py = state_xy[state]
-        else:
-            a, b, c, d = (
-                a * ga + b * gc,
-                a * gb + b * gd,
-                c * ga + d * gc,
-                c * gb + d * gd,
-            )
-            it = 0
-            while True:
-                den = c * c + d * d
-                px = (a * c + b * d) / den
-                py = 1.0 / den
-                pr2 = px * px + py * py
-                hit = -1
-                i = 0
-                for (al, be, de) in planes:
-                    if al * pr2 + be * px + de > eps:
-                        hit = i
-                        break
-                    i += 1
-                if hit < 0:
-                    break
-                if it & 63 == 63:
-                    # deep cusp winding: unwind whole strip widths in one stroke
-                    unw = system.fast_unwind(a, b, c, d)
-                    if unw is not None:
-                        a, b, c, d, kw_, ph = unw
-                        for j in range(dim):
-                            idx[j] += kw_ * ph[j]
-                        it += 1
-                        continue
-                pa, pb, pc, pd = mats[hit]
-                a, b, c, d = (
-                    pa * a + pb * c,
-                    pa * b + pb * d,
-                    pc * a + pd * c,
-                    pc * b + pd * d,
+                ta, tb, tc, td = (
+                    ta * ga + tb * gc,
+                    ta * gb + tb * gd,
+                    tc * ga + td * gc,
+                    tc * gb + td * gd,
                 )
-                det = a * d - b * c
-                if abs(det - 1.0) > 1e-12:
-                    s = 1.0 / math.sqrt(det)
-                    a, b, c, d = a * s, b * s, c * s, d * s
-                ph = phis[hit]
-                for j in range(dim):
-                    idx[j] -= ph[j]
-                it += 1
-                if it > max_iter:
-                    raise fuchsian.NonTerminationError(
-                        f"trajectory {traj} step {k}: reduction did not terminate"
-                    )
-
-        # -- running Cartan product (walk mode only)
-        if not geodesic:
-            ta, tb, tc, td = (
-                ta * ga + tb * gc,
-                ta * gb + tb * gd,
-                tc * ga + td * gc,
-                tc * gb + td * gd,
-            )
-            if k & 63 == 0:
+            upos += stop - k
+            if stop & 63 == 0:
                 mm = max(abs(ta), abs(tb), abs(tc), abs(td))
                 if mm > 1.0:
                     ta, tb, tc, td = ta / mm, tb / mm, tc / mm, td / mm
                     tlog += math.log(mm)
+            k = stop
+            if k == next_cp:
+                for t, m in enumerate(tcount):
+                    if m:
+                        for j, v in enumerate(deltas[t]):
+                            idx[j] += m * v
+                        if counts is not None:
+                            counts[t % n_letters] += m
+                tcount = [0] * len(nxt)
+                px, py = state_xy[row // n_letters]
+                records.append(_checkpoint(
+                    system, traj, k, idx, px, py, ta, tb, tc, td, tlog, False, cfg.dt
+                ))
+                next_cp = next(cps, n + 1)
+    else:
+        hits = [0] * len(phis)  # pairings applied since the last checkpoint
+        for k in range(1, n + 1):
+            # -- draw the increment
+            if not geodesic:
+                if upos == len(block):
+                    block = _draw_block(rng, measure, cum)
+                    upos = 0
+                if atoms:
+                    ai = block[upos]
+                    ga, gb, gc, gd = mats_atoms[ai]
+                    if counts is not None:
+                        counts[ai] += 1
+                else:
+                    ga, gb, gc, gd = block[upos]
+                upos += 1
 
-        # -- per-step instrumentation
-        if step_trace is not None:
-            hgt = system.cusp_height_xy(px, py)
-            cid = system.which_cusp_xy(px, py, trace_height) if hgt > trace_height else -1
-            tt = k * cfg.dt if geodesic else k
-            step_trace.append((tt, cid, hgt, tuple(idx)))
-
-        if track_returns:
-            # the start tile is: sheet index zero AND base within the radius
-            # of the start; a return is re-entering it after having left
-            exc = 0
-            for j in range(dim):
-                v = idx[j]
-                if v < 0:
-                    v = -v
-                if v > exc:
-                    exc = v
-            if exc > max_exc:
-                max_exc = exc
-            if exc > 0:
-                left_zero = True
+            # -- position update: walk the orbit table, or multiply and reduce
+            if table is not None:
+                state, delta = moves[state][ai]
+                for j in range(dim):
+                    idx[j] += delta[j]
+                px, py = state_xy[state]
             else:
-                dx = px - sx
-                dy = py - sy
-                inside = 1.0 + (dx * dx + dy * dy) / (2.0 * py * sy) <= cosh_r
-                if left_zero and inside:
-                    n_returns += 1
-                    left_zero = False
-                    if first_return is None:
-                        first_return = k
-                    gi = gpos
-                    while gi < len(grid) and grid[gi] < k:
-                        gi += 1
-                    if gi < len(grid):
-                        window_counts[gi] += 1
-                        for g2 in range(gi, len(grid)):
-                            returned_by[g2] = True
-                elif not left_zero and not inside:
-                    left_zero = True
-            while gpos < len(grid) and grid[gpos] <= k:
-                max_exc_by[gpos] = max_exc
-                gpos += 1
-
-        # -- checkpoint
-        if cp_pos < len(checkpoints) and k == checkpoints[cp_pos]:
-            cp_pos += 1
-            tt = k * cfg.dt if geodesic else k
-            drift = tuple(v / tt for v in idx)
-            hgt = system.cusp_height_xy(px, py)
-            if geodesic:
-                cart = k * cfg.dt
-            else:
-                s1, _ = hyp2.singular_values(ta, tb, tc, td)
-                cart = 2.0 * (math.log(s1) + tlog) if s1 > 0 else 0.0
-                if cart < 0.0:
-                    cart = 0.0
-            records.append(
-                CheckpointRecord(
-                    traj=traj,
-                    n=tt,
-                    index=tuple(idx),
-                    drift=drift,
-                    cusp_height=hgt,
-                    cartan_t=cart,
+                a, b, c, d = (
+                    a * ga + b * gc,
+                    a * gb + b * gd,
+                    c * ga + d * gc,
+                    c * gb + d * gd,
                 )
-            )
+                it = 0
+                while True:
+                    den = c * c + d * d
+                    px = (a * c + b * d) / den
+                    py = 1.0 / den
+                    pr2 = px * px + py * py
+                    hit = -1
+                    i = 0
+                    for (al, be, de) in planes:
+                        if al * pr2 + be * px + de > eps:
+                            hit = i
+                            break
+                        i += 1
+                    if hit < 0:
+                        break
+                    if it & 63 == 63:
+                        # deep cusp winding: unwind whole strip widths in one stroke
+                        unw = system.fast_unwind(a, b, c, d)
+                        if unw is not None:
+                            a, b, c, d, kw_, ph = unw
+                            for j in range(dim):
+                                idx[j] += kw_ * ph[j]
+                            it += 1
+                            continue
+                    pa, pb, pc, pd = mats[hit]
+                    a, b, c, d = (
+                        pa * a + pb * c,
+                        pa * b + pb * d,
+                        pc * a + pd * c,
+                        pc * b + pd * d,
+                    )
+                    det = a * d - b * c
+                    if abs(det - 1.0) > 1e-12:
+                        s = 1.0 / math.sqrt(det)
+                        a, b, c, d = a * s, b * s, c * s, d * s
+                    if observe:
+                        ph = phis[hit]
+                        for j in range(dim):
+                            idx[j] -= ph[j]
+                    else:
+                        hits[hit] += 1
+                    it += 1
+                    if it > max_iter:
+                        raise fuchsian.NonTerminationError(
+                            f"trajectory {traj} step {k}: reduction did not terminate"
+                        )
+
+            # -- running Cartan product (walk mode only)
+            if not geodesic:
+                ta, tb, tc, td = (
+                    ta * ga + tb * gc,
+                    ta * gb + tb * gd,
+                    tc * ga + td * gc,
+                    tc * gb + td * gd,
+                )
+                if k & 63 == 0:
+                    mm = max(abs(ta), abs(tb), abs(tc), abs(td))
+                    if mm > 1.0:
+                        ta, tb, tc, td = ta / mm, tb / mm, tc / mm, td / mm
+                        tlog += math.log(mm)
+
+            # -- per-step instrumentation
+            if step_trace is not None:
+                hgt = system.cusp_height_xy(px, py)
+                cid = system.which_cusp_xy(px, py, trace_height) if hgt > trace_height else -1
+                tt = k * cfg.dt if geodesic else k
+                step_trace.append((tt, cid, hgt, tuple(idx)))
+
+            if track_returns:
+                # the start tile is: sheet index zero AND base within the radius
+                # of the start; a return is re-entering it after having left
+                exc = 0
+                for j in range(dim):
+                    v = idx[j]
+                    if v < 0:
+                        v = -v
+                    if v > exc:
+                        exc = v
+                if exc > max_exc:
+                    max_exc = exc
+                if exc > 0:
+                    left_zero = True
+                else:
+                    dx = px - sx
+                    dy = py - sy
+                    inside = 1.0 + (dx * dx + dy * dy) / (2.0 * py * sy) <= cosh_r
+                    if left_zero and inside:
+                        n_returns += 1
+                        left_zero = False
+                        if first_return is None:
+                            first_return = k
+                        gi = gpos
+                        while gi < len(grid) and grid[gi] < k:
+                            gi += 1
+                        if gi < len(grid):
+                            window_counts[gi] += 1
+                            for g2 in range(gi, len(grid)):
+                                returned_by[g2] = True
+                    elif not left_zero and not inside:
+                        left_zero = True
+                while gpos < len(grid) and grid[gpos] <= k:
+                    max_exc_by[gpos] = max_exc
+                    gpos += 1
+
+            # -- checkpoint
+            if k == next_cp:
+                for i, m in enumerate(hits):
+                    if m:
+                        ph = phis[i]
+                        for j in range(dim):
+                            idx[j] -= m * ph[j]
+                        hits[i] = 0
+                records.append(_checkpoint(
+                    system, traj, k, idx, px, py, ta, tb, tc, td, tlog, geodesic, cfg.dt
+                ))
+                next_cp = next(cps, n + 1)
 
     if track_returns:
         for gi in range(gpos, len(grid)):
@@ -579,10 +611,92 @@ def simulate_trajectory(
         cartan_t=records[-1].cartan_t if records else 0.0,
         start_rep=start_rep,
         returns=rstats,
-        atom_counts=tuple(counts) if (atoms and cfg.count_atoms and not geodesic) else (),
+        atom_counts=() if counts is None else tuple(counts),
         orbit_states=None if table is None else len(table.reps),
     )
     return TrajectoryResult(records=tuple(records), summary=summary)
+
+
+def _cumulative_weights(measure: MeasureSpec) -> list[float]:
+    """Running sums of the atom weights, capped at 1.0 and ending at 1.0.
+
+    ``measure_from_atoms`` lets the weights sum to 1 within 1e-12; with the
+    last sum pinned, a uniform in [0, 1) cannot fall past the last atom, and
+    every uniform the plain running sums place lands on the same atom."""
+    cum = [min(v, 1.0) for v in itertools.accumulate(p for _, p in measure.atoms)]
+    cum[-1] = 1.0
+    return cum
+
+
+def _draw_block(
+    rng: np.random.Generator, measure: MeasureSpec, cum: list[float] | None
+) -> list:
+    """The letters of the next ``_RNG_BLOCK`` uniforms of a trajectory's stream.
+
+    Atoms (``cum`` from ``_cumulative_weights``): one atom index per uniform
+    u, the first whose cumulative weight is >= u.  Parametric (``cum`` None):
+    one increment rotation(th1) translation(tau) rotation(th2) as (a, b, c, d)
+    per three uniforms; the block's last uniform is not used.  The angles, tau
+    and entries are formed in the scalar formula's operation order, and cos,
+    sin and exp come from ``math``: ``np.exp`` rounds differently from
+    ``math.exp`` on a few percent of inputs."""
+    u = rng.random(_RNG_BLOCK)
+    if cum is not None:
+        return np.searchsorted(cum, u, side="left").tolist()
+    u = u[: _RNG_BLOCK - _RNG_BLOCK % 3].reshape(-1, 3)
+    th1 = u[:, 0] * 6.283185307179586
+    tau = measure.tau_min + u[:, 1] * (measure.tau_max - measure.tau_min)
+    th2 = u[:, 2] * 6.283185307179586
+    h1 = (0.5 * th1).tolist()
+    h2 = (0.5 * th2).tolist()
+    m = len(h1)
+    c1 = np.fromiter(map(math.cos, h1), float, m)
+    s1 = np.fromiter(map(math.sin, h1), float, m)
+    c2 = np.fromiter(map(math.cos, h2), float, m)
+    s2 = np.fromiter(map(math.sin, h2), float, m)
+    e = np.fromiter(map(math.exp, (0.5 * tau).tolist()), float, m)
+    ei = 1.0 / e
+    return list(zip(
+        (c1 * e * c2 - s1 * ei * s2).tolist(),
+        (-c1 * e * s2 - s1 * ei * c2).tolist(),
+        (s1 * e * c2 + c1 * ei * s2).tolist(),
+        (-s1 * e * s2 + c1 * ei * c2).tolist(),
+    ))
+
+
+def _checkpoint(
+    system: CoverSystem,
+    traj: int,
+    k: int,
+    idx: list[int],
+    px: float,
+    py: float,
+    ta: float,
+    tb: float,
+    tc: float,
+    td: float,
+    tlog: float,
+    geodesic: bool,
+    dt: float,
+) -> CheckpointRecord:
+    """The record after step k at base point (px, py); the Cartan product is
+    (ta, tb, tc, td) times e^tlog (flow runs use the flow time instead)."""
+    tt = k * dt if geodesic else k
+    if geodesic:
+        cart = tt
+    else:
+        s1, _ = hyp2.singular_values(ta, tb, tc, td)
+        cart = 2.0 * (math.log(s1) + tlog) if s1 > 0 else 0.0
+        if cart < 0.0:
+            cart = 0.0
+    return CheckpointRecord(
+        traj=traj,
+        n=tt,
+        index=tuple(idx),
+        drift=tuple(v / tt for v in idx),
+        cusp_height=system.cusp_height_xy(px, py),
+        cartan_t=cart,
+    )
 
 
 def _base_xy(a: float, b: float, c: float, d: float) -> tuple[float, float]:

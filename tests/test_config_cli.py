@@ -327,3 +327,22 @@ class TestEntryPoint:
         )
         assert res.returncode == 0
         assert "cusps: 3" in res.stdout
+
+    @pytest.mark.parametrize("module", ["covwalk.cli", "covwalk"])
+    def test_python_dash_m(self, module):
+        # runpy warns when the package's __init__ has already imported the
+        # module it is asked to run; as an error that warning fails the run
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        res = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", module,
+             "lattice", "check", "gamma2"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert res.returncode == 0, res.stderr
+        assert "cusps: 3" in res.stdout

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from covwalk import cover as C
 from covwalk import fuchsian as F
@@ -179,6 +180,13 @@ class TestEngine:
             assert abs(wm - hm) <= 4.0 * se
 
 
+def base_xy(m):
+    """The base point (x, y) of the tangent m, with the engine's formula."""
+    a, b, c, d = m.as_tuple()
+    den = c * c + d * d
+    return (a * c + b * d) / den, 1.0 / den
+
+
 def atom_draws(measure, cfg, traj):
     """The atoms simulate_trajectory draws for trajectory traj, in order:
     one uniform per step from the trajectory's Philox stream, inverted
@@ -254,8 +262,9 @@ class TestHistoryFreeEngine:
             state, delta = table.moves[state][letter[g.as_tuple()]]
             index += delta[0]
             if k % 500 == 0:
-                want.append((index,))
-        assert [r.index for r in res.records] == want
+                x, y = base_xy(table.reps[state].rep)
+                want.append(((index,), system.cusp_height_xy(x, y)))
+        assert [(r.index, r.cusp_height) for r in res.records] == want
 
     @pytest.mark.parametrize("kind", ["atoms", "parametric"])
     def test_plain_kernel_matches_apply_step(self, gamma2_d1, kind):
@@ -342,6 +351,201 @@ def engine_increment(measure, u1, u2, u3):
         s1 * e * c2 + c1 * ei * s2,
         -s1 * e * s2 + c1 * ei * c2,
     )
+
+
+def replay(system, measure, cfg, traj):
+    """simulate_trajectory's output rebuilt without its shortcuts: the
+    trajectory's Philox stream drawn one rng.random(_RNG_BLOCK) block at a
+    time, atoms chosen by a linear scan of the cumulative weights, parametric
+    letters built by engine_increment, every step taken through
+    CoverSystem.stepper, the Cartan product multiplied in sequence with the
+    renormalization every 64 steps, and returns counted as entries into the
+    start tile.  Returns (records, atom_counts, ReturnStats or None)."""
+    rng = W.trajectory_rng(cfg.master_seed, traj)
+    if cfg.start.mode == "haar":
+        x0 = F.haar_sample(system.polygon, system.cusps, system.pres, rng,
+                           system.haar_parts)
+    else:
+        x0 = cfg.start.tangent
+    p = system.start_point(x0)
+    step = system.stepper(p)
+    sx, sy = base_xy(p.rep.rep)
+    atoms = measure.kind == "atoms"
+    cum = list(itertools.accumulate(w for _, w in measure.atoms))
+    counts = [0] * len(measure.atoms)
+    checkpoints = set(cfg.checkpoints.steps(cfg.steps))
+    ret = cfg.returns
+    in_tile, returns, exc_path = True, [], []
+    ta, tb, tc, td, tlog = 1.0, 0.0, 0.0, 1.0, 0.0
+    uni, pos = [], 0
+    records = []
+    for k in range(1, cfg.steps + 1):
+        if atoms:
+            if pos >= len(uni):
+                uni, pos = rng.random(W._RNG_BLOCK), 0
+            u = uni[pos]
+            pos += 1
+            ai = 0
+            while cum[ai] < u:
+                ai += 1
+            counts[ai] += 1
+            g = measure.atoms[ai][0]
+        else:
+            if pos + 3 > len(uni):
+                uni, pos = rng.random(W._RNG_BLOCK), 0
+            g = engine_increment(measure, *uni[pos:pos + 3])
+            pos += 3
+        p = step(g)
+        ta, tb, tc, td = (ta * g.a + tb * g.c, ta * g.b + tb * g.d,
+                          tc * g.a + td * g.c, tc * g.b + td * g.d)
+        if k % 64 == 0:
+            mm = max(abs(ta), abs(tb), abs(tc), abs(td))
+            if mm > 1.0:
+                ta, tb, tc, td = ta / mm, tb / mm, tc / mm, td / mm
+                tlog += math.log(mm)
+        x, y = base_xy(p.rep.rep)
+        if ret is not None:
+            exc = max(abs(v) for v in p.index)
+            exc_path.append(exc)
+            dx, dy = x - sx, y - sy
+            now = exc == 0 and (
+                1.0 + (dx * dx + dy * dy) / (2.0 * y * sy) <= math.cosh(ret.radius)
+            )
+            if now and not in_tile:
+                returns.append(k)
+            in_tile = now
+        if k in checkpoints:
+            s1, _ = H.singular_values(ta, tb, tc, td)
+            cart = 2.0 * (math.log(s1) + tlog) if s1 > 0 else 0.0
+            records.append(W.CheckpointRecord(
+                traj=traj, n=k, index=p.index,
+                drift=tuple(v / k for v in p.index),
+                cusp_height=system.cusp_height_xy(x, y),
+                cartan_t=max(cart, 0.0),
+            ))
+    stats = None
+    if ret is not None:
+        grid = sorted(set(ret.grid) | {cfg.steps})
+        lows = [0] + grid[:-1]
+        stats = W.ReturnStats(
+            first_return=returns[0] if returns else None,
+            n_returns=len(returns),
+            returned_by=tuple((m, any(k <= m for k in returns)) for m in grid),
+            window_returns=tuple(
+                (m, sum(lo < k <= m for k in returns)) for lo, m in zip(lows, grid)
+            ),
+            max_excursion_by=tuple((m, float(max(exc_path[:m]))) for m in grid),
+        )
+    return tuple(records), tuple(counts), stats
+
+
+class TestReplayOracle:
+    """Every record field, the atom counts and the return statistics equal a
+    replay of the same Philox stream; the runs cross letter-block boundaries
+    and have checkpoints off the 64-step renormalization grid."""
+
+    def check(self, system, measure, cfg):
+        for traj in range(cfg.trajectories):
+            res = W.simulate_trajectory(system, measure, cfg, traj)
+            records, counts, stats = replay(system, measure, cfg, traj)
+            assert res.records == records
+            assert res.summary.final_index == records[-1].index
+            assert res.summary.terminal_drift == records[-1].drift
+            assert res.summary.cartan_t == records[-1].cartan_t
+            assert res.summary.atom_counts == (counts if cfg.count_atoms else ())
+            assert res.summary.returns == stats
+            yield res
+
+    def test_torus_table_run(self, torus_d1):
+        mu = W.two_atom_measure(torus_d1.pres)
+        cfg = W.WalkConfig(steps=5000, trajectories=2, master_seed=41,
+                           checkpoints=W.CheckpointPlan(stride=100),
+                           start=W.StartSpec(mode="fixed", tangent=H.BASE_TANGENT),
+                           count_atoms=True)
+        for res in self.check(torus_d1, mu, cfg):
+            assert res.summary.orbit_states == 1
+
+    def test_gamma2_parametric_haar(self, gamma2_d1):
+        mu = W.parametric_measure(0.5, 1.5)
+        cfg = W.WalkConfig(steps=3000, trajectories=2, master_seed=42,
+                           checkpoints=W.CheckpointPlan("geometric", n0=50, ratio=1.7))
+        for res in self.check(gamma2_d1, mu, cfg):
+            assert res.summary.orbit_states is None
+
+    def test_torus_d2_returns(self):
+        pres, poly, cusps = F.builtin_lattice("punctured_square_torus")
+        system = C.cover_system(
+            pres, poly, cusps,
+            C.validate_cover(pres, cusps, {"g1": (1, 0), "g2": (0, 1)}),
+        )
+        mu = W.two_atom_measure(pres)
+        cfg = W.WalkConfig(steps=3000, trajectories=3, master_seed=43,
+                           checkpoints=W.CheckpointPlan(stride=700),
+                           returns=W.ReturnSpec(radius=2.0, grid=(500, 2000)))
+        returned = sum(res.summary.returns.n_returns
+                       for res in self.check(system, mu, cfg))
+        assert returned > 0
+
+
+class _ConstantStream:
+    """Stands in for a trajectory's Philox generator: every uniform is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        return np.full(size, self.u)
+
+
+class TestBlockDraws:
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**63 - 1),
+           tau_min=st.floats(0.01, 3.0), width=st.floats(0.0, 3.0))
+    def test_parametric_matches_engine_increment(self, seed, tau_min, width):
+        mu = W.parametric_measure(tau_min, tau_min + width)
+        got = W._draw_block(W.trajectory_rng(seed, 0), mu, None)
+        uni = W.trajectory_rng(seed, 0).random(W._RNG_BLOCK)
+        want = [engine_increment(mu, *uni[i:i + 3]).as_tuple()
+                for i in range(0, W._RNG_BLOCK - 2, 3)]
+        assert len(got) == len(want) == W._RNG_BLOCK // 3
+        assert np.array_equal(np.array(got).view(np.uint64),
+                              np.array(want).view(np.uint64))
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**63 - 1),
+           raw=st.lists(st.integers(0, 100), min_size=2, max_size=5)
+           .filter(lambda w: sum(w) > 0))
+    def test_atoms_match_linear_scan(self, seed, raw):
+        mu = W.measure_from_atoms([(H.IDENTITY, w / sum(raw)) for w in raw])
+        got = W._draw_block(W.trajectory_rng(seed, 0), mu, W._cumulative_weights(mu))
+        cum = list(itertools.accumulate(p for _, p in mu.atoms))
+        want = []
+        for u in W.trajectory_rng(seed, 0).random(W._RNG_BLOCK):
+            ai = 0
+            while cum[ai] < u:
+                ai += 1
+            want.append(ai)
+        assert got == want
+
+    @pytest.mark.parametrize("start", ["base", "generic"])
+    def test_draw_past_last_weight(self, torus_d1, monkeypatch, start):
+        # the weights sum to 1 - 1e-13, within measure_from_atoms' tolerance;
+        # a uniform above that sum still lands on the last atom
+        gm = torus_d1.pres.gen_map()
+        mu = W.measure_from_atoms([(gm["g1"], 0.5), (gm["g2"], 0.5 - 1e-13)])
+        tangent = H.BASE_TANGENT if start == "base" else H.UnitTangent(
+            H.compose(H.translation(0.37), H.rotation(1.234)))
+        monkeypatch.setattr(W, "trajectory_rng",
+                            lambda seed, traj: _ConstantStream(1.0 - 2.0**-53))
+        cfg = W.WalkConfig(steps=300, trajectories=1,
+                           checkpoints=W.CheckpointPlan(stride=100),
+                           start=W.StartSpec(mode="fixed", tangent=tangent),
+                           count_atoms=True)
+        res = W.simulate_trajectory(torus_d1, mu, cfg, 0)
+        assert (res.summary.orbit_states is None) == (start == "generic")
+        assert res.summary.atom_counts == (0, 300)
+        if start == "base":
+            assert res.summary.final_index == (300,)
 
 
 class TestReturnDetector:
