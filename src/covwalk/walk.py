@@ -21,11 +21,15 @@ bit-reproducible under any scheduling of trajectories.  The stream is read
 in one pass (``_draw_block``): an atom index per uniform, or a parametric
 increment per three uniforms, with the same bits as the scalar formula.
 
-The sheet index is only read at checkpoints unless a per-step observer
-(return tracking or a step trace) is on.  Without one, the descent counts
-the pairings it applies per polygon side and a random walk on an orbit table
-counts its (state, letter) moves; both are folded into the index at each
-checkpoint, and the last checkpoint is always the final step.
+The sheet index is carried as one packed integer (``_pack``/``_unpack``):
+each pairing of the descent subtracts its side's packed phi charge, a cusp
+unwind adds k times the packed charge of its corner, and a table step adds
+its packed index change.  The index is decoded only where it is read: at
+checkpoints, in a step trace, at the end of the run, and for return tracking
+on a step whose packed index differs from the last one decoded (a zero code
+is sheet zero).  A random walk on an orbit table with no observer counts its
+(state, letter) moves and folds them in at each checkpoint; the last
+checkpoint is always the final step.
 """
 
 from __future__ import annotations
@@ -321,11 +325,11 @@ def simulate_trajectory(
     start_rep = (a, b, c, d)
     sx, sy = _base_xy(a, b, c, d)
     dim = system.d
-    idx = list(p0.index)
+    code = _pack(p0.index)
 
     planes = system.planes
     mats = system.pair_mats
-    phis = system.pair_phis
+    pcodes = [_pack(ph) for ph in system.pair_phis]
     eps = fuchsian.EPS_GEOM
     max_iter = fuchsian.MAX_REDUCE_ITER
 
@@ -351,7 +355,9 @@ def simulate_trajectory(
         )
         table = system.orbit_table(x0, letters, ENGINE_ORBIT_STATES)
     if table is not None:
-        moves = table.moves
+        moves = tuple(
+            tuple((s, _pack(dl)) for s, dl in out) for out in table.moves
+        )
         state_xy = tuple(_base_xy(*r.rep.as_tuple()) for r in table.reps)
         state = 0
         ai = 0  # a flow run's only letter
@@ -376,14 +382,13 @@ def simulate_trajectory(
         max_exc_by = [0] * len(grid)
         returned_by = [False] * len(grid)
         gpos = 0
-    # without a per-step observer the index is only read at checkpoints
-    observe = track_returns or step_trace is not None
+        seen = 0  # the last nonzero index code whose sup-norm is in max_exc
 
     # running product for the Cartan displacement (walk runs only)
     ta, tb, tc, td = 1.0, 0.0, 0.0, 1.0
     tlog = 0.0
 
-    if table is not None and not observe and not geodesic:
+    if table is not None and not track_returns and step_trace is None and not geodesic:
         # walk the table in segments that end at a checkpoint or at a
         # multiple of 64 (the Cartan renormalization, and the end of every
         # _RNG_BLOCK atom letters); moves are counted per (state, letter)
@@ -391,7 +396,7 @@ def simulate_trajectory(
         # where row = state * n_letters; nxt[t] is the row of the next state
         n_letters = len(moves[0])
         nxt = [s * n_letters for out in moves for s, _ in out]
-        deltas = [dl for out in moves for _, dl in out]
+        dcodes = [dc for out in moves for _, dc in out]
         tcount = [0] * len(nxt)
         row = 0
         k = 0
@@ -421,18 +426,17 @@ def simulate_trajectory(
             if k == next_cp:
                 for t, m in enumerate(tcount):
                     if m:
-                        for j, v in enumerate(deltas[t]):
-                            idx[j] += m * v
+                        code += m * dcodes[t]
                         if counts is not None:
                             counts[t % n_letters] += m
                 tcount = [0] * len(nxt)
                 px, py = state_xy[row // n_letters]
                 records.append(_checkpoint(
-                    system, traj, k, idx, px, py, ta, tb, tc, td, tlog, False, cfg.dt
+                    system, traj, k, _unpack(code, dim), px, py,
+                    ta, tb, tc, td, tlog, False, cfg.dt,
                 ))
                 next_cp = next(cps, n + 1)
     else:
-        hits = [0] * len(phis)  # pairings applied since the last checkpoint
         for k in range(1, n + 1):
             # -- draw the increment
             if not geodesic:
@@ -450,9 +454,8 @@ def simulate_trajectory(
 
             # -- position update: walk the orbit table, or multiply and reduce
             if table is not None:
-                state, delta = moves[state][ai]
-                for j in range(dim):
-                    idx[j] += delta[j]
+                state, dc = moves[state][ai]
+                code += dc
                 px, py = state_xy[state]
             else:
                 a, b, c, d = (
@@ -481,8 +484,7 @@ def simulate_trajectory(
                         unw = system.fast_unwind(a, b, c, d)
                         if unw is not None:
                             a, b, c, d, kw_, ph = unw
-                            for j in range(dim):
-                                idx[j] += kw_ * ph[j]
+                            code += kw_ * _pack(ph)
                             it += 1
                             continue
                     pa, pb, pc, pd = mats[hit]
@@ -496,12 +498,7 @@ def simulate_trajectory(
                     if abs(det - 1.0) > 1e-12:
                         s = 1.0 / math.sqrt(det)
                         a, b, c, d = a * s, b * s, c * s, d * s
-                    if observe:
-                        ph = phis[hit]
-                        for j in range(dim):
-                            idx[j] -= ph[j]
-                    else:
-                        hits[hit] += 1
+                    code -= pcodes[hit]
                     it += 1
                     if it > max_iter:
                         raise fuchsian.NonTerminationError(
@@ -527,21 +524,17 @@ def simulate_trajectory(
                 hgt = system.cusp_height_xy(px, py)
                 cid = system.which_cusp_xy(px, py, trace_height) if hgt > trace_height else -1
                 tt = k * cfg.dt if geodesic else k
-                step_trace.append((tt, cid, hgt, tuple(idx)))
+                step_trace.append((tt, cid, hgt, _unpack(code, dim)))
 
             if track_returns:
                 # the start tile is: sheet index zero AND base within the radius
                 # of the start; a return is re-entering it after having left
-                exc = 0
-                for j in range(dim):
-                    v = idx[j]
-                    if v < 0:
-                        v = -v
-                    if v > exc:
-                        exc = v
-                if exc > max_exc:
-                    max_exc = exc
-                if exc > 0:
+                if code:
+                    if code != seen:
+                        seen = code
+                        exc = max(map(abs, _unpack(code, dim)))
+                        if exc > max_exc:
+                            max_exc = exc
                     left_zero = True
                 else:
                     dx = px - sx
@@ -567,14 +560,9 @@ def simulate_trajectory(
 
             # -- checkpoint
             if k == next_cp:
-                for i, m in enumerate(hits):
-                    if m:
-                        ph = phis[i]
-                        for j in range(dim):
-                            idx[j] -= m * ph[j]
-                        hits[i] = 0
                 records.append(_checkpoint(
-                    system, traj, k, idx, px, py, ta, tb, tc, td, tlog, geodesic, cfg.dt
+                    system, traj, k, _unpack(code, dim), px, py,
+                    ta, tb, tc, td, tlog, geodesic, cfg.dt,
                 ))
                 next_cp = next(cps, n + 1)
 
@@ -591,13 +579,14 @@ def simulate_trajectory(
     else:
         rstats = None
 
+    idx = _unpack(code, dim)
     tt = n * cfg.dt if geodesic else max(n, 1)
     if n == 0:
         records = [
             CheckpointRecord(
                 traj=traj,
                 n=0.0 if geodesic else 0,
-                index=tuple(idx),
+                index=idx,
                 drift=tuple(0.0 for _ in idx),
                 cusp_height=system.cusp_height_xy(sx, sy),
                 cartan_t=0.0,
@@ -606,7 +595,7 @@ def simulate_trajectory(
     summary = TrajectorySummary(
         traj=traj,
         steps=n,
-        final_index=tuple(idx),
+        final_index=idx,
         terminal_drift=tuple(v / tt for v in idx),
         cartan_t=records[-1].cartan_t if records else 0.0,
         start_rep=start_rep,
@@ -668,7 +657,7 @@ def _checkpoint(
     system: CoverSystem,
     traj: int,
     k: int,
-    idx: list[int],
+    idx: IntVec,
     px: float,
     py: float,
     ta: float,
@@ -692,11 +681,39 @@ def _checkpoint(
     return CheckpointRecord(
         traj=traj,
         n=tt,
-        index=tuple(idx),
+        index=idx,
         drift=tuple(v / tt for v in idx),
         cusp_height=system.cusp_height_xy(px, py),
         cartan_t=cart,
     )
+
+
+# The sheet index in Z^d is carried through a run as one Python int, the code
+# sum(idx[j] * 2**(64 * j)), so a deck move charges it with one integer add.
+# Decoding reads balanced base-2**64 digits, exact while every coordinate is
+# below 2**63 in magnitude; a coordinate of 2**62 or more is refused.
+_INDEX_LIMIT = 1 << 62
+
+
+def _pack(index: IntVec) -> int:
+    code = 0
+    for v in reversed(index):
+        code = (code << 64) + v
+    return code
+
+
+def _unpack(code: int, dim: int) -> IntVec:
+    out = []
+    for _ in range(dim - 1):
+        v = code & 0xFFFFFFFFFFFFFFFF
+        if v >= 1 << 63:
+            v -= 1 << 64
+        out.append(v)
+        code = (code - v) >> 64
+    out.append(code)
+    if max(map(abs, out)) >= _INDEX_LIMIT:
+        raise OverflowError(f"sheet index {out} is beyond +-2**62")
+    return tuple(out)
 
 
 def _base_xy(a: float, b: float, c: float, d: float) -> tuple[float, float]:
