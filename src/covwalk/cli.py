@@ -18,21 +18,13 @@ import tempfile
 
 import numpy as np
 
+from . import __version__
 from . import config as config_mod
 from . import cover as cover_mod
 from . import fuchsian
 from . import hyp2
 from . import stats as stats_mod
 from . import walk as walk_mod
-
-
-def _version() -> str:
-    from importlib import metadata
-
-    try:
-        return metadata.version("covwalk")
-    except metadata.PackageNotFoundError:
-        return "0.0.0+local"
 
 
 def _atomic_write(path: str, data: str) -> None:
@@ -95,7 +87,7 @@ def _summary(bundle, results, extra: dict) -> dict:
     cfg = bundle.config
     drifts = np.array([r.summary.terminal_drift for r in results])
     summary = {
-        "build": {"package": "covwalk", "version": _version()},
+        "build": {"package": "covwalk", "version": __version__},
         "config_hash": config_mod.config_hash(cfg),
         "config": config_mod.canonical_text(cfg),
         "d": bundle.spec.d,
@@ -312,7 +304,10 @@ def cmd_run(args, geodesic: bool) -> int:
         return 3
     outdir = args.out or "."
     # only fixed starts build a table, and all trajectories share that start
-    engine = {"orbit_states": results[0].summary.orbit_states if results else None}
+    engine = {
+        "id": walk_mod.ENGINE_ID,
+        "orbit_states": results[0].summary.orbit_states if results else None,
+    }
     summary = _summary(bundle, results, {"engine": engine, "analysis": analysis})
     _atomic_write(os.path.join(outdir, "records.csv"), _records_csv(results, bundle.spec.d))
     _atomic_write(os.path.join(outdir, "records.jsonl"), _records_jsonl(results))

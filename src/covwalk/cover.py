@@ -222,6 +222,13 @@ class OrbitTable:
     moves: tuple[tuple[tuple[int, IntVec], ...], ...]
 
 
+# the greedy descent tries CoverSystem.fast_unwind on its iterations 7, 15,
+# 23, ... (it & UNWIND_MASK == UNWIND_MASK); the trajectory engine and
+# reduce_raw share this cadence, so a replay through apply_step is bit-exact.
+# Descent depth has the 1/x tail of the Haar cusp law, so deep windings are
+# common enough that an early unwind saves more pairings than its tries cost.
+UNWIND_MASK = 7
+
 # orbits of at most this many states under the generators and their inverses
 # are walked through an OrbitTable by CoverSystem.stepper
 ORBIT_TABLE_STATES = 16
@@ -393,7 +400,7 @@ class CoverSystem:
             if hit < 0:
                 w = None if word is None else tuple(reversed(word))
                 return (a, b, c, d), index, w
-            if word is None and it & 63 == 63:
+            if word is None and it & UNWIND_MASK == UNWIND_MASK:
                 unw = self.fast_unwind(a, b, c, d)
                 if unw is not None:
                     a, b, c, d, k, ph = unw

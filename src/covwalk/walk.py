@@ -38,7 +38,6 @@ import itertools
 import math
 import os
 from dataclasses import dataclass, field
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -60,6 +59,12 @@ assert _RNG_BLOCK % 64 == 0
 # orbit costs this many states times the number of letters in apply_step
 # calls: about 0.8 ms per trajectory for two atoms on a 2-vCPU Xeon.
 ENGINE_ORBIT_STATES = 64
+
+# Names the engine's output bits in summary.json; bumped by every change that
+# alters the records of some config and seed.  Engine 1 (summaries without
+# an id) tried fast_unwind after every 64 descent iterations, engine 2 after
+# every 8.
+ENGINE_ID = 2
 
 
 class ZariskiCheckError(RuntimeError):
@@ -332,6 +337,7 @@ def simulate_trajectory(
     pcodes = [_pack(ph) for ph in system.pair_phis]
     eps = fuchsian.EPS_GEOM
     max_iter = fuchsian.MAX_REDUCE_ITER
+    unwind_mask = cover_mod.UNWIND_MASK
 
     atoms = not geodesic and measure is not None and measure.kind == "atoms"
     cum = None  # parametric letters are built from the uniforms
@@ -479,7 +485,7 @@ def simulate_trajectory(
                         i += 1
                     if hit < 0:
                         break
-                    if it & 63 == 63:
+                    if it & unwind_mask == unwind_mask:
                         # deep cusp winding: unwind whole strip widths in one stroke
                         unw = system.fast_unwind(a, b, c, d)
                         if unw is not None:
@@ -780,6 +786,9 @@ def run_trajectories(
         cfg=cfg,
         geodesic=geodesic,
     )
+    # imported here: one-worker runs need not load the multiprocessing stack
+    from concurrent.futures import ProcessPoolExecutor
+
     blocks = [ids[i::workers] for i in range(workers)]
     out: dict[int, TrajectoryResult] = {}
     with ProcessPoolExecutor(max_workers=workers) as pool:

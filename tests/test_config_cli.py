@@ -1,12 +1,14 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import covwalk
 from covwalk import cli
 from covwalk import config as CFG
 from covwalk import hyp2 as H
@@ -179,8 +181,12 @@ class TestRunCommands:
         assert summary["build"]["package"] == "covwalk"
         assert summary["analysis"]["drift"]["target"] == [0.5]
         assert abs(summary["drift_mean"][0] - 0.5) < 0.05
-        # the upward tangent at i is a one-state orbit of g1 and g2
-        assert summary["engine"] == {"orbit_states": 1}
+        assert summary["build"]["version"] == covwalk.__version__
+        # engine 2 unwinds cusp windings after 8 descent pairings; the id
+        # changes with the output bits, so a bump is an edit here.  The
+        # upward tangent at i is a one-state orbit of g1 and g2
+        assert summary["engine"] == {"id": 2, "orbit_states": 1}
+        assert W.ENGINE_ID == 2
 
     def test_mode_mismatch(self, tmp_path):
         cfgp = tmp_path / "exp.cfg"
@@ -216,7 +222,8 @@ dt = 0.25
         assert rows[0] == "traj,n,k1,drift1,cusp_height,cartan_t"
         assert len(rows) == 11
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["engine"] == {"orbit_states": None}  # Haar starts
+        # Haar starts
+        assert summary["engine"] == {"id": W.ENGINE_ID, "orbit_states": None}
 
     @pytest.mark.parametrize(
         "exc",
@@ -311,7 +318,7 @@ class TestReportCommand:
         code, text = run_cli("report", "--dir", str(tmp_path))
         assert code == 0
         assert "config_hash" in text
-        assert "engine: {'orbit_states': 1}" in text
+        assert f"engine: {{'id': {W.ENGINE_ID}, 'orbit_states': 1}}" in text
         assert (tmp_path / "dashboard.txt").exists()
         assert (out / "drift_ecdf.dat").exists()
 
@@ -332,17 +339,40 @@ class TestEntryPoint:
     def test_python_dash_m(self, module):
         # runpy warns when the package's __init__ has already imported the
         # module it is asked to run; as an error that warning fails the run
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
         res = subprocess.run(
             [sys.executable, "-W", "error::RuntimeWarning", "-m", module,
              "lattice", "check", "gamma2"],
             capture_output=True,
             text=True,
-            env=env,
+            env=src_env(),
         )
         assert res.returncode == 0, res.stderr
         assert "cusps: 3" in res.stdout
+
+    def test_import_leaves_process_pool_out(self):
+        # only a run with more than one worker needs the multiprocessing stack
+        res = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, covwalk.config; "
+             "print('concurrent.futures.process' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env=src_env(),
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "False"
+
+    def test_version_matches_pyproject(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
+            m = re.search(r'^version\s*=\s*"([^"]+)"', fh.read(), re.MULTILINE)
+        assert m is not None
+        assert covwalk.__version__ == m.group(1)
+
+
+def src_env() -> dict:
+    """The environment with this checkout's covwalk first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -292,6 +293,113 @@ class TestFastUnwind:
         )
         _, idx, _ = gamma2_d1.reduce_raw(g.as_tuple(), (0,))
         assert abs(idx[0]) > 10**5  # enormous winding, handled in one stroke
+
+
+UNWIND_COVERS = {
+    "gamma2": {"A": (1,), "B": (0,)},
+    "punctured_square_torus": {"g1": (1, 0), "g2": (0, 1)},
+}
+
+# the worst relative state gap seen on deep walk points is below 3e-8
+UNWIND_STATE_TOL = 1e-6
+
+
+@pytest.fixture(scope="module", params=sorted(UNWIND_COVERS))
+def unwind_cover(request):
+    pres, poly, cusps = F.builtin_lattice(request.param)
+    spec = C.validate_cover(pres, cusps, UNWIND_COVERS[request.param])
+    return C.cover_system(pres, poly, cusps, spec)
+
+
+def deep_walk_points(system, seed, parametric, want=12, max_steps=4000):
+    """Points of a Haar-start walk whose plain descent takes at least
+    UNWIND_MASK + 1 pairings: (reduced state times letter, index before the
+    step).  Letters are the generators with equal weight, or rotation,
+    translation by [0.5, 1.5], rotation; the walk steps with apply_step."""
+    rng = np.random.default_rng(seed)
+    x0 = F.haar_sample(system.polygon, system.cusps, system.pres, rng,
+                       system.haar_parts)
+    p = system.start_point(x0)
+    gens = [g for _, g in system.pres.generators]
+    out = []
+    for _ in range(max_steps):
+        if parametric:
+            g = H.compose_all(H.rotation(rng.uniform(0, 2 * math.pi)),
+                              H.translation(rng.uniform(0.5, 1.5)),
+                              H.rotation(rng.uniform(0, 2 * math.pi)))
+        else:
+            g = gens[rng.integers(len(gens))]
+        m = p.rep.rep
+        moved = (m.a * g.a + m.b * g.c, m.a * g.b + m.b * g.d,
+                 m.c * g.a + m.d * g.c, m.c * g.b + m.d * g.d)
+        # every side pairing of these presets is a single letter
+        _, _, word = system.reduce_raw(moved, p.index, collect_word=True)
+        if len(word) > C.UNWIND_MASK:
+            out.append((moved, p.index))
+            if len(out) == want:
+                break
+        p = system.apply_step(p, g)
+    return out
+
+
+def side_margin(system, m):
+    """How far the base point of m clears the nearest polygon side."""
+    a, b, c, d = m
+    den = c * c + d * d
+    x, y = (a * c + b * d) / den, 1.0 / den
+    return -max(al * (x * x + y * y) + be * x + de for al, be, de in system.planes)
+
+
+def relative_gap(m, ref):
+    """Largest entry difference of m from ref up to sign, over ref's largest
+    entry."""
+    big = max(abs(v) for v in ref)
+    return min(max(abs(u - v) for u, v in zip(m, ref)),
+               max(abs(u + v) for u, v in zip(m, ref))) / big
+
+
+def exact_deck_image(system, word, moved):
+    """The deck word (newest letter leftmost) applied to moved at 60 digits,
+    each generator scaled to determinant one."""
+    with mpmath.workdps(60):
+        letter = {}
+        for lab, g in system.pres.generators:
+            mg = mpmath.matrix([[g.a, g.b], [g.c, g.d]])
+            mg /= mpmath.sqrt(mpmath.det(mg))
+            letter[(lab, 1)], letter[(lab, -1)] = mg, mg ** -1
+        out = mpmath.matrix([[moved[0], moved[1]], [moved[2], moved[3]]])
+        for lt in reversed(word):
+            out = letter[lt] * out
+        return [out[0, 0], out[0, 1], out[1, 0], out[1, 1]]
+
+
+class TestFastUnwindAgreement:
+    """reduce_raw unwinds cusp windings after every UNWIND_MASK + 1 pairings;
+    on real walk points its result agrees with plain descent, and both are
+    close to the exact image under the plain descent's deck word."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), parametric=st.booleans())
+    def test_matches_plain_descent(self, unwind_cover, seed, parametric):
+        system = unwind_cover
+        points = deep_walk_points(system, seed, parametric)
+        assert points
+        engaged = 0
+        for moved, index in points:
+            plain, plain_idx, word = system.reduce_raw(moved, index, collect_word=True)
+            fast, fast_idx, _ = system.reduce_raw(moved, index)
+            # the points reach windings fast_unwind takes in one stroke
+            engaged += system.fast_unwind(*moved) is not None
+            if side_margin(system, plain) <= 1e-6:
+                # a rounding error may put the two one pairing apart
+                continue
+            assert fast_idx == plain_idx
+            assert relative_gap(fast, plain) <= UNWIND_STATE_TOL
+            with mpmath.workdps(60):
+                exact = exact_deck_image(system, word, moved)
+                assert relative_gap(plain, exact) <= UNWIND_STATE_TOL
+                assert relative_gap(fast, exact) <= UNWIND_STATE_TOL
+        assert engaged
 
 
 class TestCuspExcursions:
