@@ -26,10 +26,15 @@ each pairing of the descent subtracts its side's packed phi charge, a cusp
 unwind adds k times the packed charge of its corner, and a table step adds
 its packed index change.  The index is decoded only where it is read: at
 checkpoints, in a step trace, at the end of the run, and for return tracking
-on a step whose packed index differs from the last one decoded (a zero code
-is sheet zero).  A random walk on an orbit table with no observer counts its
-(state, letter) moves and folds them in at each checkpoint; the last
-checkpoint is always the final step.
+(where a zero code is sheet zero) on a step whose moves could have carried
+the index's sup-norm past its running maximum.  A random walk on an orbit
+table with no observer counts its (state, letter) moves and folds them in at
+each checkpoint; the last checkpoint is always the final step.
+
+The greedy descent tries ``CoverSystem.fast_unwind`` on its iterations 7,
+15, 23, ... (``cover.UNWIND_MASK``), as ``CoverSystem.reduce_raw`` does:
+descent depth has the 1/x tail of the Haar cusp law, so a Haar start spends
+a good share of its pairings in cusp windings deeper than 8.
 """
 
 from __future__ import annotations
@@ -388,7 +393,15 @@ def simulate_trajectory(
         max_exc_by = [0] * len(grid)
         returned_by = [False] * len(grid)
         gpos = 0
-        seen = 0  # the last nonzero index code whose sup-norm is in max_exc
+        # the index is decoded only when the step's moves could have carried
+        # its sup-norm past max_exc: slack is a lower bound on max_exc minus
+        # the current sup-norm, and one pairing or table move changes a
+        # coordinate by at most charge_max (a cusp unwind sets slack to -1)
+        charges = list(system.pair_phis)
+        if table is not None:
+            charges += [dl for out in table.moves for _, dl in out]
+        charge_max = max(abs(v) for dl in charges for v in dl)
+        slack = 0
 
     # running product for the Cartan displacement (walk runs only)
     ta, tb, tc, td = 1.0, 0.0, 0.0, 1.0
@@ -462,6 +475,7 @@ def simulate_trajectory(
             if table is not None:
                 state, dc = moves[state][ai]
                 code += dc
+                it = 1
                 px, py = state_xy[state]
             else:
                 a, b, c, d = (
@@ -491,6 +505,7 @@ def simulate_trajectory(
                         if unw is not None:
                             a, b, c, d, kw_, ph = unw
                             code += kw_ * _pack(ph)
+                            slack = -1
                             it += 1
                             continue
                     pa, pb, pc, pd = mats[hit]
@@ -536,13 +551,15 @@ def simulate_trajectory(
                 # the start tile is: sheet index zero AND base within the radius
                 # of the start; a return is re-entering it after having left
                 if code:
-                    if code != seen:
-                        seen = code
+                    slack -= it * charge_max
+                    if slack < 0:
                         exc = max(map(abs, _unpack(code, dim)))
                         if exc > max_exc:
                             max_exc = exc
+                        slack = max_exc - exc
                     left_zero = True
                 else:
+                    slack = max_exc
                     dx = px - sx
                     dy = py - sy
                     inside = 1.0 + (dx * dx + dy * dy) / (2.0 * py * sy) <= cosh_r
