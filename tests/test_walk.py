@@ -487,6 +487,43 @@ class TestReplayOracle:
         assert returned > 0
 
 
+INDEX_COORD = st.integers(-(2**62) + 1, 2**62 - 1)
+
+
+class TestPackedIndex:
+    """The engine carries the sheet index as sum(idx[j] * 2**(64 j)) and
+    charges it by adding packed deltas, so packing must be linear."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(index=st.lists(INDEX_COORD, min_size=1, max_size=4))
+    def test_roundtrip(self, index):
+        index = tuple(index)
+        code = W._pack(index)
+        assert code == sum(v * 2 ** (64 * j) for j, v in enumerate(index))
+        assert W._unpack(code, len(index)) == index
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        pairs=st.lists(st.tuples(INDEX_COORD, st.integers(-2**20, 2**20)),
+                       min_size=1, max_size=4),
+        k=st.integers(-2**20, 2**20),
+    )
+    def test_charges_add(self, pairs, k):
+        u = tuple(a >> 2 for a, _ in pairs)
+        v = tuple(b for _, b in pairs)
+        code = W._pack(u) + k * W._pack(v)
+        assert W._unpack(code, len(u)) == tuple(a + k * b for a, b in zip(u, v))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_out_of_range_coordinate_raises(self, dim):
+        for j in range(dim):
+            for v in (2**62, -(2**62)):
+                index = [0] * dim
+                index[j] = v
+                with pytest.raises(OverflowError):
+                    W._unpack(W._pack(tuple(index)), dim)
+
+
 class _ConstantStream:
     """Stands in for a trajectory's Philox generator: every uniform is u."""
 
