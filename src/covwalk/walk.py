@@ -475,7 +475,7 @@ def simulate_trajectory(
             if table is not None:
                 state, dc = moves[state][ai]
                 code += dc
-                it = 1
+                it = 1  # one move, for the return tracking's slack
                 px, py = state_xy[state]
             else:
                 a, b, c, d = (
