@@ -299,7 +299,7 @@ def cmd_run(args, geodesic: bool) -> int:
         )
         analysis = _analysis(bundle, results)
     except (fuchsian.NonTerminationError, walk_mod.ZariskiCheckError,
-            ArithmeticError) as exc:
+            stats_mod.DegenerateSamplesError, ArithmeticError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
     outdir = args.out or "."

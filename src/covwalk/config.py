@@ -24,12 +24,12 @@ two configs get the same hash exactly when every semantic field agrees.
 
     [walk]
     mode = walk                  # or: geodesic
-    steps = 10000                # geodesic: number of dt-increments
-    trajectories = 100
+    steps = 10000                # >= 0; geodesic: number of dt-increments
+    trajectories = 100           # >= 1
     seed = 1
-    checkpoints = linear:1000    # or geometric:100:1.25
+    checkpoints = linear:1000    # or geometric:100:1.25 (n0 >= 1, ratio > 1)
     start = haar                 # or: special  (the upward tangent at i)
-    dt = 0.25
+    dt = 0.25                    # geodesic only: 0 < dt <= 0.5
     return_radius = 2.0          # presence switches return tracking on
     return_grid = 10000 100000
 
@@ -159,7 +159,13 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if mode == "walk" and mtype == "atoms" and not atoms:
         raise ConfigError("atoms measure needs atom.N entries", "measure")
     steps = int(get(wk, "steps", "1000"))
+    if steps < 0:
+        raise ConfigError(f"steps must be >= 0, got {steps}", wk, "steps")
     trajectories = int(get(wk, "trajectories", "1"))
+    if trajectories < 1:
+        raise ConfigError(
+            f"trajectories must be >= 1, got {trajectories}", wk, "trajectories"
+        )
     seed = int(get(wk, "seed", "0"))
     checkpoints = get(wk, "checkpoints", "linear:1000")
     _parse_checkpoints(checkpoints)  # validate early
@@ -167,6 +173,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if start not in ("haar", "special"):
         raise ConfigError(f"unknown start mode {start!r}", wk, "start")
     dt = float(get(wk, "dt", "0.25"))
+    if mode == "geodesic" and not 0.0 < dt <= 0.5:
+        # a longer flow step would move the point too far for a local reduction
+        raise ConfigError(f"flow step dt must be in (0, 0.5], got {dt}", wk, "dt")
     rr = get(wk, "return_radius")
     return_radius = float(rr) if rr is not None else None
     rg = get(wk, "return_grid", "")
@@ -202,13 +211,18 @@ def parse_config_text(text: str) -> ExperimentConfig:
 def _parse_checkpoints(text: str) -> walk_mod.CheckpointPlan:
     parts = text.split(":")
     if parts[0] == "linear" and len(parts) == 2:
-        return walk_mod.CheckpointPlan(kind="linear", stride=int(parts[1]))
-    if parts[0] == "geometric" and len(parts) == 3:
-        return walk_mod.CheckpointPlan(
+        plan = walk_mod.CheckpointPlan(kind="linear", stride=int(parts[1]))
+        if plan.stride >= 1:
+            return plan
+    elif parts[0] == "geometric" and len(parts) == 3:
+        plan = walk_mod.CheckpointPlan(
             kind="geometric", n0=int(parts[1]), ratio=float(parts[2])
         )
+        if plan.n0 >= 1 and plan.ratio > 1.0:
+            return plan
     raise ConfigError(
-        f"checkpoints must be linear:STRIDE or geometric:N0:RATIO, got {text!r}",
+        "checkpoints must be linear:STRIDE (STRIDE >= 1) or geometric:N0:RATIO"
+        f" (N0 >= 1, RATIO > 1), got {text!r}",
         "walk",
         "checkpoints",
     )

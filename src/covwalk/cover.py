@@ -30,7 +30,6 @@ from .fuchsian import (
     CuspData,
     FundamentalPolygon,
     LatticePresentation,
-    ReducedPoint,
     Word,
 )
 
@@ -378,9 +377,18 @@ class CoverSystem:
         index: IntVec,
         collect_word: bool = False,
     ) -> tuple[tuple[float, float, float, float], IntVec, Word | None]:
-        """Greedy descent on raw matrix entries.  Returns the reduced matrix
-        (not sign-canonicalized), the updated index, and optionally the deck
-        word (newest letter leftmost)."""
+        """Greedy Dirichlet descent on raw matrix entries: the one Python
+        descent and the trajectory engine's reference.
+
+        While the base point violates some side inequality by more than
+        EPS_GEOM, apply the first such side's pairing (sides in stored
+        order) and charge its phi to the index; each pairing strictly
+        decreases the distance to the polygon center, and discreteness makes
+        the descent finite.  Without ``collect_word``, iterations 7, 15, 23,
+        ... try ``fast_unwind`` first, as the engine does.  Returns the
+        reduced matrix (not sign-canonicalized), the updated index, and with
+        ``collect_word`` the deck word (newest letter leftmost; no unwind is
+        then tried, so every pairing is a letter)."""
         a, b, c, d = m
         planes = self.planes
         mats = self.pair_mats
@@ -425,17 +433,6 @@ class CoverSystem:
             "reduction did not terminate; invalid geometry"
         )
 
-    def cusp_height_xy(self, x: float, y: float) -> float:
-        best = -math.inf
-        for (ma, mb, mc, md) in self.corner_mats:
-            t = mc * x + md
-            im = y / (t * t + (mc * y) ** 2)
-            if im > 0:
-                h = math.log(im)
-                if h > best:
-                    best = h
-        return best
-
     def which_cusp_xy(self, x: float, y: float, h: float) -> int:
         eh = math.exp(h)
         for k, (ma, mb, mc, md) in enumerate(self.corner_mats):
@@ -447,9 +444,10 @@ class CoverSystem:
     # -- public operations ---------------------------------------------------
 
     def start_point(self, x: UnitTangent) -> CoverPoint:
-        """Reduce a raw tangent and assign it sheet index zero."""
-        red = fuchsian.reduce(x, self.polygon, self.pres)
-        return CoverPoint(rep=red.rep, index=self.zero)
+        """Reduce a raw tangent with reduce_raw and assign it sheet index
+        zero; the representative is rebuilt by ``hyp2.element``."""
+        m, _, _ = self.reduce_raw(x.rep.as_tuple(), self.zero)
+        return CoverPoint(rep=UnitTangent(hyp2.element(*m)), index=self.zero)
 
     def apply_step(self, p: CoverPoint, g: GroupElement) -> CoverPoint:
         """One step with the trajectory engine's arithmetic: multiply, reduce

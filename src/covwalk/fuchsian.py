@@ -1,10 +1,11 @@
-"""Lattices in PSL(2,R): presentations, fundamental polygons, reduction.
+"""Lattices in PSL(2,R): presentations, fundamental polygons, cusps.
 
 The polygon machinery works in two charts at once.  Construction happens in
 the Klein disk, where geodesics are straight chords and a Dirichlet domain
 is a finite intersection of Euclidean half-planes, clipped with standard
-convex-polygon clipping.  Membership tests and the reduction walk happen in
-the upper half-plane, where every bounding geodesic is one inequality
+convex-polygon clipping.  Membership tests happen in the upper half-plane
+(as does the greedy reduction, ``cover.CoverSystem.reduce_raw``), where
+every bounding geodesic is one inequality
 
     alpha * (x^2 + y^2) + beta * x + delta <= 0
 
@@ -18,8 +19,7 @@ left-to-right as a matrix product.
 from __future__ import annotations
 
 import math
-import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import hyp2
 from .hyp2 import GroupElement, PointH, UnitTangent
@@ -78,10 +78,6 @@ def word_str(word: Word) -> str:
 
 def word_inverse(word: Word) -> Word:
     return tuple((lab, -s) for lab, s in reversed(word))
-
-
-def word_concat(u: Word, v: Word) -> Word:
-    return u + v
 
 
 def free_reduce(word: Word) -> Word:
@@ -267,12 +263,6 @@ class FundamentalPolygon:
             if s.plane.value(x, y) > tol:
                 return False
         return True
-
-    def first_violated(self, x: float, y: float, tol: float = EPS_GEOM) -> int:
-        for i, s in enumerate(self.sides):
-            if s.plane.value(x, y) > tol:
-                return i
-        return -1
 
 
 # ---------------------------------------------------------------------------
@@ -532,68 +522,6 @@ def _check_pairings(sides: list) -> None:
 
 
 # ---------------------------------------------------------------------------
-# reduction into the polygon
-
-@dataclass(frozen=True)
-class ReducedPoint:
-    """A tangent whose base point lies in the closed polygon, together with
-    the deck word that carried the raw input onto it."""
-
-    rep: UnitTangent
-    deck_word: Word
-
-
-def reduce(
-    x: UnitTangent,
-    polygon: FundamentalPolygon,
-    pres: LatticePresentation,
-    trace: list[float] | None = None,
-) -> ReducedPoint:
-    """Greedy Dirichlet descent: while some side inequality is violated by
-    more than EPS_GEOM, apply that side's pairing element.  Each application
-    strictly decreases the distance to the polygon center, and discreteness
-    makes the descent finite.  Deterministic tie-break: sides are scanned in
-    stored order and the first violated side acts.
-    """
-    m = x.rep.as_tuple()
-    word: list[tuple[str, int]] = []
-    sides = polygon.sides
-    cx, cy = polygon.center.x, polygon.center.y
-    for _ in range(MAX_REDUCE_ITER):
-        a, b, c, d = m
-        den = c * c + d * d
-        px = (a * c + b * d) / den
-        py = 1.0 / den
-        if trace is not None:
-            trace.append(
-                hyp2.distance(PointH(px, py), PointH(cx, cy))
-            )
-        hit = -1
-        for i, s in enumerate(sides):
-            p = s.plane
-            if p.alpha * (px * px + py * py) + p.beta * px + p.delta > EPS_GEOM:
-                hit = i
-                break
-        if hit < 0:
-            g = hyp2.element(*m)
-            # letters were collected reversed (the deck acts on the left, so
-            # the most recent pairing is the leftmost factor)
-            return ReducedPoint(rep=UnitTangent(g), deck_word=tuple(reversed(word)))
-        side = sides[hit]
-        q = side.pairing
-        a2 = q.a * a + q.b * c
-        b2 = q.a * b + q.b * d
-        c2 = q.c * a + q.d * c
-        d2 = q.c * b + q.d * d
-        det = a2 * d2 - b2 * c2
-        if abs(det - 1.0) > 1e-12:
-            s_ = 1.0 / math.sqrt(det)
-            a2, b2, c2, d2 = a2 * s_, b2 * s_, c2 * s_, d2 * s_
-        m = (a2, b2, c2, d2)
-        word.extend(reversed(side.pairing_word))
-    raise NonTerminationError("reduction did not terminate; invalid geometry")
-
-# ---------------------------------------------------------------------------
 # cusps
 
 @dataclass(frozen=True)
@@ -627,10 +555,6 @@ class CuspData:
     corners: tuple[CornerChart, ...]
 
 
-def _boundary_chart(u: float) -> complex:
-    return _cayley_boundary(u)
-
-
 def _act_boundary(g: GroupElement, u: float) -> float:
     if math.isinf(u):
         return g.a / g.c if abs(g.c) > 1e-14 else math.inf
@@ -638,10 +562,6 @@ def _act_boundary(g: GroupElement, u: float) -> float:
     if abs(den) < 1e-12 * max(1.0, abs(g.a * u + g.b)):
         return math.inf
     return (g.a * u + g.b) / den
-
-
-def _vertex_boundary(v: Vertex) -> float:
-    return v.boundary
 
 
 def derive_cusps(
@@ -681,16 +601,16 @@ def derive_cusps(
             visited.add(vi)
             corners.append((vi, acc, acc_word))
             side = sides[si]
-            img = _act_boundary(side.pairing, _vertex_boundary(verts[vi]))
+            img = _act_boundary(side.pairing, verts[vi].boundary)
             sj = partner[si]
             # endpoints of the partner side are vertices sj and sj+1
             cands = [sj, (sj + 1) % n]
-            img_pt = _boundary_chart(img)
+            img_pt = _cayley_boundary(img)
 
             def _gap(j: int) -> float:
                 if not verts[j].ideal:
                     return math.inf
-                return abs(_boundary_chart(_vertex_boundary(verts[j])) - img_pt)
+                return abs(_cayley_boundary(verts[j].boundary) - img_pt)
 
             best = min(cands, key=_gap)
             if _gap(best) > 1e-6:
@@ -1051,18 +971,22 @@ def haar_sample(
     cusps: tuple[CuspData, ...],
     pres: LatticePresentation,
     rng,
-    parts: tuple[tuple[CuspSector, ...], CoreRegion] | None = None,
+    parts: tuple[tuple[CuspSector, ...], CoreRegion],
 ) -> UnitTangent:
     """One tangent vector with the normalized Haar law of the unit tangent
-    bundle of the quotient surface, returned reduced into the polygon.
+    bundle of the quotient surface; ``parts`` is ``cusp_neighborhoods`` at
+    height 0 (``CoverSystem.haar_parts``).
 
     Cusp sectors are sampled exactly (horocyclic coordinate uniform over the
-    width, log-height exponential with unit rate, fibre angle uniform); the
-    compact core is rejection-sampled from a bounding box with the area
-    density dx dy / y^2.
+    width, log-height exponential with unit rate, fibre angle uniform) and
+    returned in the sector's normalized chart, which need not lie in the
+    polygon: ``CoverSystem.start_point`` reduces the draw.  Cusp height is a
+    function on the surface, so ``cusp_height`` reads the same on the draw
+    as on its reduction, up to rounding.  The compact core is
+    rejection-sampled from a bounding box with the area density dx dy / y^2,
+    so a core draw lies in the polygon.  ``pres`` is not used; it stays
+    because the acceptance suite passes ``parts`` by position after it.
     """
-    if parts is None:
-        parts = cusp_neighborhoods(polygon, cusps, 0.0)
     sectors, core = parts
     total = polygon.area
     u = rng.random() * total
@@ -1076,8 +1000,7 @@ def haar_sample(
                 cusp.normalizer,
                 hyp2.compose(hyp2.unipotent(uu), hyp2.translation(math.log(y))),
             )
-            tangent = UnitTangent(hyp2.compose(g, hyp2.rotation(theta)))
-            return reduce(tangent, polygon, pres).rep
+            return UnitTangent(hyp2.compose(g, hyp2.rotation(theta)))
         u -= s.area
     inv_lo = 1.0 / core.y_min
     inv_hi = 1.0 / core.y_max

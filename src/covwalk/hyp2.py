@@ -96,10 +96,6 @@ def element(a: float, b: float, c: float, d: float) -> GroupElement:
 IDENTITY = GroupElement(1.0, 0.0, 0.0, 1.0)
 
 
-def identity() -> GroupElement:
-    return IDENTITY
-
-
 def compose(g: GroupElement, h: GroupElement) -> GroupElement:
     """Matrix product g*h, renormalized and sign-canonicalized."""
     a = g.a * h.a + g.b * h.c
@@ -149,9 +145,6 @@ class PointH:
     def __post_init__(self) -> None:
         if not self.y > 0.0:
             raise ValueError(f"half-plane point needs y > 0, got y={self.y}")
-
-    def as_complex(self) -> complex:
-        return complex(self.x, self.y)
 
 
 POINT_I = PointH(0.0, 1.0)
@@ -326,10 +319,6 @@ def psl_distance(g: GroupElement, h: GroupElement) -> float:
         abs(g.a + h.a), abs(g.b + h.b), abs(g.c + h.c), abs(g.d + h.d)
     )
     return min(d1, d2)
-
-
-def is_close(g: GroupElement, h: GroupElement, tol: float = 1e-9) -> bool:
-    return psl_distance(g, h) <= tol
 
 
 def fixed_points_on_boundary(g: GroupElement, tol: float = TRACE_TOL) -> tuple:

@@ -6,13 +6,16 @@ moves to an exact integer sheet index.  The per-step loop is written with
 plain floats and tuples on purpose: it runs tens of millions of times in
 the acceptance experiments.
 
-Each step is a pure function of the current state and the letter drawn,
-with the same split as ``CoverSystem.stepper``.  A fixed start whose orbit
-under the step letters (the atoms, or the flow step) has at most
-``ENGINE_ORBIT_STATES`` states walks that orbit's compiled ``OrbitTable`` in
-integers, so its index path is exact however long the run.  Every other
-run (Haar starts, parametric measures, larger orbits) multiplies and
-reduces with no cache, step for step as ``CoverSystem.apply_step``.
+A run's start, Haar-sampled or fixed, is reduced by
+``CoverSystem.start_point``.  Each step is a pure function of the current
+state and the letter drawn, with the same split as ``CoverSystem.stepper``.
+A fixed start whose orbit under the step letters (the atoms, or the flow
+step) has at most ``ENGINE_ORBIT_STATES`` states walks that orbit's compiled
+``OrbitTable`` in integers, so its index path is exact however long the run.
+Every other run (Haar starts, parametric measures, larger orbits) multiplies
+and reduces with no cache, step for step as ``CoverSystem.apply_step``: the
+loop below inlines ``CoverSystem.reduce_raw``, its reference, with the index
+packed.  ``run_trajectories`` runs all trajectories of a walk or flow run.
 
 Randomness is counter-based and splittable: trajectory k of a run seeded
 with s draws from Philox keyed by SeedSequence([s, k]), so runs are
@@ -174,15 +177,9 @@ def zariski_density_check(
     if not hyps:
         return ZariskiResult(False, "no hyperbolic element in bounded words")
 
-    def chart(u: float) -> complex:
-        if math.isinf(u):
-            return complex(1.0, 0.0)
-        w = complex(u, -1.0) / complex(u, 1.0)
-        return w / abs(w)
-
     for i in range(len(hyps)):
         for j in range(i + 1, len(hyps)):
-            pts = [chart(u) for u in hyps[i] + hyps[j]]
+            pts = [fuchsian._cayley_boundary(u) for u in hyps[i] + hyps[j]]
             ok = all(
                 abs(pts[a] - pts[b]) > 1e-6
                 for a in range(4)
@@ -542,7 +539,7 @@ def simulate_trajectory(
 
             # -- per-step instrumentation
             if step_trace is not None:
-                hgt = system.cusp_height_xy(px, py)
+                hgt = fuchsian.cusp_height(system.cusps, px, py)
                 cid = system.which_cusp_xy(px, py, trace_height) if hgt > trace_height else -1
                 tt = k * cfg.dt if geodesic else k
                 step_trace.append((tt, cid, hgt, _unpack(code, dim)))
@@ -611,7 +608,7 @@ def simulate_trajectory(
                 n=0.0 if geodesic else 0,
                 index=idx,
                 drift=tuple(0.0 for _ in idx),
-                cusp_height=system.cusp_height_xy(sx, sy),
+                cusp_height=fuchsian.cusp_height(system.cusps, sx, sy),
                 cartan_t=0.0,
             )
         ]
@@ -706,7 +703,7 @@ def _checkpoint(
         n=tt,
         index=idx,
         drift=tuple(v / tt for v in idx),
-        cusp_height=system.cusp_height_xy(px, py),
+        cusp_height=fuchsian.cusp_height(system.cusps, px, py),
         cartan_t=cart,
     )
 
@@ -813,32 +810,6 @@ def run_trajectories(
             for r in results:
                 out[r.summary.traj] = r
     return [out[t] for t in ids]
-
-
-def run_walk(
-    system: CoverSystem,
-    measure: MeasureSpec,
-    cfg: WalkConfig,
-    workers: int | None = None,
-):
-    """Stream of checkpoint records over all trajectories of a walk run."""
-    for res in run_trajectories(system, measure, cfg, geodesic=False, workers=workers):
-        yield from res.records
-
-
-def run_geodesic(
-    system: CoverSystem,
-    cfg: WalkConfig,
-    workers: int | None = None,
-):
-    """Stream of checkpoint records for geodesic-flow runs (haar starts).
-
-    cfg.steps counts flow increments of length cfg.dt; record abscissae are
-    flow times and drifts are index/time."""
-    if cfg.dt > 0.5:
-        raise ValueError("flow step dt must be <= 0.5 to keep reduction local")
-    for res in run_trajectories(system, None, cfg, geodesic=True, workers=workers):
-        yield from res.records
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import glob
 import json
 import math
 import os
@@ -59,6 +60,33 @@ return_grid = 1000 3000
 """
 
 
+GEODESIC = """
+[lattice]
+preset = gamma2
+[weights]
+A = 1
+B = 0
+[walk]
+mode = geodesic
+steps = 200
+trajectories = 10
+seed = 3
+checkpoints = linear:200
+dt = 0.25
+"""
+
+CONFIGS = sorted(
+    glob.glob(os.path.join(os.path.dirname(os.path.dirname(__file__)), "configs", "*.cfg"))
+)
+
+
+def with_value(text: str, key: str, value: str) -> str:
+    """The config text with the one line of ``key`` set to ``value``."""
+    out, n = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.MULTILINE)
+    assert n == 1, key
+    return out
+
+
 def run_cli(*argv) -> tuple[int, str]:
     import contextlib
     import io
@@ -112,6 +140,53 @@ class TestConfigParsing:
         bundle = CFG.build_bundle(CFG.parse_config_text(DRIFT_HALF))
         assert bundle.spec.d == 1
         assert bundle.measure is not None and bundle.measure.kind == "atoms"
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=os.path.basename)
+    def test_shipped_config(self, path):
+        with open(path, encoding="utf-8") as fh:
+            cfg = CFG.parse_config_text(fh.read())
+        text = CFG.canonical_text(cfg)
+        again = CFG.parse_config_text(text)
+        assert again == cfg
+        assert CFG.canonical_text(again) == text
+        CFG.build_bundle(cfg)
+
+    def test_configs_found(self):
+        assert len(CONFIGS) >= 4
+
+
+# one case per [walk] bound: (base config, key, value out of bounds)
+WALK_BOUNDS = {
+    "dt-zero": (GEODESIC, "dt", "0"),
+    "dt-above-half": (GEODESIC, "dt", "0.7"),
+    "trajectories-zero": (DRIFT_HALF, "trajectories", "0"),
+    "steps-negative": (DRIFT_HALF, "steps", "-5"),
+    "linear-stride-zero": (DRIFT_HALF, "checkpoints", "linear:0"),
+    "geometric-n0-zero": (DRIFT_HALF, "checkpoints", "geometric:0:2"),
+    "geometric-ratio-one": (DRIFT_HALF, "checkpoints", "geometric:10:1"),
+}
+
+
+class TestWalkBounds:
+    @pytest.mark.parametrize("case", sorted(WALK_BOUNDS))
+    def test_rejected(self, case, tmp_path):
+        base, key, value = WALK_BOUNDS[case]
+        text = with_value(base, key, value)
+        with pytest.raises(CFG.ConfigError) as ei:
+            CFG.parse_config_text(text)
+        assert (ei.value.section, ei.value.key) == ("walk", key)
+        if value.startswith("geometric:"):
+            # an unchecked geometric plan never ends its checkpoint list, so
+            # only the parser is asked
+            return
+        cfgp = tmp_path / "exp.cfg"
+        cfgp.write_text(text)
+        out = tmp_path / "o"
+        mode = "geodesic" if base is GEODESIC else "walk"
+        code, printed = run_cli(mode, "run", "--config", str(cfgp), "--out", str(out))
+        assert code == 2
+        assert f"config error [walk] {key}" in printed
+        assert not out.exists()
 
 
 class TestLatticeCheckCommand:
@@ -198,22 +273,8 @@ class TestRunCommands:
         assert code == 2
 
     def test_geodesic_run(self, tmp_path):
-        text = """
-[lattice]
-preset = gamma2
-[weights]
-A = 1
-B = 0
-[walk]
-mode = geodesic
-steps = 200
-trajectories = 10
-seed = 3
-checkpoints = linear:200
-dt = 0.25
-"""
         cfgp = tmp_path / "geo.cfg"
-        cfgp.write_text(text)
+        cfgp.write_text(GEODESIC)
         out = tmp_path / "g"
         code, _ = run_cli("geodesic", "run", "--config", str(cfgp), "--out", str(out))
         assert code == 0
@@ -245,6 +306,24 @@ dt = 0.25
             assert f"runtime error: {exc}" in printed
             assert "Traceback" not in printed
             assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "report, trajectories", [("cauchy", 99), ("gaussian", 2)]
+    )
+    def test_too_few_samples_exits_3(self, tmp_path, report, trajectories):
+        # the fits refuse small samples only after the whole simulation
+        text = with_value(GEODESIC, "trajectories", str(trajectories))
+        text = with_value(text, "steps", "20")
+        text = with_value(text, "checkpoints", "linear:20")
+        cfgp = tmp_path / "geo.cfg"
+        cfgp.write_text(text + f"[analysis]\nreports = {report}\n")
+        out = tmp_path / "o"
+        code, printed = run_cli("geodesic", "run", "--config", str(cfgp), "--out", str(out))
+        assert code == 3
+        assert "runtime error: need at least" in printed
+        assert "Traceback" not in printed
+        assert not out.exists()
 
 
 class TestFitCommand:

@@ -124,6 +124,106 @@ class TestValidateCover:
                 assert flag == any(vec)
 
 
+class TestReduce:
+    """CoverSystem.reduce_raw, the greedy descent, and start_point."""
+
+    def test_inside_is_fixed(self, gamma2_d1):
+        x = H.element(1.0, 0.3, 0.0, 1.0)
+        m, idx, word = gamma2_d1.reduce_raw(x.as_tuple(), (0,), collect_word=True)
+        assert word == () and idx == (0,)
+        assert m == x.as_tuple()
+        assert H.psl_distance(gamma2_d1.start_point(H.UnitTangent(x)).rep.rep, x) < 1e-14
+
+    def test_single_deck_move(self, gamma2_d1):
+        x = H.element(1.0, 0.3, 0.0, 1.0)
+        moved = H.compose(gamma2_d1.pres.gen_map()["A"], x)
+        _, idx, word = gamma2_d1.reduce_raw(moved.as_tuple(), (0,), collect_word=True)
+        assert word == (("A", -1),)
+        assert idx == (1,)  # index' = index - phi(A^-1)
+
+    def test_replay_oracle_and_monotone_descent(self, gamma2_d1):
+        system = gamma2_d1
+        pres, poly = system.pres, system.polygon
+        # each side pairing is one letter, so the letters of the deck word,
+        # oldest (rightmost) first, replay the descent pairing by pairing
+        assert all(len(w) == 1 for w in system.pair_words)
+        gens = pres.gen_map()
+        rng = np.random.default_rng(7)
+        checked = 0
+        for _ in range(150):
+            g = H.IDENTITY
+            for _ in range(6):
+                g = H.compose_all(
+                    g,
+                    H.rotation(rng.random() * 2 * math.pi),
+                    H.translation(rng.random() * 4 - 2),
+                )
+            x = H.UnitTangent(g)
+            if H.distance(x.base_point(), poly.center) > 30:
+                continue
+            m, idx, word = system.reduce_raw(g.as_tuple(), (0,), collect_word=True)
+            assert idx == tuple(-v for v in system.spec.phi(word))
+            trace = [H.distance(x.base_point(), poly.center)]
+            cur = g
+            for lab, sgn in reversed(word):
+                h = gens[lab] if sgn > 0 else H.inverse(gens[lab])
+                cur = H.compose(h, cur)
+                trace.append(H.distance(H.UnitTangent(cur).base_point(), poly.center))
+            assert all(trace[i + 1] <= trace[i] + 1e-9 for i in range(len(trace) - 1))
+            red = H.element(*m)
+            replay = H.compose(pres.evaluate(word), g)
+            scale = max(1.0, max(abs(v) for v in replay.as_tuple()))
+            assert H.psl_distance(replay, red) / scale < 1e-12
+            bp = system.start_point(x).rep.base_point()
+            assert poly.contains(bp.x, bp.y, tol=1e-7)
+            checked += len(word) > 0
+        assert checked > 50
+
+    def test_idempotence(self, torus_d1):
+        rng = np.random.default_rng(8)
+        for _ in range(80):
+            g = H.compose(
+                H.rotation(rng.random() * 2 * math.pi),
+                H.translation(rng.random() * 6 - 3),
+            )
+            p = torus_d1.start_point(H.UnitTangent(g))
+            _, idx, word = torus_d1.reduce_raw(
+                p.rep.rep.as_tuple(), (0,), collect_word=True
+            )
+            assert word == () and idx == (0,)
+            assert torus_d1.start_point(p.rep) == p
+
+    def test_equivariance(self, gamma2_d1):
+        rng = np.random.default_rng(9)
+        for _ in range(60):
+            g = H.compose(
+                H.rotation(rng.random() * 2 * math.pi),
+                H.translation(rng.random() * 4 - 2),
+            )
+            base = gamma2_d1.start_point(H.UnitTangent(g))
+            for lab, gg in gamma2_d1.pres.generators:
+                red = gamma2_d1.start_point(H.UnitTangent(H.compose(gg, g)))
+                assert H.psl_distance(red.rep.rep, base.rep.rep) < 1e-8
+
+    def test_haar_draw_keeps_its_cusp_height(self, preset_d1):
+        # haar_sample leaves cusp-sector draws in their sector chart; the
+        # cusp height is a function on the surface, so reducing the draw
+        # does not move it
+        system = preset_d1
+        rng = np.random.default_rng(12)
+        moved = 0
+        for _ in range(3000):
+            x = F.haar_sample(system.polygon, system.cusps, system.pres, rng,
+                              system.haar_parts)
+            p = system.start_point(x)
+            moved += p.rep.rep != x.rep
+            raw, red = x.base_point(), p.rep.base_point()
+            h_raw = F.cusp_height(system.cusps, raw.x, raw.y)
+            h_red = F.cusp_height(system.cusps, red.x, red.y)
+            assert abs(h_raw - h_red) <= 1e-12
+        assert moved > 300
+
+
 class TestApplyStep:
     def test_axis_translation_advances_index(self, torus_d1):
         x0 = torus_d1.start_point(H.BASE_TANGENT)
@@ -274,18 +374,23 @@ class TestCocycleProperty:
 
 class TestFastUnwind:
     def test_matches_naive(self, gamma2_d1):
+        # offsets of up to 150 strip widths: most descents pass the unwind
+        # cadence, so the unwinding path is compared with plain pairing
         rng = np.random.default_rng(0)
+        deep = 0
         for _ in range(200):
             g = H.compose_all(
-                H.unipotent(rng.uniform(-3, 3)),
+                H.unipotent(rng.uniform(-300, 300)),
                 H.translation(rng.uniform(0, 9)),
                 H.rotation(rng.uniform(0, 2 * math.pi)),
             )
             m = g.as_tuple()
             r1, i1, _ = gamma2_d1.reduce_raw(m, (0,))
-            r2, i2, _ = gamma2_d1.reduce_raw(m, (0,), collect_word=True)
+            r2, i2, word = gamma2_d1.reduce_raw(m, (0,), collect_word=True)
+            deep += len(word) > C.UNWIND_MASK
             assert i1 == i2
             assert H.psl_distance(H.element(*r1), H.element(*r2)) < 1e-9
+        assert deep >= 150
 
     def test_deep_cusp_is_cheap(self, gamma2_d1):
         g = H.compose_all(

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from covwalk import cover as C
 from covwalk import fuchsian as F
 from covwalk import hyp2 as H
 
@@ -28,7 +29,7 @@ class TestWords:
     def test_inverse_and_reduce(self):
         w = F.parse_word("A B^-1")
         assert F.word_inverse(w) == (("B", 1), ("A", -1))
-        assert F.free_reduce(F.word_concat(w, F.word_inverse(w))) == ()
+        assert F.free_reduce(w + F.word_inverse(w)) == ()
 
 
 class TestPresets:
@@ -161,72 +162,6 @@ class TestDirichlet:
             F.dirichlet_domain(pres, H.PointH(0.0, 1.0), 2)
 
 
-class TestReduce:
-    def test_inside_is_fixed(self, gamma2):
-        pres, poly, _ = gamma2
-        x = H.UnitTangent(H.element(1.0, 0.3, 0.0, 1.0))
-        red = F.reduce(x, poly, pres)
-        assert red.deck_word == ()
-        assert H.psl_distance(red.rep.rep, x.rep) < 1e-14
-
-    def test_single_deck_move(self, gamma2):
-        pres, poly, _ = gamma2
-        x = H.UnitTangent(H.element(1.0, 0.3, 0.0, 1.0))
-        moved = H.UnitTangent(H.compose(pres.gen_map()["A"], x.rep))
-        red = F.reduce(moved, poly, pres)
-        assert red.deck_word == (("A", -1),)
-
-    def test_replay_oracle_and_monotone_descent(self, gamma2):
-        pres, poly, _ = gamma2
-        rng = np.random.default_rng(7)
-        for _ in range(150):
-            g = H.IDENTITY
-            for _ in range(6):
-                g = H.compose_all(
-                    g,
-                    H.rotation(rng.random() * 2 * math.pi),
-                    H.translation(rng.random() * 4 - 2),
-                )
-            x = H.UnitTangent(g)
-            if H.distance(x.base_point(), poly.center) > 30:
-                continue
-            trace = []
-            red = F.reduce(x, poly, pres, trace=trace)
-            assert all(trace[i + 1] <= trace[i] + 1e-9 for i in range(len(trace) - 1))
-            w = pres.evaluate(red.deck_word)
-            replay = H.compose(w, x.rep)
-            scale = max(1.0, max(abs(v) for v in replay.as_tuple()))
-            assert H.psl_distance(replay, red.rep.rep) / scale < 1e-12
-            bp = red.rep.base_point()
-            assert poly.contains(bp.x, bp.y, tol=1e-7)
-
-    def test_idempotence(self, torus):
-        pres, poly, _ = torus
-        rng = np.random.default_rng(8)
-        for _ in range(80):
-            g = H.compose(
-                H.rotation(rng.random() * 2 * math.pi),
-                H.translation(rng.random() * 6 - 3),
-            )
-            red = F.reduce(H.UnitTangent(g), poly, pres)
-            assert F.reduce(red.rep, poly, pres).deck_word == ()
-
-    def test_equivariance(self, gamma2):
-        pres, poly, _ = gamma2
-        rng = np.random.default_rng(9)
-        for _ in range(60):
-            g = H.compose(
-                H.rotation(rng.random() * 2 * math.pi),
-                H.translation(rng.random() * 4 - 2),
-            )
-            x = H.UnitTangent(g)
-            base = F.reduce(x, poly, pres)
-            for lab, gg in pres.generators:
-                moved = H.UnitTangent(H.compose(gg, x.rep))
-                red = F.reduce(moved, poly, pres)
-                assert H.psl_distance(red.rep.rep, base.rep.rep) < 1e-8
-
-
 class TestCuspNeighborhoods:
     def test_gamma2_infinity_sector(self, gamma2):
         _, poly, cusps = gamma2
@@ -302,17 +237,19 @@ class TestHaarSampler:
 
     def test_right_invariance_smoke(self, torus):
         # the law of x is right-invariant: E f(x g) ~ E f(x) for bounded f
+        # of the reduced points
         pres, poly, cusps = torus
+        system = C.cover_system(
+            pres, poly, cusps, C.validate_cover(pres, cusps, {"g1": (0,), "g2": (1,)})
+        )
         rng = np.random.default_rng(11)
-        parts = F.cusp_neighborhoods(poly, cusps, 0.0)
         g = H.compose(H.rotation(0.7), H.translation(0.4))
-        f = lambda t: math.exp(-H.distance(t.base_point(), H.POINT_I))
+        f = lambda x: math.exp(-H.distance(system.start_point(x).rep.base_point(), H.POINT_I))
         n = 4000
         diffs = np.empty(n)
         for i in range(n):
-            x = F.haar_sample(poly, cusps, pres, rng, parts)
-            moved = F.reduce(H.UnitTangent(H.compose(x.rep, g)), poly, pres).rep
-            diffs[i] = f(moved) - f(x)
+            x = F.haar_sample(poly, cusps, pres, rng, system.haar_parts)
+            diffs[i] = f(H.UnitTangent(H.compose(x.rep, g))) - f(x)
         assert abs(diffs.mean()) <= 4.0 * diffs.std(ddof=1) / math.sqrt(n)
 
 

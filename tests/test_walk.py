@@ -107,11 +107,6 @@ class TestEngine:
         for a, b in zip(rw, rg):
             assert tuple(r.index for r in a.records) == tuple(r.index for r in b.records)
 
-    def test_geodesic_dt_guard(self, gamma2_d1):
-        cfg = W.WalkConfig(steps=10, trajectories=1, dt=0.7)
-        with pytest.raises(ValueError):
-            list(W.run_geodesic(gamma2_d1, cfg))
-
     def test_closed_geodesic_exact_winding(self, torus_d1):
         # the distinguished tangent rides the axis of the second generator;
         # every full period advances the index by exactly one
@@ -263,7 +258,7 @@ class TestHistoryFreeEngine:
             index += delta[0]
             if k % 500 == 0:
                 x, y = base_xy(table.reps[state].rep)
-                want.append(((index,), system.cusp_height_xy(x, y)))
+                want.append(((index,), F.cusp_height(system.cusps, x, y)))
         assert [(r.index, r.cusp_height) for r in res.records] == want
 
     @pytest.mark.parametrize("kind", ["atoms", "parametric"])
@@ -309,11 +304,11 @@ class TestHistoryFreeEngine:
             res = W.simulate_trajectory(system, mu, cfg, i)
             assert res.summary.orbit_states is None
             rep = res.summary.start_rep
-            again = F.reduce(H.UnitTangent(H.GroupElement(*rep)), poly, pres)
+            again = system.start_point(H.UnitTangent(H.GroupElement(*rep)))
             assert again.rep.rep.as_tuple() == rep
             own = F.haar_sample(poly, cusps, pres, W.trajectory_rng(5, i),
                                 F.cusp_neighborhoods(poly, cusps, 0.0))
-            assert own.rep.as_tuple() == rep
+            assert system.start_point(own).rep.rep.as_tuple() == rep
 
 
 class TestReturns:
@@ -420,7 +415,7 @@ def replay(system, measure, cfg, traj):
             records.append(W.CheckpointRecord(
                 traj=traj, n=k, index=p.index,
                 drift=tuple(v / k for v in p.index),
-                cusp_height=system.cusp_height_xy(x, y),
+                cusp_height=F.cusp_height(system.cusps, x, y),
                 cartan_t=max(cart, 0.0),
             ))
     stats = None
