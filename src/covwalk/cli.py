@@ -27,6 +27,16 @@ from . import stats as stats_mod
 from . import walk as walk_mod
 
 
+# Every config command exits 2 on a config, lattice or cover that cannot be
+# read or built (ConfigError, the lattice-file and presentation errors and
+# the cover errors are ValueErrors), and 3 on a run that fails (a too-small
+# sample for a fit is a ValueError, as is a math domain error).
+CONFIG_ERRORS = (OSError, ValueError, fuchsian.AreaMismatchError,
+                 fuchsian.EllipticCenterError)
+RUNTIME_ERRORS = (fuchsian.NonTerminationError, walk_mod.ZariskiCheckError,
+                  ValueError, ArithmeticError)
+
+
 def _atomic_write(path: str, data: str) -> None:
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
@@ -216,8 +226,7 @@ def cmd_lattice_check(args) -> int:
     except FileNotFoundError:
         print(f"error: no such preset or file: {name}", file=sys.stderr)
         return 2
-    except (fuchsian.PresentationError, fuchsian.LatticeFileError,
-            fuchsian.AreaMismatchError, fuchsian.EllipticCenterError) as exc:
+    except CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -284,13 +293,7 @@ def cmd_run(args, geodesic: bool) -> int:
         if not geodesic and cfg.mode != "walk":
             raise config_mod.ConfigError("config mode must be 'walk'")
         wcfg = config_mod.walk_config(cfg)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (config_mod.ConfigError, fuchsian.PresentationError,
-            fuchsian.LatticeFileError, fuchsian.AreaMismatchError,
-            cover_mod.RelatorNotKilledError,
-            cover_mod.QuotientNotFreeRankError, ValueError) as exc:
+    except CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -298,8 +301,7 @@ def cmd_run(args, geodesic: bool) -> int:
             bundle.system, bundle.measure, wcfg, geodesic=geodesic
         )
         analysis = _analysis(bundle, results)
-    except (fuchsian.NonTerminationError, walk_mod.ZariskiCheckError,
-            stats_mod.DegenerateSamplesError, ArithmeticError) as exc:
+    except RUNTIME_ERRORS as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
     outdir = args.out or "."
@@ -325,7 +327,7 @@ def cmd_lyapunov(args) -> int:
         bundle = _load_bundle(args.config)
         if bundle.measure is None:
             raise config_mod.ConfigError("lyapunov needs a walk measure")
-    except (config_mod.ConfigError, FileNotFoundError, ValueError) as exc:
+    except CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -336,7 +338,7 @@ def cmd_lyapunov(args) -> int:
             master_seed=bundle.config.seed,
             override_zariski=args.override_zariski,
         )
-    except walk_mod.ZariskiCheckError as exc:
+    except RUNTIME_ERRORS as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
     print(f"lyapunov = {est.value!r} se = {est.se!r} "
@@ -421,7 +423,7 @@ def cmd_recurrence(args) -> int:
                 "recurrence needs return_radius (and return_grid) in [walk]"
             )
         wcfg = config_mod.walk_config(cfg)
-    except (config_mod.ConfigError, FileNotFoundError, ValueError) as exc:
+    except CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -429,7 +431,7 @@ def cmd_recurrence(args) -> int:
             bundle.system, bundle.measure, wcfg, geodesic=cfg.mode == "geodesic"
         )
         rep = stats_mod.recurrence_report(results, bundle.spec.d, bundle.spec.dim_EC)
-    except (fuchsian.NonTerminationError, ValueError, ArithmeticError) as exc:
+    except RUNTIME_ERRORS as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
     print(f"d = {rep.d}, dim E_C = {rep.dim_EC}: expected {rep.verdict_hint}")

@@ -30,8 +30,8 @@ two configs get the same hash exactly when every semantic field agrees.
     checkpoints = linear:1000    # or geometric:100:1.25 (n0 >= 1, ratio > 1)
     start = haar                 # or: special  (the upward tangent at i)
     dt = 0.25                    # geodesic only: 0 < dt <= 0.5
-    return_radius = 2.0          # presence switches return tracking on
-    return_grid = 10000 100000
+    return_radius = 2.0          # > 0; presence switches return tracking on
+    return_grid = 10000 100000   # each in 1..steps
 
     [analysis]
     reports = drift cauchy
@@ -53,7 +53,7 @@ from . import walk as walk_mod
 
 class ConfigError(ValueError):
     def __init__(self, message: str, section: str = "", key: str = ""):
-        where = f" [{section}] {key}".rstrip()
+        where = f" [{section}] {key}".rstrip() if section else ""
         super().__init__(f"config error{where}: {message}")
         self.section = section
         self.key = key
@@ -110,19 +110,28 @@ def parse_config_text(text: str) -> ExperimentConfig:
             return cp.get(sec, key).strip()
         return default
 
+    def number(sec: str, key: str, default, kind=float):
+        """key's value converted by kind, or None when absent with no
+        default; a value kind refuses is a ConfigError naming the key."""
+        raw = get(sec, key, default)
+        try:
+            return None if raw is None else kind(raw)
+        except ValueError:
+            raise ConfigError(f"not a valid number: {raw!r}", sec, key) from None
+
     lat = "lattice"
     preset = get(lat, "preset", "") or ""
     lattice_file = get(lat, "file", "") or ""
     if bool(preset) == bool(lattice_file):
         raise ConfigError("give exactly one of 'preset' or 'file'", lat)
-    l1 = get(lat, "l1")
-    l2 = get(lat, "l2")
+    l1 = number(lat, "l1", None)
+    l2 = number(lat, "l2", None)
     center_raw = get(lat, "center", "0.0 1.0")
     try:
         cx, cy = (float(v) for v in center_raw.split())
     except ValueError:
         raise ConfigError("center needs two floats", lat, "center") from None
-    word_bound = int(get(lat, "word_bound", "12"))
+    word_bound = number(lat, "word_bound", "12", int)
 
     weights: list[tuple[str, tuple[int, ...]]] = []
     if cp.has_section("weights"):
@@ -149,8 +158,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
                     atoms.append((parts[0].strip(), float(parts[1])))
                 except ValueError:
                     raise ConfigError("bad probability", "measure", key) from None
-    tau_min = float(get("measure", "tau_min", "0.5"))
-    tau_max = float(get("measure", "tau_max", "1.5"))
+    tau_min = number("measure", "tau_min", "0.5")
+    tau_max = number("measure", "tau_max", "1.5")
 
     wk = "walk"
     mode = get(wk, "mode", "walk")
@@ -158,36 +167,42 @@ def parse_config_text(text: str) -> ExperimentConfig:
         raise ConfigError(f"unknown mode {mode!r}", wk, "mode")
     if mode == "walk" and mtype == "atoms" and not atoms:
         raise ConfigError("atoms measure needs atom.N entries", "measure")
-    steps = int(get(wk, "steps", "1000"))
+    steps = number(wk, "steps", "1000", int)
     if steps < 0:
         raise ConfigError(f"steps must be >= 0, got {steps}", wk, "steps")
-    trajectories = int(get(wk, "trajectories", "1"))
+    trajectories = number(wk, "trajectories", "1", int)
     if trajectories < 1:
         raise ConfigError(
             f"trajectories must be >= 1, got {trajectories}", wk, "trajectories"
         )
-    seed = int(get(wk, "seed", "0"))
-    checkpoints = get(wk, "checkpoints", "linear:1000")
-    _parse_checkpoints(checkpoints)  # validate early
+    seed = number(wk, "seed", "0", int)
+    # kept as the parsed plan's text, so equal plans hash equal
+    checkpoints = _checkpoint_text(
+        _parse_checkpoints(get(wk, "checkpoints", "linear:1000"))
+    )
     start = get(wk, "start", "haar")
     if start not in ("haar", "special"):
         raise ConfigError(f"unknown start mode {start!r}", wk, "start")
-    dt = float(get(wk, "dt", "0.25"))
+    dt = number(wk, "dt", "0.25")
     if mode == "geodesic" and not 0.0 < dt <= 0.5:
         # a longer flow step would move the point too far for a local reduction
         raise ConfigError(f"flow step dt must be in (0, 0.5], got {dt}", wk, "dt")
-    rr = get(wk, "return_radius")
-    return_radius = float(rr) if rr is not None else None
-    rg = get(wk, "return_grid", "")
-    return_grid = tuple(int(v) for v in rg.split()) if rg else ()
+    return_radius = number(wk, "return_radius", None)
+    if return_radius is not None and not return_radius > 0.0:
+        raise ConfigError(f"must be > 0, got {return_radius}", wk, "return_radius")
+    return_grid = number(wk, "return_grid", "", lambda v: tuple(map(int, v.split())))
+    if not all(1 <= g <= steps for g in return_grid):
+        raise ConfigError(
+            f"entries must lie in 1..{steps}, got {return_grid}", wk, "return_grid"
+        )
 
     reports = tuple((get("analysis", "reports", "") or "").split())
 
     return ExperimentConfig(
         preset=preset,
         lattice_file=lattice_file,
-        l1=float(l1) if l1 is not None else None,
-        l2=float(l2) if l2 is not None else None,
+        l1=l1,
+        l2=l2,
         center=(cx, cy),
         word_bound=word_bound,
         weights=tuple(weights),
@@ -210,22 +225,31 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 def _parse_checkpoints(text: str) -> walk_mod.CheckpointPlan:
     parts = text.split(":")
-    if parts[0] == "linear" and len(parts) == 2:
-        plan = walk_mod.CheckpointPlan(kind="linear", stride=int(parts[1]))
-        if plan.stride >= 1:
-            return plan
-    elif parts[0] == "geometric" and len(parts) == 3:
-        plan = walk_mod.CheckpointPlan(
-            kind="geometric", n0=int(parts[1]), ratio=float(parts[2])
-        )
-        if plan.n0 >= 1 and plan.ratio > 1.0:
-            return plan
+    try:
+        if parts[0] == "linear" and len(parts) == 2:
+            plan = walk_mod.CheckpointPlan(kind="linear", stride=int(parts[1]))
+            if plan.stride >= 1:
+                return plan
+        elif parts[0] == "geometric" and len(parts) == 3:
+            plan = walk_mod.CheckpointPlan(
+                kind="geometric", n0=int(parts[1]), ratio=float(parts[2])
+            )
+            if plan.n0 >= 1 and plan.ratio > 1.0:
+                return plan
+    except ValueError:
+        pass
     raise ConfigError(
         "checkpoints must be linear:STRIDE (STRIDE >= 1) or geometric:N0:RATIO"
         f" (N0 >= 1, RATIO > 1), got {text!r}",
         "walk",
         "checkpoints",
     )
+
+
+def _checkpoint_text(plan: walk_mod.CheckpointPlan) -> str:
+    if plan.kind == "linear":
+        return f"linear:{plan.stride}"
+    return f"geometric:{plan.n0}:{plan.ratio!r}"
 
 
 def canonical_text(cfg: ExperimentConfig) -> str:

@@ -433,14 +433,6 @@ class CoverSystem:
             "reduction did not terminate; invalid geometry"
         )
 
-    def which_cusp_xy(self, x: float, y: float, h: float) -> int:
-        eh = math.exp(h)
-        for k, (ma, mb, mc, md) in enumerate(self.corner_mats):
-            t = mc * x + md
-            if y / (t * t + (mc * y) ** 2) > eh:
-                return self.corner_cusp[k]
-        return -1
-
     # -- public operations ---------------------------------------------------
 
     def start_point(self, x: UnitTangent) -> CoverPoint:

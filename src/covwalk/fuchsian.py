@@ -568,7 +568,6 @@ def derive_cusps(
     polygon: FundamentalPolygon,
     pres: LatticePresentation,
     ball: list[tuple[Word, GroupElement]] | None = None,
-    ball_bound: int = 6,
 ) -> tuple[CuspData, ...]:
     """Group the polygon's ideal vertices into cusp cycles.
 
@@ -576,7 +575,8 @@ def derive_cusps(
     the cusp; the product is the primitive parabolic of that cusp.  The
     accumulated partial products give the corner charts.  All normalizers are
     rescaled by a common factor so that horoball sectors at height h >= 0
-    embed (tangency bound 1/|c| over conjugated group elements).
+    embed (tangency bound 1/|c| over conjugated group elements, taken over
+    ``ball`` or else the words of length at most 6).
     """
     n = len(polygon.sides)
     verts = polygon.vertices
@@ -654,7 +654,7 @@ def derive_cusps(
 
     # common rescale so horoballs at height >= 1 embed
     if ball is None:
-        ball = enumerate_ball(pres, ball_bound)
+        ball = enumerate_ball(pres, 6)
     y_star = 1.0
     norms = [g for _, g, _, _, _, _ in data]
     for gj in norms:

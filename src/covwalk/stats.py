@@ -42,12 +42,10 @@ def ks_distance(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) ->
     return float(max(np.max(up - f), np.max(f - lo)))
 
 
-def hill_tail_index(
-    samples: Sequence[float], top_fraction: float = 0.05, center: float | None = None
-) -> float:
-    """Hill estimator of the tail index on the top order statistics of the
-    absolute centered sample.  Cauchy data gives roughly 1, Gaussian data a
-    much larger value."""
+def hill_tail_index(samples: Sequence[float], center: float | None = None) -> float:
+    """Hill estimator of the tail index on the top 5% (at least 10) order
+    statistics of the absolute centered sample.  Cauchy data gives roughly 1,
+    Gaussian data a much larger value."""
     x = np.asarray(samples, dtype=float)
     if center is None:
         center = float(np.median(x))
@@ -55,7 +53,7 @@ def hill_tail_index(
     a = a[a > 0]
     a.sort()
     n = len(a)
-    k = max(10, int(top_fraction * n))
+    k = max(10, int(0.05 * n))
     if n < k + 1:
         raise DegenerateSamplesError("not enough nonzero samples for a tail")
     top = a[n - k:]
@@ -240,18 +238,17 @@ def exact_finite_orbit_target(
     system: CoverSystem,
     measure: MeasureSpec,
     start: hyp2.UnitTangent,
-    max_orbit: int = 4096,
 ) -> tuple[float, ...] | None:
     """The exact expected one-step index change for a finite orbit: enumerate
     the orbit of the reduced start under the atom semigroup
     (``CoverSystem.orbit_table``), then average the integer index increments
-    over orbit x atoms.  Returns None when the orbit exceeds ``max_orbit``
+    over orbit x atoms.  Returns None when the orbit has more than 4096 states
     (treated as infinite)."""
     if measure.kind != "atoms":
         raise ValueError("finite-orbit targets need an atomic measure")
 
     atoms = [(g, prob) for g, prob in measure.atoms if prob > 0]
-    table = system.orbit_table(start, tuple(g for g, _ in atoms), max_orbit)
+    table = system.orbit_table(start, tuple(g for g, _ in atoms), 4096)
     if table is None:
         return None
     total = np.zeros(system.d)

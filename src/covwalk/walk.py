@@ -2,8 +2,8 @@
 
 A trajectory multiplies a reduced tangent by random increments, reduces it
 back into the fundamental polygon after each step, and charges the deck
-moves to an exact integer sheet index.  The per-step loop is written with
-plain floats and tuples on purpose: it runs tens of millions of times in
+moves to an exact integer sheet index.  The step loops are written with
+plain floats and tuples on purpose: they run tens of millions of times in
 the acceptance experiments.
 
 A run's start, Haar-sampled or fixed, is reduced by
@@ -24,15 +24,24 @@ bit-reproducible under any scheduling of trajectories.  The stream is read
 in one pass (``_draw_block``): an atom index per uniform, or a parametric
 increment per three uniforms, with the same bits as the scalar formula.
 
+A run advances in segments.  A segment ends at the next checkpoint, at the
+next multiple of 64 steps or at the end of the current block of letters;
+the block refill, the renormalization of the running Cartan product (every
+64 steps) and the checkpoint record happen between segments.  Inside a
+segment one of two loops runs.  A random walk on an orbit table with no
+observer runs the tight loop: it counts its (state, letter) moves and folds
+them into the index at checkpoints.  Every other run takes the per-step
+loop: the letter, the table move or the multiply and reduce, the Cartan
+product and return tracking, the one per-step observer.
+
 The sheet index is carried as one packed integer (``_pack``/``_unpack``):
 each pairing of the descent subtracts its side's packed phi charge, a cusp
 unwind adds k times the packed charge of its corner, and a table step adds
 its packed index change.  The index is decoded only where it is read: at
-checkpoints, in a step trace, at the end of the run, and for return tracking
-(where a zero code is sheet zero) on a step whose moves could have carried
-the index's sup-norm past its running maximum.  A random walk on an orbit
-table with no observer counts its (state, letter) moves and folds them in at
-each checkpoint; the last checkpoint is always the final step.
+checkpoints, at the end of the run, and for return tracking (where a zero
+code is sheet zero) on a step whose moves could have carried the index's
+sup-norm past its running maximum.  The last checkpoint is always the final
+step.
 
 The greedy descent tries ``CoverSystem.fast_unwind`` on its iterations 7,
 15, 23, ... (``cover.UNWIND_MASK``), as ``CoverSystem.reduce_raw`` does:
@@ -42,6 +51,7 @@ a good share of its pairings in cusp windings deeper than 8.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -56,8 +66,8 @@ from .hyp2 import GroupElement, UnitTangent
 from .cover import CoverSystem, IntVec
 
 _RNG_BLOCK = 4096
-# the orbit-table loop ends its segments on the 64-step Cartan renormalization
-# grid and expects every block end to fall on it
+# atom and flow blocks then end on the 64-step renormalization grid, so only
+# parametric blocks (a third as many letters) add segment ends of their own
 assert _RNG_BLOCK % 64 == 0
 
 # A fixed start whose orbit under the step letters has at most this many
@@ -128,12 +138,11 @@ class ZariskiResult:
     reason: str = ""
 
 
-def zariski_density_check(
-    m: MeasureSpec, word_length: int = 6, n_parametric_atoms: int = 6
-) -> ZariskiResult:
+def zariski_density_check(m: MeasureSpec) -> ZariskiResult:
     """Heuristic density certificate for the generated sub-semigroup.
 
-    Looks for two hyperbolic elements among semigroup words with no shared
+    Looks for two hyperbolic elements among semigroup words of length at most
+    6 (over six sampled increments for a parametric measure) with no shared
     boundary fixed point (all four separated on the boundary circle).  That
     rules out the solvable obstructions (common axis or common fixed point);
     it is a certificate, not a proof.
@@ -143,7 +152,7 @@ def zariski_density_check(
     else:
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(20240601)))
         gens = []
-        for _ in range(n_parametric_atoms):
+        for _ in range(6):
             th1, th2 = rng.random() * 2 * math.pi, rng.random() * 2 * math.pi
             tau = m.tau_min + rng.random() * (m.tau_max - m.tau_min)
             gens.append(
@@ -156,7 +165,7 @@ def zariski_density_check(
 
     words = list(gens)
     frontier = list(gens)
-    for _ in range(word_length - 1):
+    for _ in range(5):  # words of length 2 .. 6
         nxt = []
         for w in frontier:
             for g in gens:
@@ -308,15 +317,11 @@ def simulate_trajectory(
     cfg: WalkConfig,
     traj: int,
     geodesic: bool = False,
-    step_trace: list | None = None,
-    trace_height: float = 0.0,
 ) -> TrajectoryResult:
     """Run one trajectory; deterministic given (system, measure, cfg, traj).
 
     With ``geodesic`` the increment is the fixed flow step a_{dt} and record
-    abscissae/normalizations use flow time instead of step count.  An optional
-    ``step_trace`` collects (t, cusp_id, height, index) per step for the
-    excursion analyses (small runs only).
+    abscissae/normalizations use flow time instead of step count.
     """
     rng = trajectory_rng(cfg.master_seed, traj)
     n = cfg.steps
@@ -335,32 +340,29 @@ def simulate_trajectory(
     code = _pack(p0.index)
 
     planes = system.planes
-    mats = system.pair_mats
+    pmats = system.pair_mats
     pcodes = [_pack(ph) for ph in system.pair_phis]
     eps = fuchsian.EPS_GEOM
     max_iter = fuchsian.MAX_REDUCE_ITER
     unwind_mask = cover_mod.UNWIND_MASK
 
+    # a letter is an index into mats: an atom, the flow step (letter 0), or an
+    # increment of the current parametric block
     atoms = not geodesic and measure is not None and measure.kind == "atoms"
+    parametric = not geodesic and not atoms
     cum = None  # parametric letters are built from the uniforms
     if geodesic:
-        ga, gb, gc, gd = hyp2.translation(cfg.dt).as_tuple()
+        letters = (hyp2.translation(cfg.dt),)
     elif atoms:
-        mats_atoms = [g.as_tuple() for g, _ in measure.atoms]
+        letters = tuple(g for g, _ in measure.atoms)
         cum = _cumulative_weights(measure)
+    mats = [] if parametric else [g.as_tuple() for g in letters]
     counts = [0] * len(measure.atoms) if atoms and cfg.count_atoms else None
-    block: list = []  # the letters of the current Philox block
-    upos = 0
 
     # a fixed start may lie on a finite orbit of the step letters; a Haar
     # start almost surely does not, and parametric letters are never reused
     table = None
-    if cfg.start.mode != "haar" and (geodesic or atoms):
-        letters = (
-            (hyp2.translation(cfg.dt),)
-            if geodesic
-            else tuple(g for g, _ in measure.atoms)
-        )
+    if cfg.start.mode != "haar" and not parametric:
         table = system.orbit_table(x0, letters, ENGINE_ORBIT_STATES)
     if table is not None:
         moves = tuple(
@@ -368,10 +370,8 @@ def simulate_trajectory(
         )
         state_xy = tuple(_base_xy(*r.rep.as_tuple()) for r in table.reps)
         state = 0
-        ai = 0  # a flow run's only letter
 
-    checkpoints = cfg.checkpoints.steps(n)
-    cps = iter(checkpoints)
+    cps = iter(cfg.checkpoints.steps(n))
     next_cp = next(cps, n + 1)
     records: list[CheckpointRecord] = []
 
@@ -400,191 +400,171 @@ def simulate_trajectory(
         charge_max = max(abs(v) for dl in charges for v in dl)
         slack = 0
 
-    # running product for the Cartan displacement (walk runs only)
-    ta, tb, tc, td = 1.0, 0.0, 0.0, 1.0
-    tlog = 0.0
-
-    if table is not None and not track_returns and step_trace is None and not geodesic:
-        # walk the table in segments that end at a checkpoint or at a
-        # multiple of 64 (the Cartan renormalization, and the end of every
-        # _RNG_BLOCK atom letters); moves are counted per (state, letter)
-        # and folded into the index at checkpoints.  Move t = row + letter,
-        # where row = state * n_letters; nxt[t] is the row of the next state
+    # the tight loop's move t = row + letter, where row = state * n_letters;
+    # nxt[t] is the row of the next state
+    tight = table is not None and not track_returns and not geodesic
+    if tight:
         n_letters = len(moves[0])
         nxt = [s * n_letters for out in moves for s, _ in out]
         dcodes = [dc for out in moves for _, dc in out]
         tcount = [0] * len(nxt)
         row = 0
-        k = 0
-        while k < n:
-            if upos == len(block):
+
+    # running product for the Cartan displacement (walk runs only)
+    ta, tb, tc, td = 1.0, 0.0, 0.0, 1.0
+    tlog = 0.0
+
+    # the segment loop (see the module docstring); steps b0 + 1 .. bend take
+    # their letters from block
+    block: list[int] | range = []
+    b0 = bend = 0
+    k = 0
+    while k < n:
+        if k == bend:
+            if geodesic:
+                block = [0] * _RNG_BLOCK
+            else:
                 block = _draw_block(rng, measure, cum)
-                upos = 0
-            stop = min(next_cp, (k | 63) + 1)
-            for ai in block[upos:upos + stop - k]:
+                if parametric:
+                    mats, block = block, range(len(block))
+            b0, bend = k, k + len(block)
+        stop = min(next_cp, (k | 63) + 1, bend)
+        seg = block[k - b0:stop - b0]
+        if counts is not None:
+            for j in range(len(counts)):
+                counts[j] += seg.count(j)
+        if tight:
+            for ai in seg:
                 t = row + ai
                 tcount[t] += 1
                 row = nxt[t]
-                ga, gb, gc, gd = mats_atoms[ai]
+                ga, gb, gc, gd = mats[ai]
                 ta, tb, tc, td = (
                     ta * ga + tb * gc,
                     ta * gb + tb * gd,
                     tc * ga + td * gc,
                     tc * gb + td * gd,
                 )
-            upos += stop - k
-            if stop & 63 == 0:
-                mm = max(abs(ta), abs(tb), abs(tc), abs(td))
-                if mm > 1.0:
-                    ta, tb, tc, td = ta / mm, tb / mm, tc / mm, td / mm
-                    tlog += math.log(mm)
-            k = stop
-            if k == next_cp:
+        else:
+            for k, ai in enumerate(seg, k + 1):
+                ga, gb, gc, gd = mats[ai]
+                # -- position update: walk the orbit table, or multiply and reduce
+                if table is not None:
+                    state, dc = moves[state][ai]
+                    code += dc
+                    it = 1  # one move, for the return tracking's slack
+                    px, py = state_xy[state]
+                else:
+                    a, b, c, d = (
+                        a * ga + b * gc,
+                        a * gb + b * gd,
+                        c * ga + d * gc,
+                        c * gb + d * gd,
+                    )
+                    it = 0
+                    while True:
+                        den = c * c + d * d
+                        px = (a * c + b * d) / den
+                        py = 1.0 / den
+                        pr2 = px * px + py * py
+                        hit = -1
+                        i = 0
+                        for (al, be, de) in planes:
+                            if al * pr2 + be * px + de > eps:
+                                hit = i
+                                break
+                            i += 1
+                        if hit < 0:
+                            break
+                        if it & unwind_mask == unwind_mask:
+                            # deep cusp winding: unwind whole strip widths in one stroke
+                            unw = system.fast_unwind(a, b, c, d)
+                            if unw is not None:
+                                a, b, c, d, kw_, ph = unw
+                                code += kw_ * _pack(ph)
+                                slack = -1
+                                it += 1
+                                continue
+                        pa, pb, pc, pd = pmats[hit]
+                        a, b, c, d = (
+                            pa * a + pb * c,
+                            pa * b + pb * d,
+                            pc * a + pd * c,
+                            pc * b + pd * d,
+                        )
+                        det = a * d - b * c
+                        if abs(det - 1.0) > 1e-12:
+                            s = 1.0 / math.sqrt(det)
+                            a, b, c, d = a * s, b * s, c * s, d * s
+                        code -= pcodes[hit]
+                        it += 1
+                        if it > max_iter:
+                            raise fuchsian.NonTerminationError(
+                                f"trajectory {traj} step {k}: reduction did not terminate"
+                            )
+
+                # -- running Cartan product (walk mode only)
+                if not geodesic:
+                    ta, tb, tc, td = (
+                        ta * ga + tb * gc,
+                        ta * gb + tb * gd,
+                        tc * ga + td * gc,
+                        tc * gb + td * gd,
+                    )
+
+                if track_returns:
+                    # the start tile is: sheet index zero AND base within the radius
+                    # of the start; a return is re-entering it after having left
+                    if code:
+                        slack -= it * charge_max
+                        if slack < 0:
+                            exc = max(map(abs, _unpack(code, dim)))
+                            if exc > max_exc:
+                                max_exc = exc
+                            slack = max_exc - exc
+                        left_zero = True
+                    else:
+                        slack = max_exc
+                        dx = px - sx
+                        dy = py - sy
+                        inside = 1.0 + (dx * dx + dy * dy) / (2.0 * py * sy) <= cosh_r
+                        if left_zero and inside:
+                            n_returns += 1
+                            left_zero = False
+                            if first_return is None:
+                                first_return = k
+                            gi = gpos
+                            while gi < len(grid) and grid[gi] < k:
+                                gi += 1
+                            if gi < len(grid):
+                                window_counts[gi] += 1
+                                for g2 in range(gi, len(grid)):
+                                    returned_by[g2] = True
+                        elif not left_zero and not inside:
+                            left_zero = True
+                    while gpos < len(grid) and grid[gpos] <= k:
+                        max_exc_by[gpos] = max_exc
+                        gpos += 1
+        k = stop
+
+        # -- between segments
+        if k & 63 == 0:
+            mm = max(abs(ta), abs(tb), abs(tc), abs(td))
+            if mm > 1.0:
+                ta, tb, tc, td = ta / mm, tb / mm, tc / mm, td / mm
+                tlog += math.log(mm)
+        if k == next_cp:
+            if tight:
                 for t, m in enumerate(tcount):
                     if m:
                         code += m * dcodes[t]
-                        if counts is not None:
-                            counts[t % n_letters] += m
                 tcount = [0] * len(nxt)
                 px, py = state_xy[row // n_letters]
-                records.append(_checkpoint(
-                    system, traj, k, _unpack(code, dim), px, py,
-                    ta, tb, tc, td, tlog, False, cfg.dt,
-                ))
-                next_cp = next(cps, n + 1)
-    else:
-        for k in range(1, n + 1):
-            # -- draw the increment
-            if not geodesic:
-                if upos == len(block):
-                    block = _draw_block(rng, measure, cum)
-                    upos = 0
-                if atoms:
-                    ai = block[upos]
-                    ga, gb, gc, gd = mats_atoms[ai]
-                    if counts is not None:
-                        counts[ai] += 1
-                else:
-                    ga, gb, gc, gd = block[upos]
-                upos += 1
-
-            # -- position update: walk the orbit table, or multiply and reduce
-            if table is not None:
-                state, dc = moves[state][ai]
-                code += dc
-                it = 1  # one move, for the return tracking's slack
-                px, py = state_xy[state]
-            else:
-                a, b, c, d = (
-                    a * ga + b * gc,
-                    a * gb + b * gd,
-                    c * ga + d * gc,
-                    c * gb + d * gd,
-                )
-                it = 0
-                while True:
-                    den = c * c + d * d
-                    px = (a * c + b * d) / den
-                    py = 1.0 / den
-                    pr2 = px * px + py * py
-                    hit = -1
-                    i = 0
-                    for (al, be, de) in planes:
-                        if al * pr2 + be * px + de > eps:
-                            hit = i
-                            break
-                        i += 1
-                    if hit < 0:
-                        break
-                    if it & unwind_mask == unwind_mask:
-                        # deep cusp winding: unwind whole strip widths in one stroke
-                        unw = system.fast_unwind(a, b, c, d)
-                        if unw is not None:
-                            a, b, c, d, kw_, ph = unw
-                            code += kw_ * _pack(ph)
-                            slack = -1
-                            it += 1
-                            continue
-                    pa, pb, pc, pd = mats[hit]
-                    a, b, c, d = (
-                        pa * a + pb * c,
-                        pa * b + pb * d,
-                        pc * a + pd * c,
-                        pc * b + pd * d,
-                    )
-                    det = a * d - b * c
-                    if abs(det - 1.0) > 1e-12:
-                        s = 1.0 / math.sqrt(det)
-                        a, b, c, d = a * s, b * s, c * s, d * s
-                    code -= pcodes[hit]
-                    it += 1
-                    if it > max_iter:
-                        raise fuchsian.NonTerminationError(
-                            f"trajectory {traj} step {k}: reduction did not terminate"
-                        )
-
-            # -- running Cartan product (walk mode only)
-            if not geodesic:
-                ta, tb, tc, td = (
-                    ta * ga + tb * gc,
-                    ta * gb + tb * gd,
-                    tc * ga + td * gc,
-                    tc * gb + td * gd,
-                )
-                if k & 63 == 0:
-                    mm = max(abs(ta), abs(tb), abs(tc), abs(td))
-                    if mm > 1.0:
-                        ta, tb, tc, td = ta / mm, tb / mm, tc / mm, td / mm
-                        tlog += math.log(mm)
-
-            # -- per-step instrumentation
-            if step_trace is not None:
-                hgt = fuchsian.cusp_height(system.cusps, px, py)
-                cid = system.which_cusp_xy(px, py, trace_height) if hgt > trace_height else -1
-                tt = k * cfg.dt if geodesic else k
-                step_trace.append((tt, cid, hgt, _unpack(code, dim)))
-
-            if track_returns:
-                # the start tile is: sheet index zero AND base within the radius
-                # of the start; a return is re-entering it after having left
-                if code:
-                    slack -= it * charge_max
-                    if slack < 0:
-                        exc = max(map(abs, _unpack(code, dim)))
-                        if exc > max_exc:
-                            max_exc = exc
-                        slack = max_exc - exc
-                    left_zero = True
-                else:
-                    slack = max_exc
-                    dx = px - sx
-                    dy = py - sy
-                    inside = 1.0 + (dx * dx + dy * dy) / (2.0 * py * sy) <= cosh_r
-                    if left_zero and inside:
-                        n_returns += 1
-                        left_zero = False
-                        if first_return is None:
-                            first_return = k
-                        gi = gpos
-                        while gi < len(grid) and grid[gi] < k:
-                            gi += 1
-                        if gi < len(grid):
-                            window_counts[gi] += 1
-                            for g2 in range(gi, len(grid)):
-                                returned_by[g2] = True
-                    elif not left_zero and not inside:
-                        left_zero = True
-                while gpos < len(grid) and grid[gpos] <= k:
-                    max_exc_by[gpos] = max_exc
-                    gpos += 1
-
-            # -- checkpoint
-            if k == next_cp:
-                records.append(_checkpoint(
-                    system, traj, k, _unpack(code, dim), px, py,
-                    ta, tb, tc, td, tlog, geodesic, cfg.dt,
-                ))
-                next_cp = next(cps, n + 1)
+            records.append(_checkpoint(
+                system, traj, k, _unpack(code, dim), px, py,
+                ta, tb, tc, td, tlog, geodesic, cfg.dt,
+            ))
+            next_cp = next(cps, n + 1)
 
     if track_returns:
         for gi in range(gpos, len(grid)):
@@ -744,25 +724,14 @@ def _base_xy(a: float, b: float, c: float, d: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # multi-trajectory runners
 
-@dataclass(frozen=True)
-class RunPlan:
-    """Everything a worker process needs to simulate a block of trajectories."""
-
-    pres: fuchsian.LatticePresentation
-    polygon: fuchsian.FundamentalPolygon
-    cusps: tuple[fuchsian.CuspData, ...]
-    spec: cover_mod.CoverSpec
-    measure: MeasureSpec | None
-    cfg: WalkConfig
-    geodesic: bool = False
-
-
-def _run_block(plan: RunPlan, trajs: list[int]) -> list[TrajectoryResult]:
-    system = CoverSystem(plan.pres, plan.polygon, plan.cusps, plan.spec)
-    return [
-        simulate_trajectory(system, plan.measure, plan.cfg, t, geodesic=plan.geodesic)
-        for t in trajs
-    ]
+def _run_block(
+    system: CoverSystem,
+    measure: MeasureSpec | None,
+    cfg: WalkConfig,
+    geodesic: bool,
+    trajs: list[int],
+) -> list[TrajectoryResult]:
+    return [simulate_trajectory(system, measure, cfg, t, geodesic) for t in trajs]
 
 
 def worker_count() -> int:
@@ -786,27 +755,16 @@ def run_trajectories(
     if workers is None:
         workers = worker_count()
     ids = list(range(cfg.trajectories))
+    run_block = functools.partial(_run_block, system, measure, cfg, geodesic)
     if workers <= 1 or len(ids) <= 1:
-        return [
-            simulate_trajectory(system, measure, cfg, t, geodesic=geodesic)
-            for t in ids
-        ]
-    plan = RunPlan(
-        pres=system.pres,
-        polygon=system.polygon,
-        cusps=system.cusps,
-        spec=system.spec,
-        measure=measure,
-        cfg=cfg,
-        geodesic=geodesic,
-    )
+        return run_block(ids)
     # imported here: one-worker runs need not load the multiprocessing stack
     from concurrent.futures import ProcessPoolExecutor
 
     blocks = [ids[i::workers] for i in range(workers)]
     out: dict[int, TrajectoryResult] = {}
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for results in pool.map(_run_block, [plan] * len(blocks), blocks):
+        for results in pool.map(run_block, blocks):
             for r in results:
                 out[r.summary.traj] = r
     return [out[t] for t in ids]

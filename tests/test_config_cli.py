@@ -116,6 +116,15 @@ class TestConfigParsing:
         assert CFG.config_hash(CFG.parse_config_text(other)) != h
         other = DRIFT_HALF.replace("seed = 2024", "seed = 2025")
         assert CFG.config_hash(CFG.parse_config_text(other)) != h
+        # equal checkpoint plans hash equal however they are written
+        for a, b in (("linear:3000", "linear: 3000"),
+                     ("geometric:100:1.25", "geometric:100:1.250")):
+            ha, hb = (
+                CFG.config_hash(CFG.parse_config_text(
+                    with_value(DRIFT_HALF, "checkpoints", v)))
+                for v in (a, b)
+            )
+            assert ha == hb
 
     def test_bad_section(self):
         with pytest.raises(CFG.ConfigError):
@@ -164,6 +173,9 @@ WALK_BOUNDS = {
     "linear-stride-zero": (DRIFT_HALF, "checkpoints", "linear:0"),
     "geometric-n0-zero": (DRIFT_HALF, "checkpoints", "geometric:0:2"),
     "geometric-ratio-one": (DRIFT_HALF, "checkpoints", "geometric:10:1"),
+    "return-radius-zero": (RECURRENCE, "return_radius", "0"),
+    "return-grid-zero": (RECURRENCE, "return_grid", "0 3000"),
+    "return-grid-past-steps": (RECURRENCE, "return_grid", "1000 5000"),
 }
 
 
@@ -186,6 +198,75 @@ class TestWalkBounds:
         code, printed = run_cli(mode, "run", "--config", str(cfgp), "--out", str(out))
         assert code == 2
         assert f"config error [walk] {key}" in printed
+        assert not out.exists()
+
+
+def with_key(text: str, section: str, key: str, value: str) -> str:
+    """The config text with ``key`` set to ``value`` in ``section``, added
+    after the section header when the text does not set it."""
+    if re.search(rf"^{key} = ", text, flags=re.MULTILINE):
+        return with_value(text, key, value)
+    return text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n", 1)
+
+
+# every number the parser converts, with a value it cannot convert
+BAD_NUMBERS = [
+    ("lattice", "l1", "one"),
+    ("lattice", "l2", "one"),
+    ("lattice", "word_bound", "1.5"),
+    ("measure", "tau_min", "half"),
+    ("measure", "tau_max", "half"),
+    ("walk", "steps", "1.5"),
+    ("walk", "trajectories", "1.5"),
+    ("walk", "seed", "1.5"),
+    ("walk", "dt", "quarter"),
+    ("walk", "return_radius", "two"),
+    ("walk", "return_grid", "1000 1.5"),
+]
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("section, key, value", BAD_NUMBERS,
+                             ids=[k for _, k, _ in BAD_NUMBERS])
+    def test_bad_number_names_its_key(self, section, key, value):
+        text = with_key(RECURRENCE, section, key, value)
+        with pytest.raises(CFG.ConfigError) as ei:
+            CFG.parse_config_text(text)
+        assert (ei.value.section, ei.value.key) == (section, key)
+        assert str(ei.value).startswith(f"config error [{section}] {key}: ")
+        assert repr(value) in str(ei.value)
+
+    def test_bad_number_through_cli(self, tmp_path):
+        cfgp = tmp_path / "exp.cfg"
+        cfgp.write_text(with_value(DRIFT_HALF, "steps", "1.5"))
+        code, printed = run_cli("walk", "run", "--config", str(cfgp))
+        assert code == 2
+        assert "error: config error [walk] steps: not a valid number: '1.5'" in printed
+
+    def test_no_section(self):
+        assert str(CFG.ConfigError("bad")) == "config error: bad"
+        assert str(CFG.ConfigError("bad", "walk")) == "config error [walk]: bad"
+
+    @pytest.mark.parametrize("command", ["walk run", "recurrence", "lyapunov"])
+    def test_infinite_covolume_exits_2(self, tmp_path, command):
+        # a Schottky-type pair: the Dirichlet domain keeps a free boundary
+        lat = tmp_path / "lat.txt"
+        lat.write_text(
+            "[generator] A = 3 0 0 0.3333333333333333\n"
+            "[generator] B = 2 1 1 1\n"
+            "[weights]\nA = 1\nB = 0\n"
+        )
+        text = RECURRENCE.replace(
+            "preset = punctured_square_torus", f"file = {lat}\nword_bound = 4"
+        ).replace("g1 = 1 0\ng2 = 0 1\n", "A = 1\nB = 0\n")
+        text = text.replace("atom.1 = g1", "atom.1 = A").replace("atom.2 = g2", "atom.2 = B")
+        cfgp = tmp_path / "inf.cfg"
+        cfgp.write_text(text)
+        out = tmp_path / "o"
+        code, printed = run_cli(*command.split(), "--config", str(cfgp), "--out", str(out))
+        assert code == 2
+        assert "error: domain has free boundary" in printed
+        assert "Traceback" not in printed
         assert not out.exists()
 
 
@@ -379,8 +460,9 @@ class TestRecurrenceCommand:
     def test_requires_return_tracking(self, tmp_path):
         cfgp = tmp_path / "exp.cfg"
         cfgp.write_text(DRIFT_HALF)
-        code, _ = run_cli("recurrence", "--config", str(cfgp))
+        code, printed = run_cli("recurrence", "--config", str(cfgp))
         assert code == 2
+        assert "error: config error: recurrence needs return_radius" in printed
 
 
 class TestReportCommand:

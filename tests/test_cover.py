@@ -507,6 +507,41 @@ class TestFastUnwindAgreement:
         assert engaged
 
 
+def flow_trace(system, cfg, height):
+    """The per-step trace (t, cusp_id, cusp height, index) of trajectory 0 of
+    a flow run, replayed through CoverSystem.apply_step from the engine's
+    start.  cusp_id is the cusp of the first corner chart whose horoball of
+    log height ``height`` holds the base point, or -1 when the point's cusp
+    height is at most ``height``."""
+    from covwalk import walk as W
+
+    rng = W.trajectory_rng(cfg.master_seed, 0)
+    if cfg.start.mode == "haar":
+        x0 = F.haar_sample(system.polygon, system.cusps, system.pres, rng,
+                           system.haar_parts)
+    else:
+        x0 = cfg.start.tangent
+    p = system.start_point(x0)
+    g = H.translation(cfg.dt)
+    eh = math.exp(height)
+    trace = []
+    for k in range(1, cfg.steps + 1):
+        p = system.apply_step(p, g)
+        a, b, c, d = p.rep.rep.as_tuple()
+        den = c * c + d * d
+        x, y = (a * c + b * d) / den, 1.0 / den
+        h = F.cusp_height(system.cusps, x, y)
+        cid = -1
+        if h > height:
+            cid = next(
+                (j for (_, _, mc, md), j in zip(system.corner_mats, system.corner_cusp)
+                 if y / ((mc * x + md) ** 2 + (mc * y) ** 2) > eh),
+                -1,
+            )
+        trace.append((k * cfg.dt, cid, h, p.index))
+    return trace
+
+
 class TestCuspExcursions:
     def test_no_cusp_entry(self):
         steps = [(k, -1, -1.0, (0,)) for k in range(10)]
@@ -522,10 +557,9 @@ class TestCuspExcursions:
             checkpoints=W.CheckpointPlan(kind="linear", stride=4000),
             dt=0.25,
         )
-        trace = []
-        W.simulate_trajectory(
-            gamma2_d1, None, cfg, 0, geodesic=True, step_trace=trace, trace_height=1.0
-        )
+        trace = flow_trace(gamma2_d1, cfg, 1.0)
+        res = W.simulate_trajectory(gamma2_d1, None, cfg, 0, geodesic=True)
+        assert res.summary.final_index == trace[-1][3], "replay left the engine's path"
         recs = C.cusp_excursions(trace)
         total_exc = sum(r.index_delta[0] for r in recs)
         inside = {r.cusp_id for r in recs}
@@ -554,10 +588,7 @@ class TestCuspExcursions:
             dt=0.25,
             start=W.StartSpec(mode="fixed", tangent=x0),
         )
-        trace = []
-        W.simulate_trajectory(
-            gamma2_d1, None, cfg, 0, geodesic=True, step_trace=trace, trace_height=1.0
-        )
+        trace = flow_trace(gamma2_d1, cfg, 1.0)
         recs = [r for r in C.cusp_excursions(trace) if r.cusp_id == 0]
         assert len(recs) >= 1
         first = recs[0]
