@@ -1,0 +1,389 @@
+/* The trajectory engine's segment loop, compiled.
+ *
+ * covwalk_segment advances one trajectory of walk.simulate_trajectory over
+ * steps k0 + 1 .. k1, taking step k0 + 1's letter from uniform j0 of the
+ * current block.  Python draws the Philox uniforms, builds the start and the
+ * orbit table, and reads the state between segments; everything a step does
+ * happens here, with the arithmetic of the Python reference in the same
+ * operation order:
+ *
+ *   - the letter: for atoms the first cumulative weight >= u (numpy's
+ *     searchsorted, side="left"); for a parametric measure the increment
+ *     rotation(th1) translation(tau) rotation(th2) of
+ *     segments._draw_block; for a flow the constant flow step;
+ *   - the position: one orbit-table move, or the multiply followed by the
+ *     greedy descent of CoverSystem.reduce_raw, with CoverSystem.fast_unwind
+ *     on iterations unwind_mask, 2 * unwind_mask + 1, ... and the
+ *     determinant renormalization;
+ *   - the int64 sheet index, with checked adds; a coordinate at or past
+ *     2**62 after a step is refused;
+ *   - the running Cartan product and its renormalization every 64 steps;
+ *   - the atom counts and the return tracking (sheet zero plus the ball
+ *     test, the number of returns, the first one and the maximum excursion).
+ *
+ * Built with -ffp-contract=off (no fused multiply-adds) and -fno-builtin, so
+ * that cos, sin, exp, log, pow and floor are the libm calls CPython's math
+ * module and float ** make: gcc would fold pow(x, 2.0) into x * x and pair
+ * sin and cos into sincos.  fabs and sqrt are exact, so they are taken as
+ * builtins.  Never build this with -ffast-math.
+ */
+
+#include <math.h>
+#include <stdint.h>
+
+#ifndef COVWALK_KERNEL_KEY
+#define COVWALK_KERNEL_KEY ""
+#endif
+
+enum { LETTERS_ATOMS = 0, LETTERS_PARAMETRIC = 1, LETTERS_FLOW = 2 };
+
+/* return codes; segments._CSegments raises the matching Python exception */
+enum {
+    OK = 0,
+    ERR_INDEX = 1,     /* OverflowError: a sheet index coordinate reached 2**62 */
+    ERR_DESCENT = 2,   /* fuchsian.NonTerminationError */
+    ERR_ZERO = 3,      /* ZeroDivisionError */
+    ERR_DOMAIN = 4,    /* ValueError: math domain error, floor of NaN */
+    ERR_RANGE = 5      /* OverflowError: float ** overflow, floor of infinity */
+};
+
+#define INDEX_LIMIT (INT64_C(1) << 62)
+#define TWO_PI 6.283185307179586
+#define MATH_E 2.718281828459045
+
+/* Mirrored field for field by segments._Walk (ctypes); every field is 8
+ * bytes, so the layout has no padding.  covwalk_walk_size lets Python check
+ * it. */
+typedef struct {
+    /* the cover (CoverSystem) */
+    int64_t dim, n_sides, n_corners, unwind_mask, max_iter;
+    double eps;
+    const double *planes;          /* per side: alpha, beta, delta */
+    const double *pair_mats;       /* per side: a, b, c, d of the pairing */
+    const int64_t *pair_phis;      /* per side: dim charges */
+    const double *corner_mats;     /* per corner: a, b, c, d of the chart */
+    const double *corner_inv_mats; /* per corner: the chart's inverse */
+    const double *corner_widths;
+    const int64_t *corner_phis;    /* per corner: dim signed charges */
+    /* the letters */
+    int64_t letters, n_letters;
+    const double *cum;             /* atoms: cumulative weights, last 1.0 */
+    const double *mats;            /* atoms or the flow step: a, b, c, d */
+    double tau_min, tau_span;
+    int64_t cartan;                /* walk runs keep the Cartan product */
+    /* the orbit table, or table_next NULL */
+    const int64_t *table_next;     /* per (state, letter): the next state */
+    const int64_t *table_delta;    /* per (state, letter): dim index change */
+    const double *table_xy;        /* per state: base point x, y */
+    /* return tracking */
+    int64_t returns;
+    double sx, sy, cosh_r;
+    /* the state after the last step */
+    double a, b, c, d, px, py;
+    double ta, tb, tc, td, tlog;
+    int64_t state;
+    int64_t *index;                /* dim coordinates */
+    int64_t *counts;               /* per atom, or NULL */
+    int64_t left_zero, first_return, n_returns, max_exc;
+    int64_t fail_step;             /* the step an error code refers to */
+} walk_t;
+
+int64_t covwalk_walk_size(void) { return (int64_t)sizeof(walk_t); }
+
+const char *covwalk_kernel_key(void) { return COVWALK_KERNEL_KEY; }
+
+/* index += k * phi, refusing int64 overflow */
+static int charge(int64_t *index, const int64_t *phi, int64_t k, int64_t dim)
+{
+    for (int64_t i = 0; i < dim; i++) {
+        int64_t q;
+        if (__builtin_mul_overflow(k, phi[i], &q)
+            || __builtin_add_overflow(index[i], q, &index[i]))
+            return ERR_INDEX;
+    }
+    return OK;
+}
+
+/* CPython's v ** 2 for a float v: pow of |v|, overflow raised */
+static int square(double v, double *out)
+{
+    if (isnan(v) || isinf(v) || v == 0.0) {
+        *out = isnan(v) ? v : (v == 0.0 ? 0.0 : INFINITY);
+        return OK;
+    }
+    *out = pow(__builtin_fabs(v), 2.0);
+    return isinf(*out) ? ERR_RANGE : OK;
+}
+
+/* CoverSystem.fast_unwind on m with base point (x, y): sets *moved to 1 and
+ * updates m and the index when the point winds deep enough in a cusp
+ * sector, else leaves them and sets *moved to 0. */
+static int fast_unwind(const walk_t *w, double m[4], double x, double y,
+                       int64_t *index, int *moved)
+{
+    const double a = m[0], b = m[1], c = m[2], d = m[3];
+    int64_t best = -1;
+    double best_im = MATH_E; /* engage only above cusp height 1 */
+    *moved = 0;
+    for (int64_t i = 0; i < w->n_corners; i++) {
+        const double *cm = w->corner_mats + 4 * i;
+        double t = cm[2] * x + cm[3];
+        double sq;
+        int rc = square(cm[2] * y, &sq);
+        if (rc)
+            return rc;
+        double den = t * t + sq;
+        if (den == 0.0)
+            return ERR_ZERO;
+        double im = y / den;
+        if (im > best_im) {
+            best = i;
+            best_im = im;
+        }
+    }
+    if (best < 0)
+        return OK;
+    const double *cm = w->corner_mats + 4 * best;
+    double sa = cm[0] * a + cm[1] * c;
+    double sb = cm[0] * b + cm[1] * d;
+    double sc = cm[2] * a + cm[3] * c;
+    double sd = cm[2] * b + cm[3] * d;
+    double sden = sc * sc + sd * sd;
+    double width = w->corner_widths[best];
+    if (sden == 0.0 || width == 0.0)
+        return ERR_ZERO;
+    double u = (sa * sc + sb * sd) / sden;
+    double q = u / width;
+    if (isnan(q))
+        return ERR_DOMAIN;
+    if (isinf(q))
+        return ERR_RANGE;
+    double kf = floor(q);
+    if (kf == 0.0)
+        return OK;
+    if (!(kf > -9223372036854775808.0 && kf < 9223372036854775808.0))
+        return ERR_INDEX;
+    double kw = kf * width;
+    sa -= kw * sc;
+    sb -= kw * sd;
+    const double *im = w->corner_inv_mats + 4 * best;
+    m[0] = im[0] * sa + im[1] * sc;
+    m[1] = im[0] * sb + im[1] * sd;
+    m[2] = im[2] * sa + im[3] * sc;
+    m[3] = im[2] * sb + im[3] * sd;
+    *moved = 1;
+    return charge(index, w->corner_phis + w->dim * best, (int64_t)kf, w->dim);
+}
+
+/* CoverSystem.reduce_raw without a word: reduces m in place, charges the
+ * index and leaves the reduced base point in *px, *py */
+static int descend(const walk_t *w, double m[4], int64_t *index,
+                   double *px, double *py)
+{
+    const int64_t mask = w->unwind_mask;
+    for (int64_t it = 0; it < w->max_iter; it++) {
+        double a = m[0], b = m[1], c = m[2], d = m[3];
+        double den = c * c + d * d;
+        if (den == 0.0)
+            return ERR_ZERO;
+        double x = (a * c + b * d) / den;
+        double y = 1.0 / den;
+        double r2 = x * x + y * y;
+        int64_t hit = -1;
+        for (int64_t i = 0; i < w->n_sides; i++) {
+            const double *pl = w->planes + 3 * i;
+            if (pl[0] * r2 + pl[1] * x + pl[2] > w->eps) {
+                hit = i;
+                break;
+            }
+        }
+        if (hit < 0) {
+            *px = x;
+            *py = y;
+            return OK;
+        }
+        if ((it & mask) == mask) {
+            int moved;
+            int rc = fast_unwind(w, m, x, y, index, &moved);
+            if (rc)
+                return rc;
+            if (moved)
+                continue;
+        }
+        const double *p = w->pair_mats + 4 * hit;
+        double na = p[0] * a + p[1] * c;
+        double nb = p[0] * b + p[1] * d;
+        double nc = p[2] * a + p[3] * c;
+        double nd = p[2] * b + p[3] * d;
+        double det = na * nd - nb * nc;
+        if (__builtin_fabs(det - 1.0) > 1e-12) {
+            if (det < 0.0)
+                return ERR_DOMAIN;
+            double root = __builtin_sqrt(det);
+            if (root == 0.0)
+                return ERR_ZERO;
+            double s = 1.0 / root;
+            na = na * s;
+            nb = nb * s;
+            nc = nc * s;
+            nd = nd * s;
+        }
+        m[0] = na;
+        m[1] = nb;
+        m[2] = nc;
+        m[3] = nd;
+        int rc = charge(index, w->pair_phis + w->dim * hit, -1, w->dim);
+        if (rc)
+            return rc;
+    }
+    return ERR_DESCENT;
+}
+
+int covwalk_segment(walk_t *w, const double *u, int64_t j0, int64_t k0, int64_t k1)
+{
+    const int64_t dim = w->dim;
+    int64_t *index = w->index;
+    double m[4] = {w->a, w->b, w->c, w->d};
+    double px = w->px, py = w->py;
+    double ta = w->ta, tb = w->tb, tc = w->tc, td = w->td, tlog = w->tlog;
+    int64_t state = w->state;
+    int64_t left_zero = w->left_zero, first_return = w->first_return;
+    int64_t n_returns = w->n_returns, max_exc = w->max_exc;
+    int rc = OK;
+    int64_t k = k0, j = j0;
+
+    while (k < k1) {
+        k++;
+        /* the letter */
+        int64_t ai = 0;
+        double ga, gb, gc, gd;
+        if (w->letters == LETTERS_PARAMETRIC) {
+            const double *v = u + 3 * j;
+            double th1 = v[0] * TWO_PI;
+            double tau = w->tau_min + v[1] * w->tau_span;
+            double th2 = v[2] * TWO_PI;
+            double h1 = 0.5 * th1, h2 = 0.5 * th2;
+            double c1 = cos(h1), s1 = sin(h1), c2 = cos(h2), s2 = sin(h2);
+            double e = exp(0.5 * tau);
+            double ei = 1.0 / e;
+            ga = c1 * e * c2 - s1 * ei * s2;
+            gb = -c1 * e * s2 - s1 * ei * c2;
+            gc = s1 * e * c2 + c1 * ei * s2;
+            gd = -s1 * e * s2 + c1 * ei * c2;
+        } else {
+            if (w->letters == LETTERS_ATOMS) {
+                double x = u[j];
+                while (ai < w->n_letters - 1 && w->cum[ai] < x)
+                    ai++;
+                if (w->counts)
+                    w->counts[ai]++;
+            }
+            const double *g = w->mats + 4 * ai;
+            ga = g[0];
+            gb = g[1];
+            gc = g[2];
+            gd = g[3];
+        }
+        j++;
+
+        /* the position: an orbit-table move, or multiply and reduce */
+        if (w->table_next) {
+            int64_t t = state * w->n_letters + ai;
+            state = w->table_next[t];
+            rc = charge(index, w->table_delta + dim * t, 1, dim);
+            px = w->table_xy[2 * state];
+            py = w->table_xy[2 * state + 1];
+        } else {
+            double a = m[0], b = m[1], c = m[2], d = m[3];
+            m[0] = a * ga + b * gc;
+            m[1] = a * gb + b * gd;
+            m[2] = c * ga + d * gc;
+            m[3] = c * gb + d * gd;
+            rc = descend(w, m, index, &px, &py);
+        }
+        if (rc)
+            break;
+        int64_t exc = 0;
+        for (int64_t i = 0; i < dim; i++) {
+            int64_t v = index[i] < 0 ? -index[i] : index[i];
+            if (v > exc)
+                exc = v;
+        }
+        if (exc >= INDEX_LIMIT) {
+            rc = ERR_INDEX;
+            break;
+        }
+
+        /* the running Cartan product */
+        if (w->cartan) {
+            double na = ta * ga + tb * gc;
+            double nb = ta * gb + tb * gd;
+            double nc = tc * ga + td * gc;
+            double nd = tc * gb + td * gd;
+            ta = na;
+            tb = nb;
+            tc = nc;
+            td = nd;
+            if ((k & 63) == 0) {
+                double mm = __builtin_fabs(ta);
+                if (__builtin_fabs(tb) > mm)
+                    mm = __builtin_fabs(tb);
+                if (__builtin_fabs(tc) > mm)
+                    mm = __builtin_fabs(tc);
+                if (__builtin_fabs(td) > mm)
+                    mm = __builtin_fabs(td);
+                if (mm > 1.0) {
+                    ta = ta / mm;
+                    tb = tb / mm;
+                    tc = tc / mm;
+                    td = td / mm;
+                    tlog += log(mm);
+                }
+            }
+        }
+
+        /* returns: re-entering sheet zero within the radius of the start */
+        if (w->returns) {
+            if (exc) {
+                if (exc > max_exc)
+                    max_exc = exc;
+                left_zero = 1;
+            } else {
+                double dx = px - w->sx, dy = py - w->sy;
+                double scale = 2.0 * py * w->sy;
+                if (scale == 0.0) {
+                    rc = ERR_ZERO;
+                    break;
+                }
+                int inside = 1.0 + (dx * dx + dy * dy) / scale <= w->cosh_r;
+                if (left_zero && inside) {
+                    n_returns++;
+                    left_zero = 0;
+                    if (first_return < 0)
+                        first_return = k;
+                } else if (!left_zero && !inside) {
+                    left_zero = 1;
+                }
+            }
+        }
+    }
+
+    w->a = m[0];
+    w->b = m[1];
+    w->c = m[2];
+    w->d = m[3];
+    w->px = px;
+    w->py = py;
+    w->ta = ta;
+    w->tb = tb;
+    w->tc = tc;
+    w->td = td;
+    w->tlog = tlog;
+    w->state = state;
+    w->left_zero = left_zero;
+    w->first_return = first_return;
+    w->n_returns = n_returns;
+    w->max_exc = max_exc;
+    w->fail_step = k;
+    return rc;
+}

@@ -23,6 +23,7 @@ from . import config as config_mod
 from . import cover as cover_mod
 from . import fuchsian
 from . import hyp2
+from . import segments
 from . import stats as stats_mod
 from . import walk as walk_mod
 
@@ -309,6 +310,7 @@ def cmd_run(args, geodesic: bool) -> int:
     engine = {
         "id": walk_mod.ENGINE_ID,
         "orbit_states": results[0].summary.orbit_states if results else None,
+        "kernel": segments.load_kernel(),
     }
     summary = _summary(bundle, results, {"engine": engine, "analysis": analysis})
     _atomic_write(os.path.join(outdir, "records.csv"), _records_csv(results, bundle.spec.d))

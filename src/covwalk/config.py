@@ -31,7 +31,7 @@ two configs get the same hash exactly when every semantic field agrees.
     start = haar                 # or: special  (the upward tangent at i)
     dt = 0.25                    # geodesic only: 0 < dt <= 0.5
     return_radius = 2.0          # > 0; presence switches return tracking on
-    return_grid = 10000 100000   # each in 1..steps
+    return_grid = 10000 100000   # distinct, each in 1..steps
 
     [analysis]
     reports = drift cauchy
@@ -195,6 +195,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
         raise ConfigError(
             f"entries must lie in 1..{steps}, got {return_grid}", wk, "return_grid"
         )
+    if len(set(return_grid)) != len(return_grid):
+        raise ConfigError(f"entries must differ, got {return_grid}", wk, "return_grid")
 
     reports = tuple((get("analysis", "reports", "") or "").split())
 

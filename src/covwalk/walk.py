@@ -2,9 +2,7 @@
 
 A trajectory multiplies a reduced tangent by random increments, reduces it
 back into the fundamental polygon after each step, and charges the deck
-moves to an exact integer sheet index.  The step loops are written with
-plain floats and tuples on purpose: they run tens of millions of times in
-the acceptance experiments.
+moves to an exact integer sheet index.
 
 A run's start, Haar-sampled or fixed, is reduced by
 ``CoverSystem.start_point``.  Each step is a pure function of the current
@@ -13,46 +11,27 @@ A fixed start whose orbit under the step letters (the atoms, or the flow
 step) has at most ``ENGINE_ORBIT_STATES`` states walks that orbit's compiled
 ``OrbitTable`` in integers, so its index path is exact however long the run.
 Every other run (Haar starts, parametric measures, larger orbits) multiplies
-and reduces with no cache, step for step as ``CoverSystem.apply_step``: the
-loop below inlines ``CoverSystem.reduce_raw``, its reference, with the index
-packed.  ``run_trajectories`` runs all trajectories of a walk or flow run.
+and reduces with no cache, step for step as ``CoverSystem.apply_step``.
+``run_trajectories`` runs all trajectories of a walk or flow run.
 
 Randomness is counter-based and splittable: trajectory k of a run seeded
 with s draws from Philox keyed by SeedSequence([s, k]), so runs are
-bit-reproducible under any scheduling of trajectories.  The stream is read
-``_RNG_BLOCK`` uniforms at a time, and each block is turned into its letters
-in one pass (``_draw_block``): an atom index per uniform, or a parametric
-increment per three uniforms, with the same bits as the scalar formula.
+bit-reproducible under any scheduling of trajectories.
 
-A run advances in segments.  A segment ends at the next checkpoint, at the
-next multiple of 64 steps or at the end of the current block of letters;
-the block refill, the renormalization of the running Cartan product (every
-64 steps) and the checkpoint record happen between segments.  Inside a
-segment one of two loops runs.  A random walk on an orbit table with no
-observer runs the tight loop: it counts its (state, letter) moves and folds
-them into the index at checkpoints.  Every other run takes the per-step
-loop: the letter, the table move or the multiply and reduce, the Cartan
-product and return tracking, the one per-step observer.
-
-The sheet index is carried as one packed integer (``_pack``/``_unpack``):
-each pairing of the descent subtracts its side's packed phi charge, a cusp
-unwind adds k times the packed charge of its corner, and a table step adds
-its packed index change.  The index is decoded only where it is read: at
-checkpoints, at the end of the run, and for return tracking (where a zero
-code is sheet zero) on a step whose moves could have carried the index's
-sup-norm past its running maximum.  The last checkpoint is always the final
-step.
-
+A run advances in segments, which end at checkpoints, at return grid points
+and at the end of a block of uniforms.  ``simulate_trajectory`` does what
+lies between them; the steps of a segment run in the compiled C kernel, or
+in its Python reference where the kernel cannot be built (``segments``,
+imported when a run starts, so that importing this module builds nothing).
 The greedy descent tries ``CoverSystem.fast_unwind`` on its iterations 7,
-15, 23, ... (``cover.UNWIND_MASK``), as ``CoverSystem.reduce_raw`` does:
-descent depth has the 1/x tail of the Haar cusp law, so a Haar start spends
-a good share of its pairings in cusp windings deeper than 8.
+15, 23, ... (``cover.UNWIND_MASK``): descent depth has the 1/x tail of the
+Haar cusp law, so a Haar start spends a good share of its pairings in cusp
+windings deeper than 8.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -64,11 +43,6 @@ from . import fuchsian
 from . import cover as cover_mod
 from .hyp2 import GroupElement, UnitTangent
 from .cover import CoverSystem, IntVec
-
-_RNG_BLOCK = 4096
-# atom and flow blocks then end on the 64-step renormalization grid, so only
-# parametric blocks (a third as many letters) add segment ends of their own
-assert _RNG_BLOCK % 64 == 0
 
 # A fixed start whose orbit under the step letters has at most this many
 # states walks it as an OrbitTable.  Finite orbits this large occur: the
@@ -333,254 +307,75 @@ def simulate_trajectory(
     else:
         x0 = cfg.start.tangent if cfg.start.tangent is not None else hyp2.BASE_TANGENT
     p0 = system.start_point(x0)
-    a, b, c, d = p0.rep.rep.as_tuple()
-    start_rep = (a, b, c, d)
-    sx, sy = _base_xy(a, b, c, d)
-    dim = system.d
-    code = _pack(p0.index)
+    start_rep = p0.rep.rep.as_tuple()
 
-    planes = system.planes
-    pmats = system.pair_mats
-    pcodes = [_pack(ph) for ph in system.pair_phis]
-    eps = fuchsian.EPS_GEOM
-    max_iter = fuchsian.MAX_REDUCE_ITER
-    unwind_mask = cover_mod.UNWIND_MASK
-
-    # a letter is an index into mats: an atom, the flow step (letter 0), or an
-    # increment of the current parametric block
-    atoms = not geodesic and measure is not None and measure.kind == "atoms"
-    parametric = not geodesic and not atoms
-    cum = None  # parametric letters are built from the uniforms
+    # the step letters: the flow step, the atoms, or none for a parametric
+    # measure, whose letters are built from the uniforms
     if geodesic:
         letters = (hyp2.translation(cfg.dt),)
-    elif atoms:
+    elif measure.kind == "atoms":
         letters = tuple(g for g, _ in measure.atoms)
-        cum = _cumulative_weights(measure)
-    mats = [] if parametric else [g.as_tuple() for g in letters]
-    counts = [0] * len(measure.atoms) if atoms and cfg.count_atoms else None
+    else:
+        letters = ()
 
     # a fixed start may lie on a finite orbit of the step letters; a Haar
     # start almost surely does not, and parametric letters are never reused
     table = None
-    if cfg.start.mode != "haar" and not parametric:
+    if cfg.start.mode != "haar" and letters:
         table = system.orbit_table(x0, letters, ENGINE_ORBIT_STATES)
-    if table is not None:
-        moves = tuple(
-            tuple((s, _pack(dl)) for s, dl in out) for out in table.moves
-        )
-        state_xy = tuple(_base_xy(*r.rep.as_tuple()) for r in table.reps)
-        state = 0
 
-    cps = iter(cfg.checkpoints.steps(n))
-    next_cp = next(cps, n + 1)
-    records: list[CheckpointRecord] = []
+    from . import segments
 
+    segs = segments.segment_loop(
+        system, measure, cfg, geodesic, letters, table, p0, traj
+    )
+
+    cps = cfg.checkpoints.steps(n)
     ret = cfg.returns
-    track_returns = ret is not None
-    if track_returns:
-        cosh_r = math.cosh(ret.radius)
+    grid: list[int] = []
+    if ret is not None:
         grid = sorted(ret.grid) if ret.grid else [n]
         if grid[-1] != n:
             grid.append(n)
-        left_zero = False
-        first_return: int | None = None
-        n_returns = 0
-        window_counts = [0] * len(grid)
-        max_exc = 0
-        max_exc_by = [0] * len(grid)
-        returned_by = [False] * len(grid)
-        gpos = 0
-        # the index is decoded only when the step's moves could have carried
-        # its sup-norm past max_exc: slack is a lower bound on max_exc minus
-        # the current sup-norm, and one pairing or table move changes a
-        # coordinate by at most charge_max (a cusp unwind sets slack to -1)
-        charges = list(system.pair_phis)
-        if table is not None:
-            charges += [dl for out in table.moves for _, dl in out]
-        charge_max = max(abs(v) for dl in charges for v in dl)
-        slack = 0
-
-    # the tight loop's move t = row + letter, where row = state * n_letters;
-    # nxt[t] is the row of the next state
-    tight = table is not None and not track_returns and not geodesic
-    if tight:
-        n_letters = len(moves[0])
-        nxt = [s * n_letters for out in moves for s, _ in out]
-        dcodes = [dc for out in moves for _, dc in out]
-        tcount = [0] * len(nxt)
-        row = 0
-
-    # running product for the Cartan displacement (walk runs only)
-    ta, tb, tc, td = 1.0, 0.0, 0.0, 1.0
-    tlog = 0.0
-
     # the segment loop (see the module docstring); steps b0 + 1 .. bend take
-    # their letters from block
-    block: list[int] | range = []
-    b0 = bend = 0
-    k = 0
-    while k < n:
-        if k == bend:
-            if geodesic:
-                block = [0] * _RNG_BLOCK
-            else:
-                block = _draw_block(rng, measure, cum)
-                if parametric:
-                    mats, block = block, range(len(block))
-            b0, bend = k, k + len(block)
-        stop = min(next_cp, (k | 63) + 1, bend)
-        seg = block[k - b0:stop - b0]
-        if counts is not None:
-            for j in range(len(counts)):
-                counts[j] += seg.count(j)
-        if tight:
-            for ai in seg:
-                t = row + ai
-                tcount[t] += 1
-                row = nxt[t]
-                ga, gb, gc, gd = mats[ai]
-                ta, tb, tc, td = (
-                    ta * ga + tb * gc,
-                    ta * gb + tb * gd,
-                    tc * ga + td * gc,
-                    tc * gb + td * gd,
-                )
-        else:
-            for k, ai in enumerate(seg, k + 1):
-                ga, gb, gc, gd = mats[ai]
-                # -- position update: walk the orbit table, or multiply and reduce
-                if table is not None:
-                    state, dc = moves[state][ai]
-                    code += dc
-                    it = 1  # one move, for the return tracking's slack
-                    px, py = state_xy[state]
-                else:
-                    a, b, c, d = (
-                        a * ga + b * gc,
-                        a * gb + b * gd,
-                        c * ga + d * gc,
-                        c * gb + d * gd,
-                    )
-                    it = 0
-                    while True:
-                        den = c * c + d * d
-                        px = (a * c + b * d) / den
-                        py = 1.0 / den
-                        pr2 = px * px + py * py
-                        hit = -1
-                        i = 0
-                        for (al, be, de) in planes:
-                            if al * pr2 + be * px + de > eps:
-                                hit = i
-                                break
-                            i += 1
-                        if hit < 0:
-                            break
-                        if it & unwind_mask == unwind_mask:
-                            # deep cusp winding: unwind whole strip widths in one stroke
-                            unw = system.fast_unwind(a, b, c, d)
-                            if unw is not None:
-                                a, b, c, d, kw_, ph = unw
-                                code += kw_ * _pack(ph)
-                                slack = -1
-                                it += 1
-                                continue
-                        pa, pb, pc, pd = pmats[hit]
-                        a, b, c, d = (
-                            pa * a + pb * c,
-                            pa * b + pb * d,
-                            pc * a + pd * c,
-                            pc * b + pd * d,
-                        )
-                        det = a * d - b * c
-                        if abs(det - 1.0) > 1e-12:
-                            s = 1.0 / math.sqrt(det)
-                            a, b, c, d = a * s, b * s, c * s, d * s
-                        code -= pcodes[hit]
-                        it += 1
-                        if it > max_iter:
-                            raise fuchsian.NonTerminationError(
-                                f"trajectory {traj} step {k}: reduction did not terminate"
-                            )
-
-                # -- running Cartan product (walk mode only)
-                if not geodesic:
-                    ta, tb, tc, td = (
-                        ta * ga + tb * gc,
-                        ta * gb + tb * gd,
-                        tc * ga + td * gc,
-                        tc * gb + td * gd,
-                    )
-
-                if track_returns:
-                    # the start tile is: sheet index zero AND base within the radius
-                    # of the start; a return is re-entering it after having left
-                    if code:
-                        slack -= it * charge_max
-                        if slack < 0:
-                            exc = max(map(abs, _unpack(code, dim)))
-                            if exc > max_exc:
-                                max_exc = exc
-                            slack = max_exc - exc
-                        left_zero = True
-                    else:
-                        slack = max_exc
-                        dx = px - sx
-                        dy = py - sy
-                        inside = 1.0 + (dx * dx + dy * dy) / (2.0 * py * sy) <= cosh_r
-                        if left_zero and inside:
-                            n_returns += 1
-                            left_zero = False
-                            if first_return is None:
-                                first_return = k
-                            gi = gpos
-                            while gi < len(grid) and grid[gi] < k:
-                                gi += 1
-                            if gi < len(grid):
-                                window_counts[gi] += 1
-                                for g2 in range(gi, len(grid)):
-                                    returned_by[g2] = True
-                        elif not left_zero and not inside:
-                            left_zero = True
-                    while gpos < len(grid) and grid[gpos] <= k:
-                        max_exc_by[gpos] = max_exc
-                        gpos += 1
-        k = stop
-
-        # -- between segments
-        if k & 63 == 0:
-            mm = max(abs(ta), abs(tb), abs(tc), abs(td))
-            if mm > 1.0:
-                ta, tb, tc, td = ta / mm, tb / mm, tc / mm, td / mm
-                tlog += math.log(mm)
-        if k == next_cp:
-            if tight:
-                for t, m in enumerate(tcount):
-                    if m:
-                        code += m * dcodes[t]
-                tcount = [0] * len(nxt)
-                px, py = state_xy[row // n_letters]
+    # their letters from the current block
+    cp_set = set(cps)
+    records: list[CheckpointRecord] = []
+    at_grid: dict[int, tuple[int | None, int, int]] = {}
+    k = b0 = bend = 0
+    for end in sorted(cp_set.union(grid)):
+        while k < end:
+            if k == bend:
+                segs.refill(rng)
+                b0, bend = k, k + segs.block_len
+            stop = min(end, bend)
+            segs.run(k - b0, k, stop)
+            k = stop
+        if ret is not None:
+            at_grid[k] = segs.returns()
+        if k in cp_set:
             records.append(_checkpoint(
-                system, traj, k, _unpack(code, dim), px, py,
-                ta, tb, tc, td, tlog, geodesic, cfg.dt,
+                system, traj, k, *segs.position(), geodesic, cfg.dt
             ))
-            next_cp = next(cps, n + 1)
 
-    if track_returns:
-        for gi in range(gpos, len(grid)):
-            max_exc_by[gi] = max_exc
+    rstats = None
+    if ret is not None:
+        first_return, n_returns, _ = segs.returns()
+        before = [0] + [at_grid[g][1] for g in grid[:-1]]
         rstats = ReturnStats(
             first_return=first_return,
             n_returns=n_returns,
-            returned_by=tuple(zip(grid, returned_by)),
-            window_returns=tuple(zip(grid, window_counts)),
-            max_excursion_by=tuple((g, float(v)) for g, v in zip(grid, max_exc_by)),
+            returned_by=tuple(
+                (g, first_return is not None and first_return <= g) for g in grid
+            ),
+            window_returns=tuple(
+                (g, at_grid[g][1] - b) for g, b in zip(grid, before)
+            ),
+            max_excursion_by=tuple((g, float(at_grid[g][2])) for g in grid),
         )
-    else:
-        rstats = None
 
-    idx = _unpack(code, dim)
-    tt = n * cfg.dt if geodesic else max(n, 1)
+    idx = segs.position()[0]
+    tt = (n * cfg.dt if geodesic else n) or 1  # a run of no steps has drift 0
     if n == 0:
         records = [
             CheckpointRecord(
@@ -588,7 +383,9 @@ def simulate_trajectory(
                 n=0.0 if geodesic else 0,
                 index=idx,
                 drift=tuple(0.0 for _ in idx),
-                cusp_height=fuchsian.cusp_height(system.cusps, sx, sy),
+                cusp_height=fuchsian.cusp_height(
+                    system.cusps, *segments.base_xy(*start_rep)
+                ),
                 cartan_t=0.0,
             )
         ]
@@ -600,57 +397,10 @@ def simulate_trajectory(
         cartan_t=records[-1].cartan_t if records else 0.0,
         start_rep=start_rep,
         returns=rstats,
-        atom_counts=() if counts is None else tuple(counts),
+        atom_counts=segs.counts(),
         orbit_states=None if table is None else len(table.reps),
     )
     return TrajectoryResult(records=tuple(records), summary=summary)
-
-
-def _cumulative_weights(measure: MeasureSpec) -> list[float]:
-    """Running sums of the atom weights, capped at 1.0 and ending at 1.0.
-
-    ``measure_from_atoms`` lets the weights sum to 1 within 1e-12; with the
-    last sum pinned, a uniform in [0, 1) cannot fall past the last atom, and
-    every uniform the plain running sums place lands on the same atom."""
-    cum = [min(v, 1.0) for v in itertools.accumulate(p for _, p in measure.atoms)]
-    cum[-1] = 1.0
-    return cum
-
-
-def _draw_block(
-    rng: np.random.Generator, measure: MeasureSpec, cum: list[float] | None
-) -> list:
-    """The letters of the next ``_RNG_BLOCK`` uniforms of a trajectory's stream.
-
-    Atoms (``cum`` from ``_cumulative_weights``): one atom index per uniform
-    u, the first whose cumulative weight is >= u.  Parametric (``cum`` None):
-    one increment rotation(th1) translation(tau) rotation(th2) as (a, b, c, d)
-    per three uniforms; the block's last uniform is not used.  The angles, tau
-    and entries are formed in the scalar formula's operation order, and cos,
-    sin and exp come from ``math``: ``np.exp`` rounds differently from
-    ``math.exp`` on a few percent of inputs."""
-    u = rng.random(_RNG_BLOCK)
-    if cum is not None:
-        return np.searchsorted(cum, u, side="left").tolist()
-    u = u[: _RNG_BLOCK - _RNG_BLOCK % 3].reshape(-1, 3)
-    th1 = u[:, 0] * 6.283185307179586
-    tau = measure.tau_min + u[:, 1] * (measure.tau_max - measure.tau_min)
-    th2 = u[:, 2] * 6.283185307179586
-    h1 = (0.5 * th1).tolist()
-    h2 = (0.5 * th2).tolist()
-    m = len(h1)
-    c1 = np.fromiter(map(math.cos, h1), float, m)
-    s1 = np.fromiter(map(math.sin, h1), float, m)
-    c2 = np.fromiter(map(math.cos, h2), float, m)
-    s2 = np.fromiter(map(math.sin, h2), float, m)
-    e = np.fromiter(map(math.exp, (0.5 * tau).tolist()), float, m)
-    ei = 1.0 / e
-    return list(zip(
-        (c1 * e * c2 - s1 * ei * s2).tolist(),
-        (-c1 * e * s2 - s1 * ei * c2).tolist(),
-        (s1 * e * c2 + c1 * ei * s2).tolist(),
-        (-s1 * e * s2 + c1 * ei * c2).tolist(),
-    ))
 
 
 def _checkpoint(
@@ -688,39 +438,6 @@ def _checkpoint(
     )
 
 
-# The sheet index in Z^d is carried through a run as one Python int, the code
-# sum(idx[j] * 2**(64 * j)), so a deck move charges it with one integer add.
-# Decoding reads balanced base-2**64 digits, exact while every coordinate is
-# below 2**63 in magnitude; a coordinate of 2**62 or more is refused.
-_INDEX_LIMIT = 1 << 62
-
-
-def _pack(index: IntVec) -> int:
-    code = 0
-    for v in reversed(index):
-        code = (code << 64) + v
-    return code
-
-
-def _unpack(code: int, dim: int) -> IntVec:
-    out = []
-    for _ in range(dim - 1):
-        v = code & 0xFFFFFFFFFFFFFFFF
-        if v >= 1 << 63:
-            v -= 1 << 64
-        out.append(v)
-        code = (code - v) >> 64
-    out.append(code)
-    if max(map(abs, out)) >= _INDEX_LIMIT:
-        raise OverflowError(f"sheet index {out} is beyond +-2**62")
-    return tuple(out)
-
-
-def _base_xy(a: float, b: float, c: float, d: float) -> tuple[float, float]:
-    den = c * c + d * d
-    return (a * c + b * d) / den, 1.0 / den
-
-
 # ---------------------------------------------------------------------------
 # multi-trajectory runners
 
@@ -755,19 +472,30 @@ def run_trajectories(
     if workers is None:
         workers = worker_count()
     ids = list(range(cfg.trajectories))
+    from . import segments
+
+    segments.load_kernel()  # before the pool forks, so every worker inherits it
     run_block = functools.partial(_run_block, system, measure, cfg, geodesic)
-    if workers <= 1 or len(ids) <= 1:
+    blocks = _worker_blocks(ids, workers)
+    if len(blocks) <= 1:
         return run_block(ids)
     # imported here: one-worker runs need not load the multiprocessing stack
     from concurrent.futures import ProcessPoolExecutor
 
-    blocks = [ids[i::workers] for i in range(workers)]
     out: dict[int, TrajectoryResult] = {}
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
         for results in pool.map(run_block, blocks):
             for r in results:
                 out[r.summary.traj] = r
     return [out[t] for t in ids]
+
+
+def _worker_blocks(ids: list[int], workers: int) -> list[list[int]]:
+    """The trajectories of each worker process, dealt round robin; no worker
+    is left without one, since the pool starts every process it is asked
+    for."""
+    count = min(max(workers, 1), len(ids))
+    return [ids[i::count] for i in range(count)]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import covwalk
 from covwalk import cli
 from covwalk import config as CFG
 from covwalk import hyp2 as H
+from covwalk import segments as S
 from covwalk import walk as W
 
 DRIFT_HALF = """
@@ -176,6 +177,7 @@ WALK_BOUNDS = {
     "return-radius-zero": (RECURRENCE, "return_radius", "0"),
     "return-grid-zero": (RECURRENCE, "return_grid", "0 3000"),
     "return-grid-past-steps": (RECURRENCE, "return_grid", "1000 5000"),
+    "return-grid-repeated": (RECURRENCE, "return_grid", "1000 1000"),
 }
 
 
@@ -341,7 +343,9 @@ class TestRunCommands:
         # engine 2 unwinds cusp windings after 8 descent pairings; the id
         # changes with the output bits, so a bump is an edit here.  The
         # upward tangent at i is a one-state orbit of g1 and g2
-        assert summary["engine"] == {"id": 2, "orbit_states": 1}
+        assert summary["engine"] == {
+            "id": 2, "orbit_states": 1, "kernel": S.load_kernel()
+        }
 
     def test_mode_mismatch(self, tmp_path):
         cfgp = tmp_path / "exp.cfg"
@@ -364,7 +368,9 @@ class TestRunCommands:
         assert len(rows) == 11
         summary = json.loads((out / "summary.json").read_text())
         # Haar starts
-        assert summary["engine"] == {"id": W.ENGINE_ID, "orbit_states": None}
+        assert summary["engine"] == {
+            "id": W.ENGINE_ID, "orbit_states": None, "kernel": S.load_kernel()
+        }
 
     @pytest.mark.parametrize(
         "exc",
@@ -478,7 +484,8 @@ class TestReportCommand:
         code, text = run_cli("report", "--dir", str(tmp_path))
         assert code == 0
         assert "config_hash" in text
-        assert f"engine: {{'id': {W.ENGINE_ID}, 'orbit_states': 1}}" in text
+        assert (f"engine: {{'id': {W.ENGINE_ID}, 'orbit_states': 1, "
+                f"'kernel': '{S.load_kernel()}'}}") in text
         assert (tmp_path / "dashboard.txt").exists()
         assert (out / "drift_ecdf.dat").exists()
 
@@ -521,6 +528,19 @@ class TestEntryPoint:
         )
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "False"
+
+    def test_import_leaves_the_kernel_unloaded(self):
+        # the kernel is loaded by the first run, not by an import
+        res = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, covwalk.config; "
+             "print('covwalk.segments' in sys.modules, 'subprocess' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env=src_env(),
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split() == ["False", "False"]
 
     def test_version_matches_pyproject(self):
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

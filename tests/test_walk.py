@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from covwalk import cover as C
 from covwalk import fuchsian as F
 from covwalk import hyp2 as H
+from covwalk import segments as S
 from covwalk import walk as W
 
 L_DEFAULT = 2.0 * math.asinh(1.0)
@@ -25,6 +29,38 @@ def gamma2_d1():
     pres, poly, cusps = F.builtin_lattice("gamma2")
     spec = C.validate_cover(pres, cusps, {"A": (1,), "B": (0,)})
     return C.cover_system(pres, poly, cusps, spec)
+
+
+@pytest.fixture
+def kernel():
+    """Runs the test on the compiled segment kernel."""
+    if S.load_kernel() != "c":
+        pytest.skip("the C segment kernel cannot be built here")
+    return "c"
+
+
+class OnPython:
+    """Mixin: the tests of the class it is mixed into, on the Python segment
+    loop; its ``kernel`` fixture overrides the module's."""
+
+    @pytest.fixture
+    def kernel(self, monkeypatch):
+        monkeypatch.setattr(S, "_kernel", False)
+        return "python"
+
+
+def on_both_kernels(call):
+    """call() on the C kernel, then on the Python one."""
+    if S.load_kernel() != "c":
+        pytest.skip("the C segment kernel cannot be built here")
+    lib = S._kernel
+    try:
+        on_c = call()
+        S._kernel = False
+        on_python = call()
+    finally:
+        S._kernel = lib
+    return on_c, on_python
 
 
 class TestMeasures:
@@ -79,7 +115,7 @@ class TestEngine:
         assert res.summary.final_index == (0,)
         assert res.records[0].index == (0,)
 
-    def test_bit_reproducible(self, gamma2_d1):
+    def test_bit_reproducible(self, gamma2_d1, kernel):
         mu = W.parametric_measure(0.5, 1.5)
         cfg = W.WalkConfig(steps=800, trajectories=3, master_seed=9,
                            checkpoints=W.CheckpointPlan(stride=100))
@@ -88,12 +124,12 @@ class TestEngine:
         assert all(x.records == y.records for x, y in zip(a, b))
         assert all(x.summary == y.summary for x, y in zip(a, b))
 
-    def test_parallel_matches_sequential(self, gamma2_d1):
+    def test_parallel_matches_sequential(self, gamma2_d1, kernel):
         mu = W.parametric_measure(0.5, 1.5)
         cfg = W.WalkConfig(steps=500, trajectories=4, master_seed=12,
                            checkpoints=W.CheckpointPlan(stride=100))
         seq = W.run_trajectories(gamma2_d1, mu, cfg, workers=1)
-        par = W.run_trajectories(gamma2_d1, mu, cfg, workers=3)
+        par = W.run_trajectories(gamma2_d1, mu, cfg, workers=2)
         assert all(x.records == y.records for x, y in zip(seq, par))
 
     def test_walk_with_flow_atom_equals_geodesic(self, gamma2_d1):
@@ -107,7 +143,7 @@ class TestEngine:
         for a, b in zip(rw, rg):
             assert tuple(r.index for r in a.records) == tuple(r.index for r in b.records)
 
-    def test_closed_geodesic_exact_winding(self, torus_d1):
+    def test_closed_geodesic_exact_winding(self, torus_d1, kernel):
         # the distinguished tangent rides the axis of the second generator;
         # every full period advances the index by exactly one
         cfg = W.WalkConfig(steps=400, trajectories=1, master_seed=0, dt=L_DEFAULT / 4,
@@ -175,6 +211,20 @@ class TestEngine:
             assert abs(wm - hm) <= 4.0 * se
 
 
+class TestEngineOnPython(OnPython):
+    test_bit_reproducible = TestEngine.test_bit_reproducible
+    test_parallel_matches_sequential = TestEngine.test_parallel_matches_sequential
+    test_closed_geodesic_exact_winding = TestEngine.test_closed_geodesic_exact_winding
+
+
+class TestWorkerBlocks:
+    def test_no_worker_without_a_trajectory(self):
+        assert W._worker_blocks([0, 1, 2], 10**6) == [[0], [1], [2]]
+        assert W._worker_blocks(list(range(5)), 2) == [[0, 2, 4], [1, 3]]
+        assert W._worker_blocks([], 4) == []
+        assert W._worker_blocks([0, 1], 0) == [[0, 1]]
+
+
 def base_xy(m):
     """The base point (x, y) of the tangent m, with the engine's formula."""
     a, b, c, d = m.as_tuple()
@@ -188,10 +238,10 @@ def atom_draws(measure, cfg, traj):
     through the cumulative weights."""
     rng = W.trajectory_rng(cfg.master_seed, traj)
     cum = list(itertools.accumulate(p for _, p in measure.atoms))
-    uni, pos = rng.random(W._RNG_BLOCK), 0
+    uni, pos = rng.random(S._RNG_BLOCK), 0
     for _ in range(cfg.steps):
         if pos >= len(uni):
-            uni, pos = rng.random(W._RNG_BLOCK), 0
+            uni, pos = rng.random(S._RNG_BLOCK), 0
         u = uni[pos]
         pos += 1
         ai = 0
@@ -202,14 +252,15 @@ def atom_draws(measure, cfg, traj):
 
 def parametric_draws(measure, cfg, traj):
     rng = W.trajectory_rng(cfg.master_seed, traj)
-    uni, pos = rng.random(W._RNG_BLOCK), 0
+    uni, pos = rng.random(S._RNG_BLOCK), 0
     for _ in range(cfg.steps):
         if pos + 3 > len(uni):
-            uni, pos = rng.random(W._RNG_BLOCK), 0
+            uni, pos = rng.random(S._RNG_BLOCK), 0
         yield engine_increment(measure, *uni[pos:pos + 3])
         pos += 3
 
 
+@pytest.mark.usefixtures("kernel")
 class TestHistoryFreeEngine:
     @pytest.mark.parametrize("kind", ["fair", "symmetric"])
     def test_orbit_table_matches_stepper(self, torus_d1, kind):
@@ -311,6 +362,10 @@ class TestHistoryFreeEngine:
             assert system.start_point(own).rep.rep.as_tuple() == rep
 
 
+class TestHistoryFreeEngineOnPython(OnPython, TestHistoryFreeEngine):
+    pass
+
+
 class TestReturns:
     def test_return_requires_departure(self, torus_d1):
         pres = torus_d1.pres
@@ -377,7 +432,7 @@ def replay(system, measure, cfg, traj):
     for k in range(1, cfg.steps + 1):
         if atoms:
             if pos >= len(uni):
-                uni, pos = rng.random(W._RNG_BLOCK), 0
+                uni, pos = rng.random(S._RNG_BLOCK), 0
             u = uni[pos]
             pos += 1
             ai = 0
@@ -387,7 +442,7 @@ def replay(system, measure, cfg, traj):
             g = measure.atoms[ai][0]
         else:
             if pos + 3 > len(uni):
-                uni, pos = rng.random(W._RNG_BLOCK), 0
+                uni, pos = rng.random(S._RNG_BLOCK), 0
             g = engine_increment(measure, *uni[pos:pos + 3])
             pos += 3
         p = step(g)
@@ -434,6 +489,7 @@ def replay(system, measure, cfg, traj):
     return tuple(records), tuple(counts), stats
 
 
+@pytest.mark.usefixtures("kernel")
 class TestReplayOracle:
     """Every record field, the atom counts and the return statistics equal a
     replay of the same Philox stream; the runs cross letter-block boundaries
@@ -482,41 +538,89 @@ class TestReplayOracle:
         assert returned > 0
 
 
-INDEX_COORD = st.integers(-(2**62) + 1, 2**62 - 1)
+class TestReplayOracleOnPython(OnPython, TestReplayOracle):
+    pass
 
 
-class TestPackedIndex:
-    """The engine carries the sheet index as sum(idx[j] * 2**(64 j)) and
-    charges it by adding packed deltas, so packing must be linear."""
+class TestIndexLimit:
+    """A sheet index coordinate at or past 2**62 after a step is refused on
+    both kernels: a start one move short of the limit takes one move
+    towards it."""
 
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(index=st.lists(INDEX_COORD, min_size=1, max_size=4))
-    def test_roundtrip(self, index):
-        index = tuple(index)
-        code = W._pack(index)
-        assert code == sum(v * 2 ** (64 * j) for j, v in enumerate(index))
-        assert W._unpack(code, len(index)) == index
+    @pytest.mark.parametrize("sign", [1, -1], ids=["up", "down"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("path", ["c", "python"])
+    def test_refused_at_2_62(self, path, dim, sign, monkeypatch):
+        pres, poly, cusps = F.builtin_lattice("punctured_square_torus")
+        weights = {"g1": (0,) * (dim - 1) + (0,), "g2": (0,) * (dim - 1) + (1,)}
+        if dim == 2:
+            weights["g1"] = (1, 0)
+        system = C.cover_system(pres, poly, cusps,
+                                C.validate_cover(pres, cusps, weights))
+        g2 = pres.gen_map()["g2"]
+        mu = W.measure_from_atoms([(g2 if sign > 0 else H.inverse(g2), 1.0)])
+        start = system.start_point(H.BASE_TANGENT)
+        near = C.CoverPoint(rep=start.rep,
+                            index=(0,) * (dim - 1) + (sign * (2**62 - 2),))
+        monkeypatch.setattr(system, "start_point", lambda x: near)
+        if path == "python":
+            monkeypatch.setattr(S, "_kernel", False)
+        elif S.load_kernel() != "c":
+            pytest.skip("the C segment kernel cannot be built here")
 
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(
-        pairs=st.lists(st.tuples(INDEX_COORD, st.integers(-2**20, 2**20)),
-                       min_size=1, max_size=4),
-        k=st.integers(-2**20, 2**20),
-    )
-    def test_charges_add(self, pairs, k):
-        u = tuple(a >> 2 for a, _ in pairs)
-        v = tuple(b for _, b in pairs)
-        code = W._pack(u) + k * W._pack(v)
-        assert W._unpack(code, len(u)) == tuple(a + k * b for a, b in zip(u, v))
+        def walk(steps):
+            cfg = W.WalkConfig(steps=steps, trajectories=1,
+                               checkpoints=W.CheckpointPlan(stride=1),
+                               start=W.StartSpec(mode="fixed", tangent=H.BASE_TANGENT))
+            return W.simulate_trajectory(system, mu, cfg, 0)
 
-    @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_out_of_range_coordinate_raises(self, dim):
-        for j in range(dim):
-            for v in (2**62, -(2**62)):
-                index = [0] * dim
-                index[j] = v
-                with pytest.raises(OverflowError):
-                    W._unpack(W._pack(tuple(index)), dim)
+        last = walk(1).summary
+        assert last.orbit_states == 1
+        assert last.final_index == (0,) * (dim - 1) + (sign * (2**62 - 1),)
+        with pytest.raises(OverflowError):
+            walk(2)
+
+
+# the shapes a run can take in the engine: atoms from Haar starts, a
+# parametric measure, a flow, an orbit table, and return tracking
+SHAPES = ("atoms", "parametric", "flow", "table", "returns")
+
+
+class TestKernelParity:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(shape=st.sampled_from(SHAPES), seed=st.integers(0, 2**63 - 1),
+           steps=st.integers(0, 5000), stride=st.integers(1, 5000),
+           grid=st.lists(st.integers(1, 5000), max_size=3, unique=True))
+    def test_same_records_and_summaries(self, torus_d1, gamma2_d1, shape, seed,
+                                        steps, stride, grid):
+        system, measure, geodesic = gamma2_d1, W.two_atom_measure(gamma2_d1.pres), False
+        kw = dict(steps=steps, trajectories=2, master_seed=seed,
+                  checkpoints=W.CheckpointPlan(stride=stride), count_atoms=True)
+        if shape == "parametric":
+            measure = W.parametric_measure(0.5, 1.5)
+        elif shape == "flow":
+            measure, geodesic = None, True
+        elif shape == "table":
+            gm = torus_d1.pres.gen_map()
+            measure = W.measure_from_atoms(
+                [(gm["g2"], 0.3), (H.inverse(gm["g2"]), 0.2),
+                 (gm["g1"], 0.25), (H.inverse(gm["g1"]), 0.25)])
+            system = torus_d1
+            kw["start"] = W.StartSpec(mode="fixed", tangent=H.BASE_TANGENT)
+        elif shape == "returns":
+            pres, poly, cusps = F.builtin_lattice("punctured_square_torus")
+            system = C.cover_system(
+                pres, poly, cusps,
+                C.validate_cover(pres, cusps, {"g1": (1, 0), "g2": (0, 1)}))
+            measure = W.two_atom_measure(pres)
+            kw["returns"] = W.ReturnSpec(
+                radius=2.0, grid=tuple(g for g in grid if g <= steps))
+        cfg = W.WalkConfig(**kw)
+        on_c, on_python = on_both_kernels(
+            lambda: W.run_trajectories(system, measure, cfg, geodesic, workers=1))
+        assert on_c == on_python
+        if shape == "table":
+            assert {r.summary.orbit_states for r in on_c} == {1}
 
 
 class _ConstantStream:
@@ -535,11 +639,11 @@ class TestBlockDraws:
            tau_min=st.floats(0.01, 3.0), width=st.floats(0.0, 3.0))
     def test_parametric_matches_engine_increment(self, seed, tau_min, width):
         mu = W.parametric_measure(tau_min, tau_min + width)
-        got = W._draw_block(W.trajectory_rng(seed, 0), mu, None)
-        uni = W.trajectory_rng(seed, 0).random(W._RNG_BLOCK)
+        got = S._draw_block(W.trajectory_rng(seed, 0), mu, None)
+        uni = W.trajectory_rng(seed, 0).random(S._RNG_BLOCK)
         want = [engine_increment(mu, *uni[i:i + 3]).as_tuple()
-                for i in range(0, W._RNG_BLOCK - 2, 3)]
-        assert len(got) == len(want) == W._RNG_BLOCK // 3
+                for i in range(0, S._RNG_BLOCK - 2, 3)]
+        assert len(got) == len(want) == S._RNG_BLOCK // 3
         assert np.array_equal(np.array(got).view(np.uint64),
                               np.array(want).view(np.uint64))
 
@@ -549,10 +653,10 @@ class TestBlockDraws:
            .filter(lambda w: sum(w) > 0))
     def test_atoms_match_linear_scan(self, seed, raw):
         mu = W.measure_from_atoms([(H.IDENTITY, w / sum(raw)) for w in raw])
-        got = W._draw_block(W.trajectory_rng(seed, 0), mu, W._cumulative_weights(mu))
+        got = S._draw_block(W.trajectory_rng(seed, 0), mu, S._cumulative_weights(mu))
         cum = list(itertools.accumulate(p for _, p in mu.atoms))
         want = []
-        for u in W.trajectory_rng(seed, 0).random(W._RNG_BLOCK):
+        for u in W.trajectory_rng(seed, 0).random(S._RNG_BLOCK):
             ai = 0
             while cum[ai] < u:
                 ai += 1
@@ -580,6 +684,7 @@ class TestBlockDraws:
             assert res.summary.final_index == (300,)
 
 
+@pytest.mark.usefixtures("kernel")
 class TestReturnDetector:
     def test_matches_independent_count(self, gamma2_d1):
         # replay Haar-start parametric walks on the gamma2 d=1 cover from the
@@ -604,11 +709,11 @@ class TestReturnDetector:
             x0 = F.haar_sample(system.polygon, system.cusps, system.pres, rng, parts)
             p = system.start_point(x0)
             z0 = p.rep.base_point()
-            uni, pos = rng.random(W._RNG_BLOCK), 0
+            uni, pos = rng.random(S._RNG_BLOCK), 0
             in_tile, returns = True, []
             for k in range(1, n + 1):
                 if pos + 3 > len(uni):
-                    uni, pos = rng.random(W._RNG_BLOCK), 0
+                    uni, pos = rng.random(S._RNG_BLOCK), 0
                 p = system.apply_step(p, engine_increment(mu, *uni[pos:pos + 3]))
                 pos += 3
                 now = p.index == (0,) and H.distance(p.rep.base_point(), z0) <= radius
@@ -628,6 +733,108 @@ class TestReturnDetector:
             )
             total_returns += len(returns)
         assert total_returns > 0
+
+
+class TestReturnDetectorOnPython(OnPython, TestReturnDetector):
+    pass
+
+
+# Loads the kernel from the cache directory argv[1] in a fresh process and
+# prints which kernel runs and the final index and height of a short
+# parametric walk on the gamma2 d=1 cover.
+LOAD_AND_WALK = """
+import sys
+from covwalk import cover as C, fuchsian as F, segments as S, walk as W
+S._kernel = S._load_library(sys.argv[1]) or False
+pres, poly, cusps = F.builtin_lattice("gamma2")
+system = C.cover_system(pres, poly, cusps,
+                        C.validate_cover(pres, cusps, {"A": (1,), "B": (0,)}))
+cfg = W.WalkConfig(steps=2000, trajectories=1, master_seed=3,
+                   checkpoints=W.CheckpointPlan(stride=2000))
+res = W.simulate_trajectory(system, W.parametric_measure(0.5, 1.5), cfg, 0)
+print(S.load_kernel(), res.summary.final_index[0], res.records[-1].cusp_height.hex())
+"""
+
+
+def load_and_walk(cache_dir, path_env=None):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.dirname(os.path.dirname(W.__file__)),
+                    env.get("PYTHONPATH")) if p)
+    if path_env is not None:
+        env["PATH"] = path_env
+    return subprocess.Popen(
+        [sys.executable, "-c", LOAD_AND_WALK, str(cache_dir)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
+def finished(proc):
+    out, err = proc.communicate(timeout=300)
+    assert proc.returncode == 0, err
+    return out.split()
+
+
+@pytest.fixture(scope="module")
+def python_walk():
+    """LOAD_AND_WALK's line, on the Python kernel in this process."""
+    pres, poly, cusps = F.builtin_lattice("gamma2")
+    system = C.cover_system(pres, poly, cusps,
+                            C.validate_cover(pres, cusps, {"A": (1,), "B": (0,)}))
+    cfg = W.WalkConfig(steps=2000, trajectories=1, master_seed=3,
+                       checkpoints=W.CheckpointPlan(stride=2000))
+    lib = S._kernel
+    S._kernel = False
+    try:
+        res = W.simulate_trajectory(system, W.parametric_measure(0.5, 1.5), cfg, 0)
+    finally:
+        S._kernel = lib
+    return ["c", str(res.summary.final_index[0]), res.records[-1].cusp_height.hex()]
+
+
+class TestKernelBuild:
+    """The build cache: one compile per source, flags and machine; every
+    later load, in any process, reads the cached library."""
+
+    def test_second_load_runs_no_compiler(self, tmp_path, python_walk):
+        if S.load_kernel() != "c":
+            pytest.skip("the C segment kernel cannot be built here")
+        assert finished(load_and_walk(tmp_path)) == python_walk
+        (lib,) = tmp_path.iterdir()
+        assert lib.name.startswith("_segment-") and lib.suffix == ".so"
+        built = lib.stat().st_mtime_ns
+        # with no compiler on PATH a build would fall back to "python"
+        assert finished(load_and_walk(tmp_path, path_env="")) == python_walk
+        assert list(tmp_path.iterdir()) == [lib]
+        assert lib.stat().st_mtime_ns == built
+
+    def test_concurrent_first_loads(self, tmp_path, python_walk):
+        if S.load_kernel() != "c":
+            pytest.skip("the C segment kernel cannot be built here")
+        procs = [load_and_walk(tmp_path) for _ in range(2)]
+        assert [finished(p) for p in procs] == [python_walk, python_walk]
+        (lib,) = tmp_path.iterdir()
+        assert lib.suffix == ".so"
+
+    def test_foreign_file_under_the_name_is_rebuilt(self, tmp_path, python_walk):
+        if S.load_kernel() != "c":
+            pytest.skip("the C segment kernel cannot be built here")
+        first = tmp_path / "first"
+        assert finished(load_and_walk(first)) == python_walk
+        (lib,) = first.iterdir()
+        # a library of another source under this source's name: the key it
+        # returns differs, so it is replaced by a fresh build
+        other = tmp_path / "other"
+        other.mkdir()
+        foreign = tmp_path / "foreign.c"
+        with open(S._KERNEL_SOURCE, encoding="utf-8") as fh:
+            foreign.write_text(fh.read() + "\nint64_t covwalk_unused = 1;\n")
+        res = subprocess.run(["cc", *S._KERNEL_FLAGS, "-o", str(other / lib.name),
+                              str(foreign), "-lm"], capture_output=True)
+        assert res.returncode == 0, res.stderr
+        stale = (other / lib.name).read_bytes()
+        assert finished(load_and_walk(other)) == python_walk
+        assert (other / lib.name).read_bytes() != stale
+        assert [p.name for p in other.iterdir()] == [lib.name]
 
 
 class TestLyapunov:
