@@ -180,8 +180,8 @@ def zariski_density_check(m: MeasureSpec) -> ZariskiResult:
 
 @dataclass(frozen=True)
 class CheckpointPlan:
-    """linear: every `stride` steps; geometric: n0, n0*ratio, ... (rounded).
-    The final step is always a checkpoint."""
+    """linear: every `stride` steps; geometric: n0, n0*ratio, ... (rounded,
+    none past n).  The final step is always a checkpoint."""
 
     kind: str = "linear"  # "linear" | "geometric"
     stride: int = 1000
@@ -196,7 +196,7 @@ class CheckpointPlan:
             out = list(range(self.stride, n + 1, self.stride))
         elif self.kind == "geometric":
             x = float(self.n0)
-            while x <= n + 0.5:
+            while x <= n:
                 k = int(round(x))
                 if not out or k > out[-1]:
                     out.append(k)
@@ -236,6 +236,13 @@ class WalkConfig:
     dt: float = 0.25
     returns: ReturnSpec | None = None
     count_atoms: bool = False
+
+    def __post_init__(self) -> None:
+        grid = () if self.returns is None else self.returns.grid
+        if len(set(grid)) != len(grid) or not all(1 <= g <= self.steps for g in grid):
+            raise ValueError(
+                f"return grid entries must differ and lie in 1..{self.steps}, got {grid}"
+            )
 
 
 @dataclass(frozen=True, slots=True)

@@ -106,6 +106,29 @@ class TestCheckpointPlan:
     def test_zero(self):
         assert W.CheckpointPlan("linear", stride=5).steps(0) == []
 
+    def test_geometric_stops_at_n(self):
+        # 100 * 1.5**3 = 337.5 rounds to 338, one step past the run
+        assert W.CheckpointPlan("geometric", n0=100, ratio=1.5).steps(337) == [
+            100, 150, 225, 337]
+
+    def test_walk_ends_at_n(self, torus_d1):
+        mu = W.two_atom_measure(torus_d1.pres)
+        geo = W.WalkConfig(steps=337, trajectories=1, master_seed=3,
+                           checkpoints=W.CheckpointPlan("geometric", n0=100, ratio=1.5))
+        lin = W.WalkConfig(steps=337, trajectories=1, master_seed=3,
+                           checkpoints=W.CheckpointPlan(stride=337))
+        got = W.simulate_trajectory(torus_d1, mu, geo, 0)
+        assert [r.n for r in got.records] == [100, 150, 225, 337]
+        assert got.summary == W.simulate_trajectory(torus_d1, mu, lin, 0).summary
+
+
+class TestReturnGrid:
+    @pytest.mark.parametrize("grid", [(0,), (1001,), (500, 500)])
+    def test_rejected(self, grid):
+        with pytest.raises(ValueError, match="return grid"):
+            W.WalkConfig(steps=1000, trajectories=1,
+                         returns=W.ReturnSpec(grid=grid))
+
 
 class TestEngine:
     def test_zero_steps(self, torus_d1):
