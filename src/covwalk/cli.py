@@ -110,7 +110,7 @@ def _summary(bundle, results, extra: dict) -> dict:
         "mode": cfg.mode,
         "drift_mean": [float(v) for v in drifts.mean(axis=0)],
         "drift_abs_median": [
-            float(v) for v in np.median(np.abs(drifts), axis=0)
+            float(v) for v in stats_mod.quantile(np.abs(drifts))
         ],
     }
     summary.update(extra)
@@ -202,7 +202,7 @@ def _analysis(bundle, results) -> dict:
             "complement_threshold": rep.complement_threshold,
             "frac_span_above": rep.frac_span_above,
             "frac_complement_below": rep.frac_complement_below,
-            "median_total_range": float(np.median(rep.total_range)),
+            "median_total_range": float(stats_mod.quantile(rep.total_range)),
         }
     return out
 
@@ -297,9 +297,11 @@ def cmd_run(args, geodesic: bool) -> int:
     except CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # the threads the run uses: never more than it has trajectories
+    workers = min(walk_mod.worker_count(), wcfg.trajectories)
     try:
         results = walk_mod.run_trajectories(
-            bundle.system, bundle.measure, wcfg, geodesic=geodesic
+            bundle.system, bundle.measure, wcfg, geodesic=geodesic, workers=workers
         )
         analysis = _analysis(bundle, results)
     except RUNTIME_ERRORS as exc:
@@ -311,6 +313,7 @@ def cmd_run(args, geodesic: bool) -> int:
         "id": walk_mod.ENGINE_ID,
         "orbit_states": results[0].summary.orbit_states if results else None,
         "kernel": segments.load_kernel(),
+        "workers": workers,
     }
     summary = _summary(bundle, results, {"engine": engine, "analysis": analysis})
     _atomic_write(os.path.join(outdir, "records.csv"), _records_csv(results, bundle.spec.d))

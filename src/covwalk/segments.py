@@ -6,17 +6,19 @@ Python does what lies between segments: the Philox draws
 (``rng.random(_RNG_BLOCK)``), the checkpoint records and the return counts
 at grid points.  It also does what lies before the first: Haar sampling,
 ``CoverSystem.start_point`` and the orbit table.  A segment itself runs in
-one of two kernels with the same output bits, behind ``segment_loop``:
+one of two kernels with the same output bits, behind ``segment_loops``:
 
-- The C kernel (``_segment.c``, called through ``ctypes`` once per segment)
-  does every step: the letter, the table move or the multiply, greedy
-  descent, ``CoverSystem.fast_unwind`` at ``cover.UNWIND_MASK`` and
-  determinant renormalization exactly as ``CoverSystem.reduce_raw`` does
-  them, the int64 sheet index, the running Cartan product with its
-  renormalization every 64 steps, the atom counts and return tracking.
+- The C kernel (``_segment.c``, called through ``ctypes`` once per segment,
+  which releases the GIL for the call) does every step: the letter, the
+  table move or the multiply, greedy descent, ``CoverSystem.fast_unwind`` at
+  ``cover.UNWIND_MASK`` and determinant renormalization exactly as
+  ``CoverSystem.reduce_raw`` does them, the int64 sheet index, the running
+  Cartan product with its renormalization every 64 steps, the atom counts
+  and return tracking.
 - The Python kernel (``_PySegments``) does the same steps through
   ``CoverSystem.reduce_raw`` with a tuple index.  It is the reference the C
-  kernel is tested against, and the fallback.
+  kernel is tested against, and the fallback.  It holds the GIL, so the
+  threads of a run take turns on it.
 
 A letter comes from the uniforms as ``_draw_block`` makes it: an atom per
 uniform, the first whose cumulative weight is >= u, or a parametric
@@ -24,21 +26,23 @@ increment per three uniforms (the block's last uniform is not used).  A
 sheet index coordinate at or past 2**62 after a step is refused with
 ``OverflowError`` on both kernels.
 
-``load_kernel`` builds the C kernel on first use: ``walk.run_trajectories``
-calls it before any worker process is forked, and ``segment_loop`` on a
-trajectory run without it.  Nothing is built or loaded when the module is
-imported, and ``walk`` imports this module only when a run starts.  The
-build runs ``cc`` with ``_KERNEL_FLAGS`` and caches the library in
-``__pycache__`` next to the source, under a name that carries a hash of the
-source, the flags and the machine; where that directory is not writable,
-the library is built in a per-process temporary directory.  When no library
-can be built the Python kernel runs, and ``summary.json`` says which kernel
-ran (``engine.kernel``).
+``load_kernel`` builds the C kernel on first use: ``segment_loops`` calls it
+when a run starts, before ``walk.run_trajectories`` starts any thread, so
+the threads of a run read a kernel that is already loaded.  Nothing is
+built or loaded when the module is imported, and ``walk`` imports this
+module only when a run starts.  The build runs ``cc`` with
+``_KERNEL_FLAGS`` and caches the library in ``__pycache__`` next to the
+source, under a name that carries a hash of the source, the flags and the
+machine; where that directory is not writable, the library is built in a
+per-process temporary directory.  When no library can be built the Python
+kernel runs, and ``summary.json`` says which kernel ran
+(``engine.kernel``).
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import itertools
 import math
@@ -59,16 +63,27 @@ if TYPE_CHECKING:
 _RNG_BLOCK = 4096
 
 
-def segment_loop(system, measure, cfg, geodesic, letters, table, p0, traj):
-    """The segment loop of one trajectory from the reduced start p0: on the
-    C kernel when it loads, else in Python.  ``letters`` are the step
-    letters (the flow step, the atoms, or none for a parametric measure) and
-    ``table`` the orbit table they walk, or None.  The loop draws its blocks
-    with ``refill(rng)``, each of ``block_len`` steps, advances with
+def segment_loops(system, measure, cfg, geodesic, letters, table):
+    """The segment loops of one run: on the C kernel when it loads, else in
+    Python.  ``letters`` are the step letters (the flow step, the atoms, or
+    none for a parametric measure) and ``table`` the orbit table they walk,
+    or None.  Returns ``loop``: ``loop(p0, traj)`` is trajectory traj's
+    segment loop from its reduced start p0.  A loop draws its blocks with
+    ``refill(rng)``, each of ``block_len`` steps, advances with
     ``run(j0, k0, k1)`` over steps k0 + 1 .. k1 from letter j0 of the block,
-    and reports ``position()``, ``returns()`` and ``counts()``."""
-    kernel = _CSegments if load_kernel() == "c" else _PySegments
-    return kernel(system, measure, cfg, geodesic, letters, table, p0, traj)
+    and reports ``position()``, ``returns()`` and ``counts()``.
+
+    The C kernel's constant arrays (the cover, the letters and cumulative
+    weights, the orbit table) are built here, once per run, and only read
+    after.  Each loop owns its state, so the loops of a run may run in
+    threads at once."""
+    if load_kernel() == "c":
+        return functools.partial(
+            _CSegments, _CShared(system, measure, cfg, geodesic, letters, table)
+        )
+    return functools.partial(
+        _PySegments, system, measure, cfg, geodesic, letters, table
+    )
 
 
 # A sheet index coordinate at or past this after a step is refused
@@ -244,16 +259,17 @@ def _array(ctype, rows) -> ctypes.Array:
     return (ctype * len(flat))(*flat)
 
 
-class _CSegments:
-    """The segment loop in the compiled kernel: one ``covwalk_segment`` call
-    per segment on a ``_Walk`` that holds the trajectory's state."""
+class _CShared:
+    """What the compiled segment loops of one run share: ``walk``, a
+    ``_Walk`` that holds the run's constants (the cover, the letters, the
+    orbit table, the return radius) and the start of every trajectory's
+    state.  The arrays it points at live as long as it does; the kernel only
+    reads them."""
 
-    def __init__(self, system, measure, cfg, geodesic, letters, table, p0, traj):
+    def __init__(self, system, measure, cfg, geodesic, letters, table):
         self.block_len = _RNG_BLOCK if letters else _RNG_BLOCK // 3
-        self.traj = traj
         self.flow = geodesic
-        self.u_ptr = None
-        w = self.w = _Walk()
+        w = self.walk = _Walk()
         w.dim = system.d
         w.n_sides = len(system.planes)
         w.n_corners = len(system.corner_mats)
@@ -289,14 +305,30 @@ class _CSegments:
         if cfg.returns is not None:
             w.returns = 1
             w.cosh_r = math.cosh(cfg.returns.radius)
+        w.ta = w.td = 1.0
+        w.first_return = -1
+        counted = cfg.count_atoms and w.letters == _LETTERS_ATOMS
+        self.n_counts = len(letters) if counted else 0
+
+
+class _CSegments:
+    """The segment loop in the compiled kernel: one ``covwalk_segment`` call
+    per segment on a ``_Walk`` that holds the trajectory's state, a copy of
+    the run's ``_CShared.walk``.  ``ctypes`` releases the GIL for each call."""
+
+    def __init__(self, shared: _CShared, p0, traj):
+        self.block_len = shared.block_len
+        self.shared = shared  # keeps the arrays the copy points at alive
+        self.traj = traj
+        self.flow = shared.flow
+        self.u_ptr = None
+        w = self.w = _Walk.from_buffer_copy(shared.walk)
         w.a, w.b, w.c, w.d = p0.rep.rep.as_tuple()
         w.px, w.py = w.sx, w.sy = base_xy(w.a, w.b, w.c, w.d)
-        w.ta = w.td = 1.0
         w.index = self.index = _array(_I64, [p0.index])
         self.atom_counts = None
-        if cfg.count_atoms and w.letters == _LETTERS_ATOMS:
-            w.counts = self.atom_counts = (_I64 * len(letters))()
-        w.first_return = -1
+        if shared.n_counts:
+            w.counts = self.atom_counts = (_I64 * shared.n_counts)()
         self.ref = ctypes.byref(w)
         self.segment = _kernel.covwalk_segment
 

@@ -32,6 +32,32 @@ class NonIntegrableConfigurationError(RuntimeError):
     change non-integrable against the Haar measure."""
 
 
+def quantile(x, q: float | None = None) -> np.ndarray:
+    """``np.quantile(x, q, axis=0)`` (the linear method), or with q None
+    ``np.median(x, axis=0)``, bit for bit, without the ``numpy.ma`` import
+    those make on their first call (about 11 ms of a CLI run).
+
+    The sample is sorted along axis 0.  Quantile q lies at (n - 1) q between
+    order statistics a and b, at fraction t, and is a + (b - a) t for
+    t < 1/2 and b - (b - a) (1 - t) from 1/2 on, as numpy interpolates.  The
+    median of an even count is (a + b) / 2 of the middle two, as np.mean
+    forms it; note that it can differ from quantile 1/2 in the last bit.  A
+    column that holds a NaN gives a NaN."""
+    s = np.sort(np.asarray(x, dtype=float), axis=0)
+    n = len(s)
+    if q is None:
+        h = n // 2
+        out = s[h] if n % 2 else (s[h - 1] + s[h]) / 2
+    else:
+        v = (n - 1) * q
+        i = min(math.floor(v), n - 1)
+        a, b = s[i], s[min(i + 1, n - 1)]
+        t = v - i
+        out = a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
+    nan = np.isnan(s[-1])
+    return np.where(nan, s[-1], out) if nan.any() else out
+
+
 def ks_distance(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
     """One-sample Kolmogorov-Smirnov statistic against a given CDF."""
     x = np.sort(np.asarray(samples, dtype=float))
@@ -48,7 +74,7 @@ def hill_tail_index(samples: Sequence[float], center: float | None = None) -> fl
     Gaussian data a much larger value."""
     x = np.asarray(samples, dtype=float)
     if center is None:
-        center = float(np.median(x))
+        center = float(quantile(x))
     a = np.abs(x - center)
     a = a[a > 0]
     a.sort()
@@ -78,8 +104,8 @@ def cauchy_fit(samples: Sequence[float]) -> CauchyFit:
     x = np.asarray(samples, dtype=float)
     if len(x) < 100:
         raise DegenerateSamplesError(f"need at least 100 samples, got {len(x)}")
-    loc = float(np.median(x))
-    q1, q3 = np.quantile(x, [0.25, 0.75])
+    loc = float(quantile(x))
+    q1, q3 = quantile(x, 0.25), quantile(x, 0.75)
     c = float(0.5 * (q3 - q1))
     if c <= 0:
         raise DegenerateSamplesError("interquartile range is zero")
@@ -95,7 +121,7 @@ def cauchy_scale_mle(samples: Sequence[float], location: float | None = None) ->
     Solves (1/n) sum c^2/(c^2 + (x-m)^2) = 1/2 by bisection; the left side is
     increasing in c."""
     x = np.asarray(samples, dtype=float)
-    m = float(np.median(x)) if location is None else location
+    m = float(quantile(x)) if location is None else location
     r2 = (x - m) ** 2
     lo, hi = 1e-12, float(np.max(np.abs(x - m))) + 1.0
 
@@ -185,8 +211,8 @@ def haar_mean_sigma(
     for b in range(n_boot):
         pick = rng.integers(0, n, n)
         boots[b] = vals[pick].mean(axis=0)
-    lo = np.quantile(boots, 0.0015, axis=0)
-    hi = np.quantile(boots, 0.9985, axis=0)
+    lo = quantile(boots, 0.0015)
+    hi = quantile(boots, 0.9985)
     return HaarMeanResult(
         mean=tuple(map(float, mean)),
         se=tuple(map(float, se)),
@@ -391,8 +417,8 @@ def recurrence_report(
         grid=tuple(grid),
         return_fraction=tuple(e / k for e in ever),
         window_fraction=tuple(w / k for w in window),
-        median_first_return=float(np.median(firsts)) if firsts else None,
-        median_max_excursion=tuple(float(np.median(e)) for e in exc),
+        median_first_return=float(quantile(firsts)) if firsts else None,
+        median_max_excursion=tuple(float(quantile(e)) for e in exc),
         d=d,
         dim_EC=dim_ec,
         verdict_hint=recurrence_verdict(d, dim_ec),

@@ -12,11 +12,14 @@ step) has at most ``ENGINE_ORBIT_STATES`` states walks that orbit's compiled
 ``OrbitTable`` in integers, so its index path is exact however long the run.
 Every other run (Haar starts, parametric measures, larger orbits) multiplies
 and reduces with no cache, step for step as ``CoverSystem.apply_step``.
-``run_trajectories`` runs all trajectories of a walk or flow run.
+``run_trajectories`` runs all trajectories of a walk or flow run, in
+``COVWALK_THREADS`` threads of one process (``worker_count``).
 
 Randomness is counter-based and splittable: trajectory k of a run seeded
 with s draws from Philox keyed by SeedSequence([s, k]), so runs are
-bit-reproducible under any scheduling of trajectories.
+bit-reproducible under any scheduling of trajectories.  The threads of a run
+share only what ``_Run`` builds before they start, and read it; each
+trajectory owns its generator, its start and its segment loop's state.
 
 A run advances in segments, which end at checkpoints, at return grid points
 and at the end of a block of uniforms.  ``simulate_trajectory`` does what
@@ -31,9 +34,9 @@ windings deeper than 8.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -292,50 +295,69 @@ def trajectory_rng(master_seed: int, traj: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 # the engine
 
+class _Run:
+    """What the trajectories of one run share, built before any of its
+    threads starts and only read after: the Haar sampler's parts (a
+    ``cached_property`` of the system, filled here), a fixed start's reduced
+    point and orbit table, and the segment loops with their constant arrays
+    (``segments.segment_loops``)."""
+
+    def __init__(self, system: CoverSystem, measure: MeasureSpec | None,
+                 cfg: WalkConfig, geodesic: bool) -> None:
+        # the step letters: the flow step, the atoms, or none for a
+        # parametric measure, whose letters are built from the uniforms
+        if geodesic:
+            letters = (hyp2.translation(cfg.dt),)
+        elif measure.kind == "atoms":
+            letters = tuple(g for g, _ in measure.atoms)
+        else:
+            letters = ()
+        self.haar_parts = self.start = self.table = None
+        if cfg.start.mode == "haar":
+            self.haar_parts = system.haar_parts
+        else:
+            x0 = cfg.start.tangent if cfg.start.tangent is not None else hyp2.BASE_TANGENT
+            self.start = system.start_point(x0)
+            # a fixed start may lie on a finite orbit of the step letters; a
+            # Haar start almost surely does not, and parametric letters are
+            # never reused
+            if letters:
+                self.table = system.orbit_table(x0, letters, ENGINE_ORBIT_STATES)
+        from . import segments
+
+        self.loop = segments.segment_loops(
+            system, measure, cfg, geodesic, letters, self.table
+        )
+
+
 def simulate_trajectory(
     system: CoverSystem,
     measure: MeasureSpec | None,
     cfg: WalkConfig,
     traj: int,
     geodesic: bool = False,
+    run: _Run | None = None,
 ) -> TrajectoryResult:
     """Run one trajectory; deterministic given (system, measure, cfg, traj).
 
     With ``geodesic`` the increment is the fixed flow step a_{dt} and record
-    abscissae/normalizations use flow time instead of step count.
+    abscissae/normalizations use flow time instead of step count.  ``run``
+    is what the run's trajectories share, built from the other arguments
+    (``run_trajectories`` builds it once for all of them); built here when
+    None.
     """
+    if run is None:
+        run = _Run(system, measure, cfg, geodesic)
     rng = trajectory_rng(cfg.master_seed, traj)
     n = cfg.steps
 
-    if cfg.start.mode == "haar":
-        x0 = fuchsian.haar_sample(
-            system.polygon, system.cusps, system.pres, rng, system.haar_parts
-        )
-    else:
-        x0 = cfg.start.tangent if cfg.start.tangent is not None else hyp2.BASE_TANGENT
-    p0 = system.start_point(x0)
+    p0 = run.start
+    if p0 is None:
+        p0 = system.start_point(fuchsian.haar_sample(
+            system.polygon, system.cusps, system.pres, rng, run.haar_parts
+        ))
     start_rep = p0.rep.rep.as_tuple()
-
-    # the step letters: the flow step, the atoms, or none for a parametric
-    # measure, whose letters are built from the uniforms
-    if geodesic:
-        letters = (hyp2.translation(cfg.dt),)
-    elif measure.kind == "atoms":
-        letters = tuple(g for g, _ in measure.atoms)
-    else:
-        letters = ()
-
-    # a fixed start may lie on a finite orbit of the step letters; a Haar
-    # start almost surely does not, and parametric letters are never reused
-    table = None
-    if cfg.start.mode != "haar" and letters:
-        table = system.orbit_table(x0, letters, ENGINE_ORBIT_STATES)
-
-    from . import segments
-
-    segs = segments.segment_loop(
-        system, measure, cfg, geodesic, letters, table, p0, traj
-    )
+    segs = run.loop(p0, traj)
 
     cps = cfg.checkpoints.steps(n)
     ret = cfg.returns
@@ -391,7 +413,7 @@ def simulate_trajectory(
                 index=idx,
                 drift=tuple(0.0 for _ in idx),
                 cusp_height=fuchsian.cusp_height(
-                    system.cusps, *segments.base_xy(*start_rep)
+                    system.cusps, *segs.position()[1:3]
                 ),
                 cartan_t=0.0,
             )
@@ -405,7 +427,7 @@ def simulate_trajectory(
         start_rep=start_rep,
         returns=rstats,
         atom_counts=segs.counts(),
-        orbit_states=None if table is None else len(table.reps),
+        orbit_states=None if run.table is None else len(run.table.reps),
     )
     return TrajectoryResult(records=tuple(records), summary=summary)
 
@@ -448,22 +470,25 @@ def _checkpoint(
 # ---------------------------------------------------------------------------
 # multi-trajectory runners
 
-def _run_block(
-    system: CoverSystem,
-    measure: MeasureSpec | None,
-    cfg: WalkConfig,
-    geodesic: bool,
-    trajs: list[int],
-) -> list[TrajectoryResult]:
-    return [simulate_trajectory(system, measure, cfg, t, geodesic) for t in trajs]
-
-
 def worker_count() -> int:
-    raw = os.environ.get("COVWALK_THREADS", "1")
+    """The threads a run asks for: ``COVWALK_THREADS`` (1 when unset or not
+    an integer), capped at the CPUs this process may run on.  The kernel is
+    CPU-bound, so more threads than CPUs cannot speed a run up.  On the
+    Python fallback the count is 1: it holds the GIL, so threads would only
+    take turns, and the switching between them slows a run down."""
+    from . import segments
+
     try:
-        return max(1, int(raw))
+        workers = int(os.environ.get("COVWALK_THREADS", "1"))
     except ValueError:
         return 1
+    if segments.load_kernel() != "c":
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(workers, cpus))
 
 
 def run_trajectories(
@@ -473,34 +498,54 @@ def run_trajectories(
     geodesic: bool = False,
     workers: int | None = None,
 ) -> list[TrajectoryResult]:
-    """All trajectories of a run, in trajectory order.  With workers > 1 the
-    trajectories are distributed over processes; per-trajectory seeding makes
-    the merged output identical to the sequential run."""
+    """All trajectories of a run, in trajectory order.
+
+    The trajectories are dealt round robin over min(workers, trajectories)
+    threads (``worker_count()`` when workers is None): the calling thread
+    runs the first block, and a daemon thread each other one.  The compiled
+    kernel releases the GIL for every segment, so the threads run at once;
+    on the Python fallback they take turns.  Per-trajectory seeding makes
+    the merged output identical to the one-thread run.  A thread stops its
+    block at its first failing trajectory, and the run raises the failure of
+    the lowest-numbered failing trajectory: the one a one-thread run raises.
+    """
     if workers is None:
         workers = worker_count()
+    run = _Run(system, measure, cfg, geodesic)
     ids = list(range(cfg.trajectories))
-    from . import segments
-
-    segments.load_kernel()  # before the pool forks, so every worker inherits it
-    run_block = functools.partial(_run_block, system, measure, cfg, geodesic)
     blocks = _worker_blocks(ids, workers)
     if len(blocks) <= 1:
-        return run_block(ids)
-    # imported here: one-worker runs need not load the multiprocessing stack
-    from concurrent.futures import ProcessPoolExecutor
+        return [simulate_trajectory(system, measure, cfg, t, geodesic, run) for t in ids]
 
-    out: dict[int, TrajectoryResult] = {}
-    with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
-        for results in pool.map(run_block, blocks):
-            for r in results:
-                out[r.summary.traj] = r
-    return [out[t] for t in ids]
+    # each thread writes only its own trajectories' slots and keys
+    results: list[TrajectoryResult | None] = [None] * len(ids)
+    failures: dict[int, Exception] = {}
+
+    def run_block(block: list[int]) -> None:
+        for t in block:
+            try:
+                results[t] = simulate_trajectory(system, measure, cfg, t, geodesic, run)
+            except Exception as exc:  # raised below, in trajectory order
+                failures[t] = exc
+                return
+
+    threads = [
+        threading.Thread(target=run_block, args=(block,), daemon=True)
+        for block in blocks[1:]
+    ]
+    for thread in threads:
+        thread.start()
+    run_block(blocks[0])
+    for thread in threads:
+        thread.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 def _worker_blocks(ids: list[int], workers: int) -> list[list[int]]:
-    """The trajectories of each worker process, dealt round robin; no worker
-    is left without one, since the pool starts every process it is asked
-    for."""
+    """The trajectories of each thread, dealt round robin; no thread is left
+    without one."""
     count = min(max(workers, 1), len(ids))
     return [ids[i::count] for i in range(count)]
 

@@ -76,6 +76,27 @@ checkpoints = linear:200
 dt = 0.25
 """
 
+ALL_REPORTS = """
+[lattice]
+preset = gamma2
+[weights]
+A = 1
+B = 0
+[measure]
+type = parametric
+tau_min = 0.5
+tau_max = 1.5
+[walk]
+steps = 60
+trajectories = 100
+seed = 8
+checkpoints = linear:20
+return_radius = 2.0
+return_grid = 30 60
+[analysis]
+reports = drift cauchy accumulation recurrence
+"""
+
 CONFIGS = sorted(
     glob.glob(os.path.join(os.path.dirname(os.path.dirname(__file__)), "configs", "*.cfg"))
 )
@@ -342,9 +363,11 @@ class TestRunCommands:
         assert summary["build"]["version"] == covwalk.__version__
         # engine 2 unwinds cusp windings after 8 descent pairings; the id
         # changes with the output bits, so a bump is an edit here.  The
-        # upward tangent at i is a one-state orbit of g1 and g2
+        # upward tangent at i is a one-state orbit of g1 and g2.  A run
+        # starts no more threads than its 20 trajectories
         assert summary["engine"] == {
-            "id": 2, "orbit_states": 1, "kernel": S.load_kernel()
+            "id": 2, "orbit_states": 1, "kernel": S.load_kernel(),
+            "workers": min(W.worker_count(), 20),
         }
 
     def test_mode_mismatch(self, tmp_path):
@@ -369,7 +392,8 @@ class TestRunCommands:
         summary = json.loads((out / "summary.json").read_text())
         # Haar starts
         assert summary["engine"] == {
-            "id": W.ENGINE_ID, "orbit_states": None, "kernel": S.load_kernel()
+            "id": W.ENGINE_ID, "orbit_states": None, "kernel": S.load_kernel(),
+            "workers": min(W.worker_count(), 10),
         }
 
     @pytest.mark.parametrize(
@@ -485,7 +509,8 @@ class TestReportCommand:
         assert code == 0
         assert "config_hash" in text
         assert (f"engine: {{'id': {W.ENGINE_ID}, 'orbit_states': 1, "
-                f"'kernel': '{S.load_kernel()}'}}") in text
+                f"'kernel': '{S.load_kernel()}', "
+                f"'workers': {min(W.worker_count(), 20)}}}") in text
         assert (tmp_path / "dashboard.txt").exists()
         assert (out / "drift_ecdf.dat").exists()
 
@@ -517,7 +542,7 @@ class TestEntryPoint:
         assert "cusps: 3" in res.stdout
 
     def test_import_leaves_process_pool_out(self):
-        # only a run with more than one worker needs the multiprocessing stack
+        # no module of covwalk needs the multiprocessing stack
         res = subprocess.run(
             [sys.executable, "-c",
              "import sys, covwalk.config; "
@@ -528,6 +553,29 @@ class TestEntryPoint:
         )
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "False"
+
+    def test_threaded_run_leaves_numpy_ma_and_process_pools_out(self, tmp_path):
+        # a walk run at two threads, with every report that takes a median
+        # or a quantile; np.median and np.quantile import numpy.ma
+        cfgp = tmp_path / "exp.cfg"
+        cfgp.write_text(ALL_REPORTS)
+        env = src_env()
+        env["COVWALK_THREADS"] = "2"
+        res = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, covwalk.cli as c; "
+             f"code = c.main(['walk', 'run', '--config', {str(cfgp)!r}, "
+             f"'--out', {str(tmp_path / 'o')!r}]); "
+             "print(code, *(m in sys.modules for m in "
+             "('numpy.ma', 'concurrent.futures', 'multiprocessing')))"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split()[-4:] == ["0", "False", "False", "False"]
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert set(summary["analysis"]) == {"drift", "cauchy", "accumulation", "recurrence"}
 
     def test_import_leaves_the_kernel_unloaded(self):
         # the kernel is loaded by the first run, not by an import

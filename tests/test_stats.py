@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from covwalk import cover as C
 from covwalk import fuchsian as F
@@ -19,6 +20,40 @@ def torus_d1():
     pres, poly, cusps = F.builtin_lattice("punctured_square_torus")
     spec = C.validate_cover(pres, cusps, {"g1": (0,), "g2": (1,)})
     return C.cover_system(pres, poly, cusps, spec)
+
+
+def same_bits(got, want) -> bool:
+    return np.asarray(got, float).tobytes() == np.asarray(want, float).tobytes()
+
+
+class TestQuantile:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), rows=st.integers(1, 41), cols=st.integers(0, 3),
+           q=st.one_of(st.sampled_from([0.0, 0.0015, 0.25, 0.5, 0.75, 0.9985, 1.0]),
+                       st.floats(0.0, 1.0)))
+    def test_numpy_bits(self, data, rows, cols, q):
+        # odd and even counts, 1-D (cols 0) and by column; + 0.0 turns -0.0
+        # into 0.0, since a sort may put either zero first
+        shape = (rows,) if cols == 0 else (rows, cols)
+        x = np.array(data.draw(st.lists(
+            st.floats(allow_nan=False, allow_infinity=False, width=64),
+            min_size=math.prod(shape), max_size=math.prod(shape),
+        ))).reshape(shape) + 0.0
+        assert same_bits(S.quantile(x), np.median(x, axis=0))
+        assert same_bits(S.quantile(x, q), np.quantile(x, q, axis=0))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(x=st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=41))
+    def test_integer_median(self, x):
+        # recurrence_report takes the median of first-return steps
+        assert same_bits(S.quantile(x), np.median(x))
+
+    def test_nan_column(self):
+        x = np.array([[1.0, 2.0], [np.nan, 3.0], [0.5, 4.0], [2.0, 5.0]])
+        for got, want in ((S.quantile(x), np.median(x, axis=0)),
+                          (S.quantile(x, 0.25), np.quantile(x, 0.25, axis=0))):
+            assert np.isnan(got[0]) and np.isnan(want[0])
+            assert same_bits(got[1], want[1])
 
 
 class TestCauchyFit:

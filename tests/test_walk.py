@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -147,13 +149,15 @@ class TestEngine:
         assert all(x.records == y.records for x, y in zip(a, b))
         assert all(x.summary == y.summary for x, y in zip(a, b))
 
-    def test_parallel_matches_sequential(self, gamma2_d1, kernel):
-        mu = W.parametric_measure(0.5, 1.5)
-        cfg = W.WalkConfig(steps=500, trajectories=4, master_seed=12,
-                           checkpoints=W.CheckpointPlan(stride=100))
-        seq = W.run_trajectories(gamma2_d1, mu, cfg, workers=1)
-        par = W.run_trajectories(gamma2_d1, mu, cfg, workers=2)
-        assert all(x.records == y.records for x, y in zip(seq, par))
+    def test_parallel_matches_sequential(self, torus_d1, gamma2_d1, kernel):
+        # records and summaries at 1, 2 and 3 threads, in every shape
+        for system, measure, cfg, geodesic in thread_shapes(torus_d1, gamma2_d1):
+            one, two, three = (
+                W.run_trajectories(system, measure, cfg, geodesic, workers=w)
+                for w in (1, 2, 3)
+            )
+            assert one == two == three
+            assert [r.summary.traj for r in one] == list(range(cfg.trajectories))
 
     def test_walk_with_flow_atom_equals_geodesic(self, gamma2_d1):
         mu = W.measure_from_atoms([(H.translation(0.25), 1.0)])
@@ -240,12 +244,92 @@ class TestEngineOnPython(OnPython):
     test_closed_geodesic_exact_winding = TestEngine.test_closed_geodesic_exact_winding
 
 
+def thread_shapes(torus_d1, gamma2_d1):
+    """(system, measure, cfg, geodesic) of five trajectories in each shape a
+    threaded run can take: parametric Haar starts across a letter block,
+    atoms with returns and atom counts, an orbit table, and a flow."""
+    pres, poly, cusps = F.builtin_lattice("punctured_square_torus")
+    torus_d2 = C.cover_system(
+        pres, poly, cusps, C.validate_cover(pres, cusps, {"g1": (1, 0), "g2": (0, 1)}))
+    gm = torus_d1.pres.gen_map()
+    fixed = W.StartSpec(mode="fixed", tangent=H.BASE_TANGENT)
+    kw = dict(trajectories=5, master_seed=12, checkpoints=W.CheckpointPlan(stride=100))
+    return [
+        (gamma2_d1, W.parametric_measure(0.5, 1.5), W.WalkConfig(steps=1500, **kw), False),
+        (torus_d2, W.two_atom_measure(pres),
+         W.WalkConfig(steps=1000, count_atoms=True,
+                      returns=W.ReturnSpec(radius=2.0, grid=(300, 1000)), **kw), False),
+        (torus_d1, W.measure_from_atoms(
+            [(gm["g2"], 0.3), (H.inverse(gm["g2"]), 0.2),
+             (gm["g1"], 0.25), (H.inverse(gm["g1"]), 0.25)]),
+         W.WalkConfig(steps=1000, start=fixed, **kw), False),
+        (gamma2_d1, None, W.WalkConfig(steps=400, dt=0.25, **kw), True),
+    ]
+
+
 class TestWorkerBlocks:
     def test_no_worker_without_a_trajectory(self):
         assert W._worker_blocks([0, 1, 2], 10**6) == [[0], [1], [2]]
         assert W._worker_blocks(list(range(5)), 2) == [[0, 2, 4], [1, 3]]
         assert W._worker_blocks([], 4) == []
         assert W._worker_blocks([0, 1], 0) == [[0, 1]]
+
+
+class TestThreads:
+    def test_lowest_failing_trajectory_raises(self, gamma2_d1, monkeypatch):
+        # trajectories 1 and 3 of 4 fail, 3 first; every thread count raises
+        # trajectory 1's failure, as the one-thread run does
+        simulate = W.simulate_trajectory
+
+        def failing(system, measure, cfg, traj, *args):
+            if traj == 1:
+                time.sleep(0.05)
+                raise ZeroDivisionError("trajectory 1")
+            if traj == 3:
+                raise OverflowError("trajectory 3")
+            return simulate(system, measure, cfg, traj, *args)
+
+        mu = W.parametric_measure(0.5, 1.5)
+        cfg = W.WalkConfig(steps=200, trajectories=4, master_seed=3,
+                           checkpoints=W.CheckpointPlan(stride=100))
+        before = threading.active_count()
+        assert len(W.run_trajectories(gamma2_d1, mu, cfg, workers=3)) == 4
+        assert threading.active_count() == before
+        monkeypatch.setattr(W, "simulate_trajectory", failing)
+        for workers in (1, 2, 3, 4):
+            with pytest.raises(ZeroDivisionError, match="^trajectory 1$"):
+                W.run_trajectories(gamma2_d1, mu, cfg, workers=workers)
+            assert threading.active_count() == before, workers
+
+    def test_more_threads_than_cpus_with_fast_switching(self, gamma2_d1, kernel):
+        # every thread writes its own slots of one results list; a lost or
+        # misplaced write would show as a missing or reordered trajectory
+        mu = W.parametric_measure(0.5, 1.5)
+        cfg = W.WalkConfig(steps=300, trajectories=24, master_seed=21,
+                           checkpoints=W.CheckpointPlan(stride=30))
+        want = W.run_trajectories(gamma2_d1, mu, cfg, workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = W.run_trajectories(gamma2_d1, mu, cfg, workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+
+    @pytest.mark.parametrize("value, want", [
+        (None, 1), ("1", 1), ("2", 2), ("3", 3), ("4", 3), (str(10**9), 3),
+        ("0", 1), ("-2", 1), ("two", 1),
+    ])
+    def test_worker_count_capped_at_usable_cpus(self, monkeypatch, kernel, value, want):
+        # counts only: nothing is started
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
+        if value is None:
+            monkeypatch.delenv("COVWALK_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("COVWALK_THREADS", value)
+        assert W.worker_count() == want
+        monkeypatch.setattr(S, "_kernel", False)
+        assert W.worker_count() == 1, "the Python fallback runs one thread"
 
 
 def base_xy(m):
