@@ -1,11 +1,15 @@
-/* The trajectory engine's segment loop, compiled.
+/* The trajectory engine, compiled.
  *
- * covwalk_segment advances one trajectory of walk.simulate_trajectory over
- * steps k0 + 1 .. k1, taking step k0 + 1's letter from uniform j0 of the
- * current block.  Python draws the Philox uniforms, builds the start and the
- * orbit table, and reads the state between segments; everything a step does
- * happens here, with the arithmetic of the Python reference in the same
- * operation order:
+ * covwalk_trajectory runs one trajectory of walk.simulate_trajectory from its
+ * reduced start to its last step, in segments that end at the run's stops
+ * (checkpoints and return grid points) and at the end of a block of
+ * uniforms.  It draws the trajectory's uniforms itself, from a Philox4x64-10
+ * stream bit-identical to numpy's Generator(Philox(SeedSequence([s, k]))):
+ * covwalk_seed keys it and covwalk_random draws one double, which Python's
+ * Haar sampler reads before the walk starts.  Python builds the start and
+ * the orbit table and turns the state at each checkpoint into a record;
+ * everything a step does happens here, with the arithmetic of the Python
+ * reference (segments._PySegments) in the same operation order:
  *
  *   - the letter: for atoms the first cumulative weight >= u (numpy's
  *     searchsorted, side="left"); for a parametric measure the increment
@@ -19,7 +23,9 @@
  *     2**62 after a step is refused;
  *   - the running Cartan product and its renormalization every 64 steps;
  *   - the atom counts and the return tracking (sheet zero plus the ball
- *     test, the number of returns, the first one and the maximum excursion).
+ *     test, the number of returns, the first one and the maximum excursion);
+ *   - at a checkpoint, the index, fuchsian.cusp_height and the Cartan
+ *     product; at a grid point, the return counts.
  *
  * Built with -ffp-contract=off (no fused multiply-adds) and -fno-builtin, so
  * that cos, sin, exp, log, pow and floor are the libm calls CPython's math
@@ -37,7 +43,7 @@
 
 enum { LETTERS_ATOMS = 0, LETTERS_PARAMETRIC = 1, LETTERS_FLOW = 2 };
 
-/* return codes; segments._CSegments raises the matching Python exception */
+/* return codes; segments._CTrajectory raises the matching Python exception */
 enum {
     OK = 0,
     ERR_INDEX = 1,     /* OverflowError: a sheet index coordinate reached 2**62 */
@@ -47,13 +53,16 @@ enum {
     ERR_RANGE = 5      /* OverflowError: float ** overflow, floor of infinity */
 };
 
+enum { STOP_CHECKPOINT = 1, STOP_GRID = 2 };
+
+#define RNG_BLOCK 4096             /* uniforms per block: segments._RNG_BLOCK */
 #define INDEX_LIMIT (INT64_C(1) << 62)
 #define TWO_PI 6.283185307179586
 #define MATH_E 2.718281828459045
 
 /* Mirrored field for field by segments._Walk (ctypes); every field is 8
- * bytes, so the layout has no padding.  covwalk_walk_size lets Python check
- * it. */
+ * bytes or an array of 8-byte words, so the layout has no padding.
+ * covwalk_walk_size lets Python check it. */
 typedef struct {
     /* the cover (CoverSystem) */
     int64_t dim, n_sides, n_corners, unwind_mask, max_iter;
@@ -86,11 +95,124 @@ typedef struct {
     int64_t *counts;               /* per atom, or NULL */
     int64_t left_zero, first_return, n_returns, max_exc;
     int64_t fail_step;             /* the step an error code refers to */
+    /* the run's stops, ascending: checkpoints and return grid points */
+    const int64_t *stops;
+    const int64_t *stop_kinds;     /* per stop: STOP_CHECKPOINT | STOP_GRID */
+    int64_t n_stops;
+    /* the trajectory's outputs */
+    double *cp_state;              /* per checkpoint: cusp height, ta, tb, tc, td, tlog */
+    int64_t *cp_index;             /* per checkpoint: dim coordinates */
+    int64_t *grid_returns;         /* per grid point: first return (-1: none),
+                                      returns, maximum excursion */
+    /* the trajectory's Philox4x64-10 stream, as numpy's Philox keeps it */
+    uint64_t ctr[4], key[2], buffer[4];
+    int64_t buffer_pos;
 } walk_t;
 
 int64_t covwalk_walk_size(void) { return (int64_t)sizeof(walk_t); }
 
 const char *covwalk_kernel_key(void) { return COVWALK_KERNEL_KEY; }
+
+/* ------------------------------------------------------------------------
+ * The trajectory's uniforms: numpy's SeedSequence (pool of four words) keys
+ * a Philox4x64-10 stream, and a double is the top 53 bits of the next word,
+ * as Generator.random draws it, one at a time or in blocks alike. */
+
+#define SEED_INIT_A 0x43b0d7e5u
+#define SEED_MULT_A 0x931e8875u
+#define SEED_INIT_B 0x8b51f9ddu
+#define SEED_MULT_B 0x58f38dedu
+#define SEED_MIX_L 0xca01f9ddu
+#define SEED_MIX_R 0x4973f715u
+#define SEED_POOL 4
+
+static uint32_t hashmix(uint32_t value, uint32_t *hash_const)
+{
+    value ^= *hash_const;
+    *hash_const *= SEED_MULT_A;
+    value *= *hash_const;
+    return value ^ (value >> 16);
+}
+
+static uint32_t mix(uint32_t x, uint32_t y)
+{
+    uint32_t result = SEED_MIX_L * x - SEED_MIX_R * y;
+    return result ^ (result >> 16);
+}
+
+/* Keys w's stream as Philox(SeedSequence(entropy)) does, where entropy is
+ * the seed's 32-bit words (segments._seed_words): SeedSequence's pool
+ * mixing, then generate_state(2, uint64) for the key; the counter starts at
+ * zero and the buffer empty. */
+void covwalk_seed(walk_t *w, const uint32_t *entropy, int64_t n_words)
+{
+    uint32_t pool[SEED_POOL];
+    uint32_t hash_const = SEED_INIT_A;
+    for (int64_t i = 0; i < SEED_POOL; i++)
+        pool[i] = hashmix(i < n_words ? entropy[i] : 0, &hash_const);
+    for (int64_t src = 0; src < SEED_POOL; src++)
+        for (int64_t dst = 0; dst < SEED_POOL; dst++)
+            if (src != dst)
+                pool[dst] = mix(pool[dst], hashmix(pool[src], &hash_const));
+    for (int64_t src = SEED_POOL; src < n_words; src++)
+        for (int64_t dst = 0; dst < SEED_POOL; dst++)
+            pool[dst] = mix(pool[dst], hashmix(entropy[src], &hash_const));
+
+    uint32_t state[4];
+    hash_const = SEED_INIT_B;
+    for (int i = 0; i < 4; i++) {
+        uint32_t v = pool[i % SEED_POOL] ^ hash_const;
+        hash_const *= SEED_MULT_B;
+        v *= hash_const;
+        state[i] = v ^ (v >> 16);
+    }
+    w->key[0] = state[0] | (uint64_t)state[1] << 32;
+    w->key[1] = state[2] | (uint64_t)state[3] << 32;
+    for (int i = 0; i < 4; i++) {
+        w->ctr[i] = 0;
+        w->buffer[i] = 0;
+    }
+    w->buffer_pos = 4;
+}
+
+/* the next 64-bit word: from the buffer, or a fresh block of four after the
+ * counter is incremented */
+static uint64_t philox_next(walk_t *w)
+{
+    if (w->buffer_pos < 4)
+        return w->buffer[w->buffer_pos++];
+    if (++w->ctr[0] == 0 && ++w->ctr[1] == 0 && ++w->ctr[2] == 0)
+        ++w->ctr[3];
+    uint64_t c0 = w->ctr[0], c1 = w->ctr[1], c2 = w->ctr[2], c3 = w->ctr[3];
+    uint64_t k0 = w->key[0], k1 = w->key[1];
+    for (int round = 0; round < 10; round++) {
+        if (round) {
+            k0 += UINT64_C(0x9E3779B97F4A7C15);
+            k1 += UINT64_C(0xBB67AE8584CAA73B);
+        }
+        __uint128_t p0 = (__uint128_t)UINT64_C(0xD2E7470EE14C6C93) * c0;
+        __uint128_t p1 = (__uint128_t)UINT64_C(0xCA5A826395121157) * c2;
+        uint64_t n0 = (uint64_t)(p1 >> 64) ^ c1 ^ k0;
+        uint64_t n2 = (uint64_t)(p0 >> 64) ^ c3 ^ k1;
+        c1 = (uint64_t)p1;
+        c3 = (uint64_t)p0;
+        c0 = n0;
+        c2 = n2;
+    }
+    w->buffer[0] = c0;
+    w->buffer[1] = c1;
+    w->buffer[2] = c2;
+    w->buffer[3] = c3;
+    w->buffer_pos = 1;
+    return c0;
+}
+
+static double next_double(walk_t *w)
+{
+    return (double)(philox_next(w) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+double covwalk_random(walk_t *w) { return next_double(w); }
 
 /* index += k * phi, refusing int64 overflow */
 static int charge(int64_t *index, const int64_t *phi, int64_t k, int64_t dim)
@@ -239,7 +361,35 @@ static int descend(const walk_t *w, double m[4], int64_t *index,
     return ERR_DESCENT;
 }
 
-int covwalk_segment(walk_t *w, const double *u, int64_t j0, int64_t k0, int64_t k1)
+/* fuchsian.cusp_height at (x, y): the log height in the deepest corner
+ * chart, -inf where no chart puts the point above the real line */
+static int cusp_height(const walk_t *w, double x, double y, double *out)
+{
+    double best = -INFINITY;
+    for (int64_t i = 0; i < w->n_corners; i++) {
+        const double *cm = w->corner_mats + 4 * i;
+        double cx = cm[2] * x + cm[3];
+        double sq;
+        int rc = square(cm[2] * y, &sq);
+        if (rc)
+            return rc;
+        double den = cx * cx + sq;
+        if (den == 0.0)
+            return ERR_ZERO;
+        double im = y / den;
+        if (im > 0.0) {
+            double h = log(im);
+            if (h > best)
+                best = h;
+        }
+    }
+    *out = best;
+    return OK;
+}
+
+/* advances the trajectory over steps k0 + 1 .. k1, taking step k0 + 1's
+ * letter from uniform j0 of the block u */
+static int segment(walk_t *w, const double *u, int64_t j0, int64_t k0, int64_t k1)
 {
     const int64_t dim = w->dim;
     int64_t *index = w->index;
@@ -386,4 +536,55 @@ int covwalk_segment(walk_t *w, const double *u, int64_t j0, int64_t k0, int64_t 
     w->max_exc = max_exc;
     w->fail_step = k;
     return rc;
+}
+
+/* The whole trajectory from the start state in w: a block of RNG_BLOCK
+ * uniforms is drawn when a step needs one (a parametric block covers
+ * RNG_BLOCK / 3 steps and leaves its last uniform unused; a flow draws
+ * none), and at each stop the checkpoint or grid outputs are written. */
+int covwalk_trajectory(walk_t *w)
+{
+    double u[RNG_BLOCK];
+    const int64_t block_len =
+        w->letters == LETTERS_PARAMETRIC ? RNG_BLOCK / 3 : RNG_BLOCK;
+    int64_t k = 0, b0 = 0, bend = 0, cp = 0, grid = 0;
+    w->fail_step = 0;
+    for (int64_t s = 0; s < w->n_stops; s++) {
+        const int64_t end = w->stops[s];
+        while (k < end) {
+            if (k == bend) {
+                if (w->letters != LETTERS_FLOW)
+                    for (int64_t j = 0; j < RNG_BLOCK; j++)
+                        u[j] = next_double(w);
+                b0 = k;
+                bend = k + block_len;
+            }
+            const int64_t stop = end < bend ? end : bend;
+            int rc = segment(w, u, k - b0, k, stop);
+            if (rc)
+                return rc;
+            k = stop;
+        }
+        if (w->stop_kinds[s] & STOP_GRID) {
+            int64_t *out = w->grid_returns + 3 * grid++;
+            out[0] = w->first_return;
+            out[1] = w->n_returns;
+            out[2] = w->max_exc;
+        }
+        if (w->stop_kinds[s] & STOP_CHECKPOINT) {
+            double *out = w->cp_state + 6 * cp;
+            int rc = cusp_height(w, w->px, w->py, out);
+            if (rc)
+                return rc;
+            out[1] = w->ta;
+            out[2] = w->tb;
+            out[3] = w->tc;
+            out[4] = w->td;
+            out[5] = w->tlog;
+            for (int64_t i = 0; i < w->dim; i++)
+                w->cp_index[w->dim * cp + i] = w->index[i];
+            cp++;
+        }
+    }
+    return OK;
 }

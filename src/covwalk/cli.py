@@ -8,8 +8,6 @@ never leave half-written artifacts.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -52,46 +50,41 @@ def _atomic_write(path: str, data: str) -> None:
         raise
 
 
-def _records_csv(results, d: int) -> str:
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
+# JSON's names for the non-finite floats whose repr is nan, inf or -inf
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _records_text(results, d: int) -> tuple[str, str]:
+    """``records.csv`` and ``records.jsonl``, formatted in one pass.
+
+    Each number's repr serves both files: CSV keeps repr (``nan``, ``inf``),
+    and JSON writes the text ``json.dumps`` would, with ``NaN``,
+    ``Infinity`` and ``-Infinity`` for a non-finite drift or ``cartan_t`` and
+    ``null`` for a non-finite cusp height.  ``n`` is an int for walks and a
+    float for flows, in both files."""
     header = (
         ["traj", "n"]
         + [f"k{i+1}" for i in range(d)]
         + [f"drift{i+1}" for i in range(d)]
         + ["cusp_height", "cartan_t"]
     )
-    w.writerow(header)
+    csv_lines = [",".join(header)]
+    json_lines = []
+    js = _JSON_FLOATS.get
     for res in results:
         for r in res.records:
-            w.writerow(
-                [r.traj, repr(r.n) if isinstance(r.n, float) else r.n]
-                + list(r.index)
-                + [repr(v) for v in r.drift]
-                + [repr(r.cusp_height), repr(r.cartan_t)]
+            traj, n = repr(r.traj), repr(r.n)
+            index = list(map(repr, r.index))
+            drift = list(map(repr, r.drift))
+            h, cart = repr(r.cusp_height), repr(r.cartan_t)
+            csv_lines.append(",".join([traj, n, *index, *drift, h, cart]))
+            json_lines.append(
+                f'{{"traj":{traj},"n":{js(n, n)},"index":[{",".join(index)}],'
+                f'"drift":[{",".join([js(v, v) for v in drift])}],'
+                f'"cusp_height":{"null" if h in _JSON_FLOATS else h},'
+                f'"cartan_t":{js(cart, cart)}}}'
             )
-    return out.getvalue()
-
-
-def _records_jsonl(results) -> str:
-    lines = []
-    for res in results:
-        for r in res.records:
-            h = r.cusp_height if math.isfinite(r.cusp_height) else None
-            lines.append(
-                json.dumps(
-                    {
-                        "traj": r.traj,
-                        "n": r.n,
-                        "index": list(r.index),
-                        "drift": list(r.drift),
-                        "cusp_height": h,
-                        "cartan_t": r.cartan_t,
-                    },
-                    separators=(",", ":"),
-                )
-            )
-    return "\n".join(lines) + "\n"
+    return "\n".join(csv_lines) + "\n", "\n".join(json_lines) + "\n"
 
 
 def _summary(bundle, results, extra: dict) -> dict:
@@ -316,8 +309,9 @@ def cmd_run(args, geodesic: bool) -> int:
         "workers": workers,
     }
     summary = _summary(bundle, results, {"engine": engine, "analysis": analysis})
-    _atomic_write(os.path.join(outdir, "records.csv"), _records_csv(results, bundle.spec.d))
-    _atomic_write(os.path.join(outdir, "records.jsonl"), _records_jsonl(results))
+    records_csv, records_jsonl = _records_text(results, bundle.spec.d)
+    _atomic_write(os.path.join(outdir, "records.csv"), records_csv)
+    _atomic_write(os.path.join(outdir, "records.jsonl"), records_jsonl)
     _atomic_write(
         os.path.join(outdir, "summary.json"), json.dumps(summary, indent=2) + "\n"
     )
@@ -367,6 +361,7 @@ def cmd_lyapunov(args) -> int:
 
 
 def _read_samples(path: str, column: str | None) -> np.ndarray:
+    import csv  # a run writes its records without it
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline()
         fh.seek(0)

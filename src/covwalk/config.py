@@ -176,6 +176,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
             f"trajectories must be >= 1, got {trajectories}", wk, "trajectories"
         )
     seed = number(wk, "seed", "0", int)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}", wk, "seed")
     # kept as the parsed plan's text, so equal plans hash equal
     checkpoints = _checkpoint_text(
         _parse_checkpoints(get(wk, "checkpoints", "linear:1000"))

@@ -975,7 +975,8 @@ def haar_sample(
 ) -> UnitTangent:
     """One tangent vector with the normalized Haar law of the unit tangent
     bundle of the quotient surface; ``parts`` is ``cusp_neighborhoods`` at
-    height 0 (``CoverSystem.haar_parts``).
+    height 0 (``CoverSystem.haar_parts``); ``rng.random()`` draws each
+    uniform, from a numpy Generator or a trajectory's stream.
 
     Cusp sectors are sampled exactly (horocyclic coordinate uniform over the
     width, log-height exponential with unit rate, fibre angle uniform) and

@@ -1,24 +1,30 @@
-"""The trajectory engine's segment loop, in C and in Python.
+"""The trajectory engine's inner loop, in C and in Python.
 
-``walk.simulate_trajectory`` advances a run in segments, which end at
-checkpoints, at return grid points and at the end of a block of uniforms.
-Python does what lies between segments: the Philox draws
-(``rng.random(_RNG_BLOCK)``), the checkpoint records and the return counts
-at grid points.  It also does what lies before the first: Haar sampling,
-``CoverSystem.start_point`` and the orbit table.  A segment itself runs in
-one of two kernels with the same output bits, behind ``segment_loops``:
+``walk.simulate_trajectory`` takes a trajectory's loop from
+``trajectory_loops``, draws a Haar start from the loop's uniform stream
+(``random()``) where the run has no fixed start, reduces it with
+``CoverSystem.start_point``, and hands the reduced start to ``run``, which
+walks every step and returns the state at each checkpoint and the return
+counts at each grid point.  The loop advances in segments, which end at
+those stops and at the end of a block of uniforms.  It runs in one of two
+kernels with the same output bits:
 
-- The C kernel (``_segment.c``, called through ``ctypes`` once per segment,
-  which releases the GIL for the call) does every step: the letter, the
-  table move or the multiply, greedy descent, ``CoverSystem.fast_unwind`` at
-  ``cover.UNWIND_MASK`` and determinant renormalization exactly as
-  ``CoverSystem.reduce_raw`` does them, the int64 sheet index, the running
-  Cartan product with its renormalization every 64 steps, the atom counts
-  and return tracking.
+- The C kernel (``_segment.c``, one ``covwalk_trajectory`` call through
+  ``ctypes`` per trajectory, which releases the GIL for the call) does every
+  step: the Philox draws, the letter, the table move or the multiply, greedy
+  descent, ``CoverSystem.fast_unwind`` at ``cover.UNWIND_MASK`` and
+  determinant renormalization exactly as ``CoverSystem.reduce_raw`` does
+  them, the int64 sheet index, the running Cartan product with its
+  renormalization every 64 steps, the atom counts and return tracking, and
+  ``fuchsian.cusp_height`` at each checkpoint.  Its uniform stream is
+  Philox4x64-10 keyed by SeedSequence([seed, traj]), drawn in C bit for bit
+  as numpy's ``walk.trajectory_rng`` draws it, so a run imports no
+  ``numpy.random``.
 - The Python kernel (``_PySegments``) does the same steps through
-  ``CoverSystem.reduce_raw`` with a tuple index.  It is the reference the C
-  kernel is tested against, and the fallback.  It holds the GIL, so the
-  threads of a run take turns on it.
+  ``CoverSystem.reduce_raw`` with a tuple index, on the numpy generator of
+  ``walk.trajectory_rng``.  It is the reference the C kernel is tested
+  against, and the fallback.  It holds the GIL, so the threads of a run
+  take turns on it.
 
 A letter comes from the uniforms as ``_draw_block`` makes it: an atom per
 uniform, the first whose cumulative weight is >= u, or a parametric
@@ -26,8 +32,8 @@ increment per three uniforms (the block's last uniform is not used).  A
 sheet index coordinate at or past 2**62 after a step is refused with
 ``OverflowError`` on both kernels.
 
-``load_kernel`` builds the C kernel on first use: ``segment_loops`` calls it
-when a run starts, before ``walk.run_trajectories`` starts any thread, so
+``load_kernel`` builds the C kernel on first use: ``trajectory_loops`` calls
+it when a run starts, before ``walk.run_trajectories`` starts any thread, so
 the threads of a run read a kernel that is already loaded.  Nothing is
 built or loaded when the module is imported, and ``walk`` imports this
 module only when a run starts.  The build runs ``cc`` with
@@ -56,33 +62,46 @@ import numpy as np
 
 from . import cover as cover_mod
 from . import fuchsian
+from . import walk as walk_mod
 
 if TYPE_CHECKING:
     from .walk import MeasureSpec
 
 _RNG_BLOCK = 4096
 
+# what happens at a stop, as bits: _segment.c's STOP_CHECKPOINT, STOP_GRID
+_STOP_CHECKPOINT, _STOP_GRID = 1, 2
 
-def segment_loops(system, measure, cfg, geodesic, letters, table):
-    """The segment loops of one run: on the C kernel when it loads, else in
-    Python.  ``letters`` are the step letters (the flow step, the atoms, or
-    none for a parametric measure) and ``table`` the orbit table they walk,
-    or None.  Returns ``loop``: ``loop(p0, traj)`` is trajectory traj's
-    segment loop from its reduced start p0.  A loop draws its blocks with
-    ``refill(rng)``, each of ``block_len`` steps, advances with
-    ``run(j0, k0, k1)`` over steps k0 + 1 .. k1 from letter j0 of the block,
-    and reports ``position()``, ``returns()`` and ``counts()``.
 
-    The C kernel's constant arrays (the cover, the letters and cumulative
-    weights, the orbit table) are built here, once per run, and only read
-    after.  Each loop owns its state, so the loops of a run may run in
-    threads at once."""
+def trajectory_loops(system, measure, cfg, geodesic, letters, table,
+                     checkpoints, grid):
+    """The trajectory loops of one run: on the C kernel when it loads, else
+    in Python.  ``letters`` are the step letters (the flow step, the atoms,
+    or none for a parametric measure) and ``table`` the orbit table they
+    walk, or None; ``checkpoints`` and ``grid`` are the run's checkpoint and
+    return grid steps, ascending.  Returns ``loop``: ``loop(traj)`` is
+    trajectory traj's loop, keyed by ``cfg.master_seed`` and traj.  Its
+    ``random()`` draws one uniform of the stream, and ``run(p0)`` walks from
+    the reduced start p0 and returns (marks, returns, counts): per checkpoint
+    (index, cusp height, ta, tb, tc, td, tlog), where the Cartan product is
+    (ta, tb, tc, td) times e^tlog; per grid point (first return or None,
+    returns, maximum excursion); and the atom counts.
+
+    The stops and the C kernel's constant arrays (the cover, the letters and
+    cumulative weights, the orbit table) are built here, once per run, and
+    only read after.  Each loop owns its state, so the loops of a run may
+    run in threads at once."""
+    cps, grid = set(checkpoints), set(grid)
+    stops = [
+        (k, (k in cps) * _STOP_CHECKPOINT | (k in grid) * _STOP_GRID)
+        for k in sorted(cps | grid)
+    ]
     if load_kernel() == "c":
-        return functools.partial(
-            _CSegments, _CShared(system, measure, cfg, geodesic, letters, table)
-        )
+        return functools.partial(_CTrajectory, _CShared(
+            system, measure, cfg, geodesic, letters, table, stops
+        ))
     return functools.partial(
-        _PySegments, system, measure, cfg, geodesic, letters, table
+        _PySegments, system, measure, cfg, geodesic, letters, table, stops
     )
 
 
@@ -92,12 +111,17 @@ _INDEX_LIMIT = 1 << 62
 
 
 class _PySegments:
-    """The segment loop in Python: the fallback where the C kernel cannot be
-    built, and the reference the kernel is tested against.  A position moves
-    by its orbit table, or by a multiply and ``CoverSystem.reduce_raw`` with
-    a tuple index.  ``run`` holds the state in locals over a segment."""
+    """The trajectory loop in Python: the fallback where the C kernel cannot
+    be built, and the reference the kernel is tested against.  Its uniforms
+    come from ``walk.trajectory_rng``.  A position moves by its orbit table,
+    or by a multiply and ``CoverSystem.reduce_raw`` with a tuple index.
+    ``_segment`` holds the state in locals over a segment."""
 
-    def __init__(self, system, measure, cfg, geodesic, letters, table, p0, traj):
+    def __init__(self, system, measure, cfg, geodesic, letters, table, stops, traj):
+        self.rng = walk_mod.trajectory_rng(cfg.master_seed, traj)
+        self.random = self.rng.random
+        self.stops = stops
+        self.cusps = system.cusps
         self.block_len = _RNG_BLOCK if letters else _RNG_BLOCK // 3
         self.reduce = system.reduce_raw
         self.measure = measure
@@ -109,25 +133,49 @@ class _PySegments:
         self.table_xy = None if table is None else [
             base_xy(*r.rep.as_tuple()) for r in table.reps
         ]
-        self.m = p0.rep.rep.as_tuple()
-        self.index = p0.index
         self.state = 0
-        self.xy = self.start_xy = base_xy(*self.m)
         self.cartan = (1.0, 0.0, 0.0, 1.0, 0.0)  # flow runs keep no product
         self.atom_counts = [0] * len(letters) if cfg.count_atoms and self.cum else None
         self.cosh_r = None if cfg.returns is None else math.cosh(cfg.returns.radius)
         self.ret = (False, None, 0, 0)  # left_zero, first_return, n_returns, max_exc
 
-    def refill(self, rng: np.random.Generator) -> None:
+    def run(self, p0) -> tuple[list, list, tuple[int, ...]]:
+        self.m = p0.rep.rep.as_tuple()
+        self.index = p0.index
+        self.xy = self.start_xy = base_xy(*self.m)
+        marks: list[tuple] = []
+        at_grid: list[tuple[int | None, int, int]] = []
+        # steps b0 + 1 .. bend take their letters from the current block
+        k = b0 = bend = 0
+        for end, kind in self.stops:
+            while k < end:
+                if k == bend:
+                    self._refill()
+                    b0, bend = k, k + self.block_len
+                stop = min(end, bend)
+                self._segment(k - b0, k, stop)
+                k = stop
+            if kind & _STOP_GRID:
+                at_grid.append(self.ret[1:])
+            if kind & _STOP_CHECKPOINT:
+                marks.append((
+                    self.index,
+                    fuchsian.cusp_height(self.cusps, *self.xy),
+                    *self.cartan,
+                ))
+        counts = () if self.atom_counts is None else tuple(self.atom_counts)
+        return marks, at_grid, counts
+
+    def _refill(self) -> None:
         if self.flow:
             return  # every letter is the flow step, letter 0
         if self.cum is not None:
-            self.block = _draw_block(rng, self.measure, self.cum)
+            self.block = _draw_block(self.rng, self.measure, self.cum)
         else:
-            self.mats = _draw_block(rng, self.measure, None)
+            self.mats = _draw_block(self.rng, self.measure, None)
             self.block = range(len(self.mats))
 
-    def run(self, j0: int, k0: int, k1: int) -> None:
+    def _segment(self, j0: int, k0: int, k1: int) -> None:
         seg = self.block[j0:j0 + k1 - k0]
         if self.atom_counts is not None:
             for j in range(len(self.atom_counts)):
@@ -194,22 +242,11 @@ class _PySegments:
         self.cartan = (ta, tb, tc, td, tlog)
         self.ret = (left_zero, first_return, n_returns, max_exc)
 
-    def position(self) -> tuple:
-        """(index, px, py, ta, tb, tc, td, tlog) after the last step."""
-        return (self.index, *self.xy, *self.cartan)
-
-    def returns(self) -> tuple[int | None, int, int]:
-        """(first return, number of returns, maximum excursion) so far."""
-        return self.ret[1:]
-
-    def counts(self) -> tuple[int, ...]:
-        return () if self.atom_counts is None else tuple(self.atom_counts)
-
 
 # ---------------------------------------------------------------------------
-# the compiled segment kernel
+# the compiled kernel
 
-_F64, _I64 = ctypes.c_double, ctypes.c_int64
+_F64, _I64, _U64 = ctypes.c_double, ctypes.c_int64, ctypes.c_uint64
 _PF64, _PI64 = ctypes.POINTER(_F64), ctypes.POINTER(_I64)
 
 
@@ -238,6 +275,12 @@ class _Walk(ctypes.Structure):
         + _fields(_I64, "state")
         + _fields(_PI64, "index counts")
         + _fields(_I64, "left_zero first_return n_returns max_exc fail_step")
+        + _fields(_PI64, "stops stop_kinds")
+        + _fields(_I64, "n_stops")
+        + _fields(_PF64, "cp_state")
+        + _fields(_PI64, "cp_index grid_returns")
+        + [("ctr", _U64 * 4), ("key", _U64 * 2), ("buffer", _U64 * 4)]
+        + _fields(_I64, "buffer_pos")
     )
 
 
@@ -259,16 +302,32 @@ def _array(ctype, rows) -> ctypes.Array:
     return (ctype * len(flat))(*flat)
 
 
-class _CShared:
-    """What the compiled segment loops of one run share: ``walk``, a
-    ``_Walk`` that holds the run's constants (the cover, the letters, the
-    orbit table, the return radius) and the start of every trajectory's
-    state.  The arrays it points at live as long as it does; the kernel only
-    reads them."""
+def _seed_words(*values: int) -> list[int]:
+    """The 32-bit words SeedSequence(values) mixes: each value's words, least
+    significant first, and [0] for a zero, as numpy's
+    ``_int_to_uint32_array`` splits them."""
+    words = []
+    for v in values:
+        if v < 0:
+            raise ValueError("expected non-negative integer")
+        words.append(v & 0xFFFFFFFF)
+        v >>= 32
+        while v:
+            words.append(v & 0xFFFFFFFF)
+            v >>= 32
+    return words
 
-    def __init__(self, system, measure, cfg, geodesic, letters, table):
-        self.block_len = _RNG_BLOCK if letters else _RNG_BLOCK // 3
-        self.flow = geodesic
+
+class _CShared:
+    """What the compiled trajectory loops of one run share: ``walk``, a
+    ``_Walk`` that holds the run's constants (the cover, the letters, the
+    orbit table, the return radius, the stops) and the start of every
+    trajectory's state.  The arrays it points at live as long as it does;
+    the kernel only reads them."""
+
+    def __init__(self, system, measure, cfg, geodesic, letters, table, stops):
+        self.master_seed = cfg.master_seed
+        self.dim = system.d
         w = self.walk = _Walk()
         w.dim = system.d
         w.n_sides = len(system.planes)
@@ -307,54 +366,61 @@ class _CShared:
             w.cosh_r = math.cosh(cfg.returns.radius)
         w.ta = w.td = 1.0
         w.first_return = -1
+        w.stops = _array(_I64, [[k for k, _ in stops]])
+        w.stop_kinds = _array(_I64, [[kind for _, kind in stops]])
+        w.n_stops = len(stops)
+        self.n_checkpoints = sum(kind & _STOP_CHECKPOINT != 0 for _, kind in stops)
+        self.n_grid = sum(kind & _STOP_GRID != 0 for _, kind in stops)
         counted = cfg.count_atoms and w.letters == _LETTERS_ATOMS
         self.n_counts = len(letters) if counted else 0
 
 
-class _CSegments:
-    """The segment loop in the compiled kernel: one ``covwalk_segment`` call
-    per segment on a ``_Walk`` that holds the trajectory's state, a copy of
-    the run's ``_CShared.walk``.  ``ctypes`` releases the GIL for each call."""
+class _CTrajectory:
+    """One trajectory on the compiled kernel: its state and its Philox
+    stream live in ``w``, a copy of the run's ``_CShared.walk``.  ``run`` is
+    one ``covwalk_trajectory`` call, for which ``ctypes`` releases the GIL;
+    the seeding and ``random`` are short calls that keep it."""
 
-    def __init__(self, shared: _CShared, p0, traj):
-        self.block_len = shared.block_len
+    def __init__(self, shared: _CShared, traj: int):
         self.shared = shared  # keeps the arrays the copy points at alive
         self.traj = traj
-        self.flow = shared.flow
-        self.u_ptr = None
         w = self.w = _Walk.from_buffer_copy(shared.walk)
+        self.ref = ctypes.byref(w)
+        words = _seed_words(shared.master_seed, traj)
+        _kernel.covwalk_seed(
+            self.ref, (ctypes.c_uint32 * len(words))(*words), len(words)
+        )
+
+    def random(self) -> float:
+        return _kernel.covwalk_random(self.ref)
+
+    def run(self, p0) -> tuple[list, list, tuple[int, ...]]:
+        shared, w = self.shared, self.w
+        dim, n_cp = shared.dim, shared.n_checkpoints
         w.a, w.b, w.c, w.d = p0.rep.rep.as_tuple()
         w.px, w.py = w.sx, w.sy = base_xy(w.a, w.b, w.c, w.d)
-        w.index = self.index = _array(_I64, [p0.index])
-        self.atom_counts = None
-        if shared.n_counts:
-            w.counts = self.atom_counts = (_I64 * shared.n_counts)()
-        self.ref = ctypes.byref(w)
-        self.segment = _kernel.covwalk_segment
-
-    def refill(self, rng: np.random.Generator) -> None:
-        if not self.flow:
-            # kept referenced while the kernel reads it
-            self.u = np.ascontiguousarray(rng.random(_RNG_BLOCK), np.float64)
-            self.u_ptr = self.u.ctypes.data
-
-    def run(self, j0: int, k0: int, k1: int) -> None:
-        code = self.segment(self.ref, self.u_ptr, j0, k0, k1)
+        # w keeps the arrays it points at alive
+        w.index = _array(_I64, [p0.index])
+        counts = None
+        if shared.n_counts:  # NULL otherwise: the kernel counts no atoms
+            w.counts = counts = (_I64 * shared.n_counts)()
+        w.cp_state = cp_state = (_F64 * (6 * n_cp))()
+        w.cp_index = cp_index = (_I64 * (dim * n_cp))()
+        w.grid_returns = grid = (_I64 * (3 * shared.n_grid))()
+        code = _kernel.covwalk_trajectory(self.ref)
         if code:
             exc, what = _KERNEL_ERRORS[code]
-            raise exc(f"trajectory {self.traj} step {self.w.fail_step}: {what}")
-
-    def position(self) -> tuple:
-        w = self.w
-        return (tuple(self.index), w.px, w.py, w.ta, w.tb, w.tc, w.td, w.tlog)
-
-    def returns(self) -> tuple[int | None, int, int]:
-        w = self.w
-        first = w.first_return
-        return (None if first < 0 else first, w.n_returns, w.max_exc)
-
-    def counts(self) -> tuple[int, ...]:
-        return () if self.atom_counts is None else tuple(self.atom_counts)
+            raise exc(f"trajectory {self.traj} step {w.fail_step}: {what}")
+        state, ix, g = cp_state[:], cp_index[:], grid[:]
+        marks = [
+            (tuple(ix[i * dim:i * dim + dim]), *state[6 * i:6 * i + 6])
+            for i in range(n_cp)
+        ]
+        at_grid = [
+            (None if g[i] < 0 else g[i], g[i + 1], g[i + 2])
+            for i in range(0, len(g), 3)
+        ]
+        return marks, at_grid, () if counts is None else tuple(counts)
 
 
 _KERNEL_SOURCE = os.path.join(
@@ -443,11 +509,20 @@ def _open_library(path: str, key: str) -> ctypes.CDLL | None:
         if (lib.covwalk_kernel_key() != key.encode()
                 or lib.covwalk_walk_size() != ctypes.sizeof(_Walk)):
             return None
-        segment = lib.covwalk_segment
+        trajectory = lib.covwalk_trajectory
+        # the short calls keep the GIL: a release per call would let the
+        # threads of a run switch at each one
+        held = ctypes.PyDLL(path)
+        lib.covwalk_seed, lib.covwalk_random = held.covwalk_seed, held.covwalk_random
     except (OSError, AttributeError):
         return None
-    segment.argtypes = [ctypes.POINTER(_Walk), ctypes.c_void_p, _I64, _I64, _I64]
-    segment.restype = ctypes.c_int
+    walk_p = ctypes.POINTER(_Walk)
+    trajectory.argtypes = [walk_p]
+    trajectory.restype = ctypes.c_int
+    lib.covwalk_seed.argtypes = [walk_p, ctypes.POINTER(ctypes.c_uint32), _I64]
+    lib.covwalk_seed.restype = None
+    lib.covwalk_random.argtypes = [walk_p]
+    lib.covwalk_random.restype = _F64
     return lib
 
 

@@ -16,16 +16,17 @@ and reduces with no cache, step for step as ``CoverSystem.apply_step``.
 ``COVWALK_THREADS`` threads of one process (``worker_count``).
 
 Randomness is counter-based and splittable: trajectory k of a run seeded
-with s draws from Philox keyed by SeedSequence([s, k]), so runs are
-bit-reproducible under any scheduling of trajectories.  The threads of a run
-share only what ``_Run`` builds before they start, and read it; each
-trajectory owns its generator, its start and its segment loop's state.
+with s draws from Philox keyed by SeedSequence([s, k]) (``trajectory_rng``),
+so runs are bit-reproducible under any scheduling of trajectories.  The
+threads of a run share only what ``_Run`` builds before they start, and
+read it; each trajectory owns its stream, its start and its loop's state.
 
-A run advances in segments, which end at checkpoints, at return grid points
-and at the end of a block of uniforms.  ``simulate_trajectory`` does what
-lies between them; the steps of a segment run in the compiled C kernel, or
-in its Python reference where the kernel cannot be built (``segments``,
-imported when a run starts, so that importing this module builds nothing).
+``simulate_trajectory`` draws a Haar start from the trajectory's stream,
+reduces it, and turns the state its loop reports at each checkpoint into a
+record.  The loop walks every step in the compiled C kernel, which draws the
+same stream in C, or in its Python reference where the kernel cannot be
+built (``segments``, imported when a run starts, so that importing this
+module builds nothing).
 The greedy descent tries ``CoverSystem.fast_unwind`` on its iterations 7,
 15, 23, ... (``cover.UNWIND_MASK``): descent depth has the 1/x tail of the
 Haar cusp law, so a Haar start spends a good share of its pairings in cusp
@@ -299,8 +300,9 @@ class _Run:
     """What the trajectories of one run share, built before any of its
     threads starts and only read after: the Haar sampler's parts (a
     ``cached_property`` of the system, filled here), a fixed start's reduced
-    point and orbit table, and the segment loops with their constant arrays
-    (``segments.segment_loops``)."""
+    point and orbit table, the checkpoint and return grid steps, and the
+    trajectory loops with their constant arrays
+    (``segments.trajectory_loops``)."""
 
     def __init__(self, system: CoverSystem, measure: MeasureSpec | None,
                  cfg: WalkConfig, geodesic: bool) -> None:
@@ -323,10 +325,19 @@ class _Run:
             # never reused
             if letters:
                 self.table = system.orbit_table(x0, letters, ENGINE_ORBIT_STATES)
+        n = cfg.steps
+        # a run of no steps records its start
+        self.checkpoints = cfg.checkpoints.steps(n) or [0]
+        self.grid: list[int] = []
+        if cfg.returns is not None:
+            self.grid = sorted(cfg.returns.grid) if cfg.returns.grid else [n]
+            if self.grid[-1] != n:
+                self.grid.append(n)
         from . import segments
 
-        self.loop = segments.segment_loops(
-            system, measure, cfg, geodesic, letters, self.table
+        self.loop = segments.trajectory_loops(
+            system, measure, cfg, geodesic, letters, self.table,
+            self.checkpoints, self.grid,
         )
 
 
@@ -348,97 +359,56 @@ def simulate_trajectory(
     """
     if run is None:
         run = _Run(system, measure, cfg, geodesic)
-    rng = trajectory_rng(cfg.master_seed, traj)
     n = cfg.steps
-
+    loop = run.loop(traj)
     p0 = run.start
     if p0 is None:
         p0 = system.start_point(fuchsian.haar_sample(
-            system.polygon, system.cusps, system.pres, rng, run.haar_parts
+            system.polygon, system.cusps, system.pres, loop, run.haar_parts
         ))
-    start_rep = p0.rep.rep.as_tuple()
-    segs = run.loop(p0, traj)
-
-    cps = cfg.checkpoints.steps(n)
-    ret = cfg.returns
-    grid: list[int] = []
-    if ret is not None:
-        grid = sorted(ret.grid) if ret.grid else [n]
-        if grid[-1] != n:
-            grid.append(n)
-    # the segment loop (see the module docstring); steps b0 + 1 .. bend take
-    # their letters from the current block
-    cp_set = set(cps)
-    records: list[CheckpointRecord] = []
-    at_grid: dict[int, tuple[int | None, int, int]] = {}
-    k = b0 = bend = 0
-    for end in sorted(cp_set.union(grid)):
-        while k < end:
-            if k == bend:
-                segs.refill(rng)
-                b0, bend = k, k + segs.block_len
-            stop = min(end, bend)
-            segs.run(k - b0, k, stop)
-            k = stop
-        if ret is not None:
-            at_grid[k] = segs.returns()
-        if k in cp_set:
-            records.append(_checkpoint(
-                system, traj, k, *segs.position(), geodesic, cfg.dt
-            ))
+    marks, at_grid, counts = loop.run(p0)
+    records = [
+        _checkpoint(traj, k, *mark, geodesic, cfg.dt)
+        for k, mark in zip(run.checkpoints, marks)
+    ]
 
     rstats = None
-    if ret is not None:
-        first_return, n_returns, _ = segs.returns()
-        before = [0] + [at_grid[g][1] for g in grid[:-1]]
+    if cfg.returns is not None:
+        first_return, n_returns, _ = at_grid[-1]
+        before = [0] + [r[1] for r in at_grid[:-1]]
         rstats = ReturnStats(
             first_return=first_return,
             n_returns=n_returns,
             returned_by=tuple(
-                (g, first_return is not None and first_return <= g) for g in grid
+                (g, first_return is not None and first_return <= g) for g in run.grid
             ),
             window_returns=tuple(
-                (g, at_grid[g][1] - b) for g, b in zip(grid, before)
+                (g, r[1] - b) for g, r, b in zip(run.grid, at_grid, before)
             ),
-            max_excursion_by=tuple((g, float(at_grid[g][2])) for g in grid),
+            max_excursion_by=tuple((g, float(r[2])) for g, r in zip(run.grid, at_grid)),
         )
 
-    idx = segs.position()[0]
+    idx = records[-1].index
     tt = (n * cfg.dt if geodesic else n) or 1  # a run of no steps has drift 0
-    if n == 0:
-        records = [
-            CheckpointRecord(
-                traj=traj,
-                n=0.0 if geodesic else 0,
-                index=idx,
-                drift=tuple(0.0 for _ in idx),
-                cusp_height=fuchsian.cusp_height(
-                    system.cusps, *segs.position()[1:3]
-                ),
-                cartan_t=0.0,
-            )
-        ]
     summary = TrajectorySummary(
         traj=traj,
         steps=n,
         final_index=idx,
         terminal_drift=tuple(v / tt for v in idx),
-        cartan_t=records[-1].cartan_t if records else 0.0,
-        start_rep=start_rep,
+        cartan_t=records[-1].cartan_t,
+        start_rep=p0.rep.rep.as_tuple(),
         returns=rstats,
-        atom_counts=segs.counts(),
+        atom_counts=counts,
         orbit_states=None if run.table is None else len(run.table.reps),
     )
     return TrajectoryResult(records=tuple(records), summary=summary)
 
 
 def _checkpoint(
-    system: CoverSystem,
     traj: int,
     k: int,
     idx: IntVec,
-    px: float,
-    py: float,
+    cusp_height: float,
     ta: float,
     tb: float,
     tc: float,
@@ -447,8 +417,8 @@ def _checkpoint(
     geodesic: bool,
     dt: float,
 ) -> CheckpointRecord:
-    """The record after step k at base point (px, py); the Cartan product is
-    (ta, tb, tc, td) times e^tlog (flow runs use the flow time instead)."""
+    """The record after step k; the Cartan product is (ta, tb, tc, td)
+    times e^tlog (flow runs use the flow time instead)."""
     tt = k * dt if geodesic else k
     if geodesic:
         cart = tt
@@ -461,8 +431,8 @@ def _checkpoint(
         traj=traj,
         n=tt,
         index=idx,
-        drift=tuple(v / tt for v in idx),
-        cusp_height=fuchsian.cusp_height(system.cusps, px, py),
+        drift=tuple(v / (tt or 1) for v in idx),  # the start has drift 0
+        cusp_height=cusp_height,
         cartan_t=cart,
     )
 
@@ -503,7 +473,7 @@ def run_trajectories(
     The trajectories are dealt round robin over min(workers, trajectories)
     threads (``worker_count()`` when workers is None): the calling thread
     runs the first block, and a daemon thread each other one.  The compiled
-    kernel releases the GIL for every segment, so the threads run at once;
+    kernel releases the GIL for every trajectory, so the threads run at once;
     on the Python fallback they take turns.  Per-trajectory seeding makes
     the merged output identical to the one-thread run.  A thread stops its
     block at its first failing trajectory, and the run raises the failure of

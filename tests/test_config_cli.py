@@ -9,6 +9,12 @@ import sys
 import numpy as np
 import pytest
 
+import csv
+import io
+from types import SimpleNamespace
+
+from hypothesis import given, settings, strategies as st
+
 import covwalk
 from covwalk import cli
 from covwalk import config as CFG
@@ -199,6 +205,7 @@ WALK_BOUNDS = {
     "return-grid-zero": (RECURRENCE, "return_grid", "0 3000"),
     "return-grid-past-steps": (RECURRENCE, "return_grid", "1000 5000"),
     "return-grid-repeated": (RECURRENCE, "return_grid", "1000 1000"),
+    "seed-negative": (DRIFT_HALF, "seed", "-1"),
 }
 
 
@@ -370,6 +377,23 @@ class TestRunCommands:
             "workers": min(W.worker_count(), 20),
         }
 
+    def test_wide_seed_runs_on_both_kernels(self, tmp_path, monkeypatch):
+        # a seed of three 32-bit words: SeedSequence mixes all of them
+        cfgp = tmp_path / "exp.cfg"
+        cfgp.write_text(with_value(ALL_REPORTS, "seed", str(2**64 + 5)))
+        kernels = ["c", "python"] if S.load_kernel() == "c" else ["python"]
+        outputs = []
+        for kernel in kernels:
+            if kernel == "python":
+                monkeypatch.setattr(S, "_kernel", False)
+            out = tmp_path / kernel
+            code, _ = run_cli("walk", "run", "--config", str(cfgp), "--out", str(out))
+            assert code == 0
+            outputs.append([(out / f).read_bytes() for f in ("records.csv", "records.jsonl")])
+        assert all(o == outputs[0] for o in outputs)
+        summary = json.loads((tmp_path / kernels[0] / "summary.json").read_text())
+        assert f"seed = {2**64 + 5}" in summary["config"]
+
     def test_mode_mismatch(self, tmp_path):
         cfgp = tmp_path / "exp.cfg"
         cfgp.write_text(DRIFT_HALF)
@@ -435,6 +459,78 @@ class TestRunCommands:
         assert "runtime error: need at least" in printed
         assert "Traceback" not in printed
         assert not out.exists()
+
+
+def old_records_csv(results, d: int) -> str:
+    """records.csv as csv.writer wrote it before the one-pass writer."""
+    out = io.StringIO()
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow(
+        ["traj", "n"]
+        + [f"k{i+1}" for i in range(d)]
+        + [f"drift{i+1}" for i in range(d)]
+        + ["cusp_height", "cartan_t"]
+    )
+    for res in results:
+        for r in res.records:
+            w.writerow(
+                [r.traj, repr(r.n) if isinstance(r.n, float) else r.n]
+                + list(r.index)
+                + [repr(v) for v in r.drift]
+                + [repr(r.cusp_height), repr(r.cartan_t)]
+            )
+    return out.getvalue()
+
+
+def old_records_jsonl(results) -> str:
+    """records.jsonl as one json.dumps per row wrote it."""
+    lines = []
+    for res in results:
+        for r in res.records:
+            h = r.cusp_height if math.isfinite(r.cusp_height) else None
+            lines.append(json.dumps(
+                {"traj": r.traj, "n": r.n, "index": list(r.index),
+                 "drift": list(r.drift), "cusp_height": h, "cartan_t": r.cartan_t},
+                separators=(",", ":"),
+            ))
+    return "\n".join(lines) + "\n"
+
+
+FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, 5e-324]),
+)
+INDICES = st.one_of(st.integers(-2**62, 2**62),
+                    st.sampled_from([2**53, 2**53 + 1, -2**53 - 1, 2**62 - 1]))
+
+
+@st.composite
+def record_sets(draw):
+    d = draw(st.integers(1, 2))
+    flow = draw(st.booleans())
+    results = []
+    for traj in range(draw(st.integers(0, 3))):
+        records = []
+        for _ in range(draw(st.integers(1, 3))):
+            n = draw(st.floats(0.0, 1e6)) if flow else draw(st.integers(0, 10**6))
+            records.append(W.CheckpointRecord(
+                traj=traj, n=n,
+                index=tuple(draw(INDICES) for _ in range(d)),
+                drift=tuple(draw(FLOATS) for _ in range(d)),
+                cusp_height=draw(FLOATS), cartan_t=draw(FLOATS),
+            ))
+        results.append(SimpleNamespace(records=tuple(records)))
+    return d, results
+
+
+class TestRecordsText:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(record_sets())
+    def test_same_bytes_as_the_two_writers(self, case):
+        d, results = case
+        assert cli._records_text(results, d) == (
+            old_records_csv(results, d), old_records_jsonl(results)
+        )
 
 
 class TestFitCommand:
@@ -556,7 +652,8 @@ class TestEntryPoint:
 
     def test_threaded_run_leaves_numpy_ma_and_process_pools_out(self, tmp_path):
         # a walk run at two threads, with every report that takes a median
-        # or a quantile; np.median and np.quantile import numpy.ma
+        # or a quantile; np.median and np.quantile import numpy.ma.  On the
+        # C kernel the run imports no numpy.random either
         cfgp = tmp_path / "exp.cfg"
         cfgp.write_text(ALL_REPORTS)
         env = src_env()
@@ -566,14 +663,18 @@ class TestEntryPoint:
              "import sys, covwalk.cli as c; "
              f"code = c.main(['walk', 'run', '--config', {str(cfgp)!r}, "
              f"'--out', {str(tmp_path / 'o')!r}]); "
-             "print(code, *(m in sys.modules for m in "
-             "('numpy.ma', 'concurrent.futures', 'multiprocessing')))"],
+             "print(code, c.segments.load_kernel(), *(m in sys.modules for m in "
+             "('numpy.ma', 'concurrent.futures', 'multiprocessing', "
+             "'numpy.random')))"],
             capture_output=True,
             text=True,
             env=env,
         )
         assert res.returncode == 0, res.stderr
-        assert res.stdout.split()[-4:] == ["0", "False", "False", "False"]
+        code, kernel, *imported = res.stdout.split()[-6:]
+        assert code == "0"
+        # the C kernel draws the uniforms; only the Python one uses numpy's
+        assert imported == ["False", "False", "False", str(kernel != "c")]
         summary = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert set(summary["analysis"]) == {"drift", "cauchy", "accumulation", "recurrence"}
 

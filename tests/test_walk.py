@@ -773,22 +773,71 @@ class TestBlockDraws:
     @pytest.mark.parametrize("start", ["base", "generic"])
     def test_draw_past_last_weight(self, torus_d1, monkeypatch, start):
         # the weights sum to 1 - 1e-13, within measure_from_atoms' tolerance;
-        # a uniform above that sum still lands on the last atom
+        # a uniform above that sum still lands on the last atom.  Every
+        # uniform of the walk is 1 - 2**-53: on the Python kernel a constant
+        # stream stands in for the trajectory's generator, and on the C
+        # kernel the stream's four-word buffer is filled with 2**64 - 1,
+        # which draws that uniform, so the walk takes four steps
         gm = torus_d1.pres.gen_map()
         mu = W.measure_from_atoms([(gm["g1"], 0.5), (gm["g2"], 0.5 - 1e-13)])
         tangent = H.BASE_TANGENT if start == "base" else H.UnitTangent(
             H.compose(H.translation(0.37), H.rotation(1.234)))
         monkeypatch.setattr(W, "trajectory_rng",
                             lambda seed, traj: _ConstantStream(1.0 - 2.0**-53))
-        cfg = W.WalkConfig(steps=300, trajectories=1,
-                           checkpoints=W.CheckpointPlan(stride=100),
+        seeded = S._CTrajectory.__init__
+
+        def top_words(self, *args):
+            seeded(self, *args)
+            self.w.buffer[:] = [2**64 - 1] * 4
+            self.w.buffer_pos = 0
+
+        monkeypatch.setattr(S._CTrajectory, "__init__", top_words)
+        cfg = W.WalkConfig(steps=4, trajectories=1,
+                           checkpoints=W.CheckpointPlan(stride=2),
                            start=W.StartSpec(mode="fixed", tangent=tangent),
                            count_atoms=True)
-        res = W.simulate_trajectory(torus_d1, mu, cfg, 0)
-        assert (res.summary.orbit_states is None) == (start == "generic")
-        assert res.summary.atom_counts == (0, 300)
-        if start == "base":
-            assert res.summary.final_index == (300,)
+
+        def walk():
+            return W.simulate_trajectory(torus_d1, mu, cfg, 0)
+
+        kernels = on_both_kernels(walk) if S.load_kernel() == "c" else (walk(),)
+        for res in kernels:
+            assert (res.summary.orbit_states is None) == (start == "generic")
+            assert res.summary.atom_counts == (0, 4)
+            if start == "base":
+                assert res.summary.final_index == (4,)
+
+
+# integers on both sides of each 32-bit word boundary up to 2**96, and wide ones
+SEED_WORDS = st.one_of(
+    st.integers(0, 3),
+    st.builds(lambda e, off: max(0, 2**e + off),
+              st.sampled_from([32, 64, 96]), st.integers(-3, 3)),
+    st.integers(0, 2**200),
+)
+
+
+@pytest.mark.usefixtures("kernel")
+class TestStream:
+    """The C kernel's uniforms against numpy's Generator(Philox(SeedSequence
+    ([seed, traj]))): the Haar sampler's scalar draws, then a block."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=SEED_WORDS, traj=SEED_WORDS, scalars=st.integers(0, 9),
+           block=st.integers(1, 4099).filter(lambda n: n % 4))
+    def test_matches_trajectory_rng(self, gamma2_d1, seed, traj, scalars, block):
+        cfg = W.WalkConfig(steps=10, trajectories=1, master_seed=seed)
+        loop = W._Run(gamma2_d1, W.parametric_measure(0.5, 1.5), cfg, False).loop(traj)
+        rng = W.trajectory_rng(seed, traj)
+        want = [rng.random() for _ in range(scalars)] + rng.random(block).tolist()
+        got = [loop.random() for _ in range(scalars + block)]
+        assert np.array_equal(np.array(got).view(np.uint64),
+                              np.array(want).view(np.uint64))
+
+    def test_negative_seed_refused(self):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            S._seed_words(5, -1)
+        assert S._seed_words(0, 2**32, 2**64 + 5) == [0, 0, 1, 5, 0, 1]
 
 
 @pytest.mark.usefixtures("kernel")
