@@ -55,7 +55,7 @@ enum {
 
 enum { STOP_CHECKPOINT = 1, STOP_GRID = 2 };
 
-#define RNG_BLOCK 4096             /* uniforms per block: segments._RNG_BLOCK */
+#define RNG_BLOCK 4096             /* uniforms per block: _pykernel._RNG_BLOCK */
 #define INDEX_LIMIT (INT64_C(1) << 62)
 #define TWO_PI 6.283185307179586
 #define MATH_E 2.718281828459045

@@ -13,8 +13,7 @@ import math
 import os
 import sys
 import tempfile
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
 from . import config as config_mod
@@ -24,6 +23,9 @@ from . import hyp2
 from . import segments
 from . import stats as stats_mod
 from . import walk as walk_mod
+
+if TYPE_CHECKING:
+    import numpy
 
 
 # Every config command exits 2 on a config, lattice or cover that cannot be
@@ -89,7 +91,7 @@ def _records_text(results, d: int) -> tuple[str, str]:
 
 def _summary(bundle, results, extra: dict) -> dict:
     cfg = bundle.config
-    drifts = np.array([r.summary.terminal_drift for r in results])
+    drifts = [r.summary.terminal_drift for r in results]
     summary = {
         "build": {"package": "covwalk", "version": __version__},
         "config_hash": config_mod.config_hash(cfg),
@@ -101,10 +103,10 @@ def _summary(bundle, results, extra: dict) -> dict:
         "trajectories": len(results),
         "steps": cfg.steps,
         "mode": cfg.mode,
-        "drift_mean": [float(v) for v in drifts.mean(axis=0)],
-        "drift_abs_median": [
-            float(v) for v in stats_mod.quantile(np.abs(drifts))
-        ],
+        "drift_mean": stats_mod._column_means(drifts),
+        "drift_abs_median": stats_mod.quantile(
+            [[abs(v) for v in row] for row in drifts]
+        ),
     }
     summary.update(extra)
     return summary
@@ -195,7 +197,7 @@ def _analysis(bundle, results) -> dict:
             "complement_threshold": rep.complement_threshold,
             "frac_span_above": rep.frac_span_above,
             "frac_complement_below": rep.frac_complement_below,
-            "median_total_range": float(stats_mod.quantile(rep.total_range)),
+            "median_total_range": stats_mod.quantile(rep.total_range),
         }
     return out
 
@@ -360,8 +362,11 @@ def cmd_lyapunov(args) -> int:
     return 0
 
 
-def _read_samples(path: str, column: str | None) -> np.ndarray:
+def _read_samples(path: str, column: str | None) -> numpy.ndarray:
     import csv  # a run writes its records without it
+
+    import numpy as np
+
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline()
         fh.seek(0)
@@ -494,6 +499,8 @@ def cmd_report(args) -> int:
     _atomic_write(os.path.join(args.dir, "dashboard.txt"), text + "\n")
 
     # gnuplot-ready drift ECDFs next to each records.csv
+    import numpy as np
+
     for p, _ in summaries:
         d = os.path.dirname(p)
         csv_path = os.path.join(d, "records.csv")

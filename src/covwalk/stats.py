@@ -6,6 +6,15 @@ the one-sample Kolmogorov-Smirnov distance against the fitted CDF, and the
 tail index by the Hill estimator on the top order statistics of the absolute
 centered sample.  A maximum-likelihood scale is available as a cross-check
 but the quantile estimators are the primary ones.
+
+What a walk or geodesic run computes (the drift and recurrence summaries,
+the Cauchy fit, the accumulation diagnostic) is plain Python, so a run
+imports no numpy.  Where these replace a numpy expression they keep its
+bits: a mean sums as numpy's pairwise ``np.sum`` does (``_pairwise_sum``,
+``_column_means``).  The Kolmogorov-Smirnov distance and the Hill estimator
+take ``math.atan`` and ``math.log``, which may differ from numpy's vectorized
+ones in the last bit.  ``cauchy_scale_mle`` and ``gaussian_fit`` import numpy
+when they are called.
 """
 
 from __future__ import annotations
@@ -14,12 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
 from . import hyp2
-from . import fuchsian
 from .cover import CoverSystem, IntVec
-from .hyp2 import GroupElement
 from .walk import MeasureSpec, TrajectoryResult
 
 
@@ -27,15 +32,77 @@ class DegenerateSamplesError(ValueError):
     """The sample has no spread where spread is required."""
 
 
-class NonIntegrableConfigurationError(RuntimeError):
-    """The requested mean does not exist: an unfolded cusp makes the index
-    change non-integrable against the Haar measure."""
+# numpy's pairwise summation: blocks of at most this many terms are summed in
+# eight interleaved accumulators
+_PAIRWISE_BLOCK = 128
 
 
-def quantile(x, q: float | None = None) -> np.ndarray:
+def _pairwise(x: Sequence[float], lo: int, n: int) -> float:
+    """numpy's ``pairwise_sum`` of x[lo:lo + n]."""
+    if n < 8:
+        res = -0.0
+        for i in range(lo, lo + n):
+            res += x[i]
+        return res
+    if n <= _PAIRWISE_BLOCK:
+        r0, r1, r2, r3, r4, r5, r6, r7 = x[lo:lo + 8]
+        end = lo + n - n % 8
+        for i in range(lo + 8, end, 8):
+            r0 += x[i]
+            r1 += x[i + 1]
+            r2 += x[i + 2]
+            r3 += x[i + 3]
+            r4 += x[i + 4]
+            r5 += x[i + 5]
+            r6 += x[i + 6]
+            r7 += x[i + 7]
+        res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for i in range(end, lo + n):
+            res += x[i]
+        return res
+    n2 = n // 2
+    n2 -= n2 % 8
+    return _pairwise(x, lo, n2) + _pairwise(x, lo + n2, n - n2)
+
+
+def _pairwise_sum(x: Sequence[float]) -> float:
+    """``np.sum`` of a 1-D float64 array, bit for bit: numpy adds the pairwise
+    sum to the reduction's identity 0.0."""
+    return 0.0 + _pairwise(x, 0, len(x))
+
+
+def _column_means(rows: Sequence[Sequence[float]]) -> list[float]:
+    """``np.mean(rows, axis=0)`` of K rows of d floats, bit for bit.  A column
+    of a (K, 1) array is summed pairwise; with d >= 2 numpy adds the rows in
+    order.  Each sum is divided by K."""
+    k = len(rows)
+    cols = list(zip(*rows))
+    if len(cols) == 1:
+        return [_pairwise_sum(cols[0]) / k]
+    means = []
+    for col in cols:
+        s = 0.0
+        for v in col:
+            s += v
+        means.append(s / k)
+    return means
+
+
+def _max(values: Iterable[float]) -> float:
+    """``np.max``: a NaN among the values gives NaN."""
+    values = list(values)
+    return math.nan if any(v != v for v in values) else max(values)
+
+
+def _ptp(values: Sequence[float]) -> float:
+    """``np.ptp``: the max minus the min, NaN where a value is NaN."""
+    return _max(values) - min(values)
+
+
+def quantile(x, q: float | None = None):
     """``np.quantile(x, q, axis=0)`` (the linear method), or with q None
-    ``np.median(x, axis=0)``, bit for bit, without the ``numpy.ma`` import
-    those make on their first call (about 11 ms of a CLI run).
+    ``np.median(x, axis=0)``, bit for bit, in plain Python: a float for a
+    sample of numbers, a list of floats, one per column, for a sample of rows.
 
     The sample is sorted along axis 0.  Quantile q lies at (n - 1) q between
     order statistics a and b, at fraction t, and is a + (b - a) t for
@@ -43,48 +110,52 @@ def quantile(x, q: float | None = None) -> np.ndarray:
     median of an even count is (a + b) / 2 of the middle two, as np.mean
     forms it; note that it can differ from quantile 1/2 in the last bit.  A
     column that holds a NaN gives a NaN."""
-    s = np.sort(np.asarray(x, dtype=float), axis=0)
+    rows = list(x)
+    if rows and hasattr(rows[0], "__len__"):
+        return [_quantile(col, q) for col in zip(*rows)]
+    return _quantile(rows, q)
+
+
+def _quantile(col: Iterable, q: float | None) -> float:
+    s = sorted(map(float, col))
+    for v in s:
+        if v != v:
+            return v
     n = len(s)
     if q is None:
         h = n // 2
-        out = s[h] if n % 2 else (s[h - 1] + s[h]) / 2
-    else:
-        v = (n - 1) * q
-        i = min(math.floor(v), n - 1)
-        a, b = s[i], s[min(i + 1, n - 1)]
-        t = v - i
-        out = a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
-    nan = np.isnan(s[-1])
-    return np.where(nan, s[-1], out) if nan.any() else out
+        return s[h] if n % 2 else (s[h - 1] + s[h]) / 2
+    v = (n - 1) * q
+    i = min(math.floor(v), n - 1)
+    a, b = s[i], s[min(i + 1, n - 1)]
+    t = v - i
+    return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
 
 
-def ks_distance(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
-    """One-sample Kolmogorov-Smirnov statistic against a given CDF."""
-    x = np.sort(np.asarray(samples, dtype=float))
+def ks_distance(samples: Sequence[float], cdf: Callable[[float], float]) -> float:
+    """One-sample Kolmogorov-Smirnov statistic against a CDF of one float."""
+    x = sorted(map(float, samples))
     n = len(x)
-    f = cdf(x)
-    up = np.arange(1, n + 1) / n
-    lo = np.arange(0, n) / n
-    return float(max(np.max(up - f), np.max(f - lo)))
+    f = [cdf(t) for t in x]
+    up = _max([(i + 1) / n - fi for i, fi in enumerate(f)])
+    lo = _max([fi - i / n for i, fi in enumerate(f)])
+    return float(max(up, lo))
 
 
 def hill_tail_index(samples: Sequence[float], center: float | None = None) -> float:
     """Hill estimator of the tail index on the top 5% (at least 10) order
     statistics of the absolute centered sample.  Cauchy data gives roughly 1,
     Gaussian data a much larger value."""
-    x = np.asarray(samples, dtype=float)
+    x = list(map(float, samples))
     if center is None:
-        center = float(quantile(x))
-    a = np.abs(x - center)
-    a = a[a > 0]
-    a.sort()
+        center = quantile(x)
+    a = sorted(t for t in (abs(v - center) for v in x) if t > 0)
     n = len(a)
     k = max(10, int(0.05 * n))
     if n < k + 1:
         raise DegenerateSamplesError("not enough nonzero samples for a tail")
-    top = a[n - k:]
     ref = a[n - k - 1]
-    h = float(np.mean(np.log(top / ref)))
+    h = _pairwise_sum([math.log(t / ref) for t in a[n - k:]]) / k
     if h <= 0:
         raise DegenerateSamplesError("degenerate order statistics in the tail")
     return 1.0 / h
@@ -101,16 +172,15 @@ class CauchyFit:
 
 def cauchy_fit(samples: Sequence[float]) -> CauchyFit:
     """Median / half-IQR fit of a centered-Cauchy-type sample."""
-    x = np.asarray(samples, dtype=float)
+    x = list(map(float, samples))
     if len(x) < 100:
         raise DegenerateSamplesError(f"need at least 100 samples, got {len(x)}")
-    loc = float(quantile(x))
+    loc = quantile(x)
     q1, q3 = quantile(x, 0.25), quantile(x, 0.75)
-    c = float(0.5 * (q3 - q1))
+    c = 0.5 * (q3 - q1)
     if c <= 0:
         raise DegenerateSamplesError("interquartile range is zero")
-    cdf = lambda t: 0.5 + np.arctan((t - loc) / c) / math.pi
-    ks = ks_distance(x, cdf)
+    ks = ks_distance(x, lambda t: 0.5 + math.atan((t - loc) / c) / math.pi)
     tail = hill_tail_index(x, center=loc)
     return CauchyFit(location=loc, scale=c, ks_distance=ks, tail_index=tail, n=len(x))
 
@@ -120,8 +190,10 @@ def cauchy_scale_mle(samples: Sequence[float], location: float | None = None) ->
 
     Solves (1/n) sum c^2/(c^2 + (x-m)^2) = 1/2 by bisection; the left side is
     increasing in c."""
+    import numpy as np
+
     x = np.asarray(samples, dtype=float)
-    m = float(quantile(x)) if location is None else location
+    m = quantile(x) if location is None else location
     r2 = (x - m) ** 2
     lo, hi = 1e-12, float(np.max(np.abs(x - m))) + 1.0
 
@@ -147,6 +219,8 @@ class GaussianFit:
 
 
 def gaussian_fit(samples: Sequence[float]) -> GaussianFit:
+    import numpy as np
+
     x = np.asarray(samples, dtype=float)
     if len(x) < 3:
         raise DegenerateSamplesError("need at least 3 samples")
@@ -154,72 +228,9 @@ def gaussian_fit(samples: Sequence[float]) -> GaussianFit:
     sd = float(x.std(ddof=1))
     if sd <= 0:
         raise DegenerateSamplesError("zero standard deviation")
-    from math import erf, sqrt
-
-    def cdf(t: np.ndarray) -> np.ndarray:
-        z = (t - mean) / (sd * math.sqrt(2.0))
-        return 0.5 * (1.0 + np.vectorize(erf)(z))
-
-    ks = ks_distance(x, cdf)
+    scale = sd * math.sqrt(2.0)
+    ks = ks_distance(x, lambda t: 0.5 * (1.0 + math.erf((t - mean) / scale)))
     return GaussianFit(mean=mean, sd=sd, ks_distance=ks, n=len(x))
-
-
-# ---------------------------------------------------------------------------
-# Haar mean of the one-step index change
-
-@dataclass(frozen=True)
-class HaarMeanResult:
-    mean: tuple[float, ...]
-    se: tuple[float, ...]
-    ci_lo: tuple[float, ...]
-    ci_hi: tuple[float, ...]
-    n: int
-
-
-def haar_mean_sigma(
-    g: GroupElement,
-    n_samples: int,
-    system: CoverSystem,
-    rng,
-    n_boot: int = 400,
-) -> HaarMeanResult:
-    """Monte Carlo mean of the one-step index change from Haar-random starts,
-    with a bootstrap confidence interval.  Refuses when any cusp is unfolded:
-    the index change then has an exact Cauchy-type non-integrable tail and the
-    mean does not exist (identity increments are exactly zero and are allowed
-    regardless)."""
-    if hyp2.psl_distance(g, hyp2.IDENTITY) <= 1e-12:
-        z = (0.0,) * system.d
-        return HaarMeanResult(mean=z, se=z, ci_lo=z, ci_hi=z, n=n_samples)
-    if any(system.spec.unfolded):
-        raise NonIntegrableConfigurationError(
-            "an unfolded cusp makes the one-step index change non-integrable"
-        )
-    parts = system.haar_parts
-    vals = np.empty((n_samples, system.d), dtype=float)
-    for i in range(n_samples):
-        x = fuchsian.haar_sample(
-            system.polygon, system.cusps, system.pres, rng, parts
-        )
-        p = system.start_point(x)
-        q = system.apply_step(p, g)
-        vals[i] = q.index
-    mean = vals.mean(axis=0)
-    se = vals.std(axis=0, ddof=1) / math.sqrt(n_samples)
-    boots = np.empty((n_boot, system.d))
-    n = n_samples
-    for b in range(n_boot):
-        pick = rng.integers(0, n, n)
-        boots[b] = vals[pick].mean(axis=0)
-    lo = quantile(boots, 0.0015)
-    hi = quantile(boots, 0.9985)
-    return HaarMeanResult(
-        mean=tuple(map(float, mean)),
-        se=tuple(map(float, se)),
-        ci_lo=tuple(map(float, lo)),
-        ci_hi=tuple(map(float, hi)),
-        n=n,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +240,6 @@ def haar_mean_sigma(
 class DriftSummary:
     per_trajectory: tuple[tuple[float, ...], ...]
     mean: tuple[float, ...]
-    covariance: tuple[tuple[float, ...], ...]
     target: tuple[float, ...] | None
     max_dev_from_target: float | None
 
@@ -238,23 +248,23 @@ def drift_summary(
     results: Iterable[TrajectoryResult],
     target: Sequence[float] | None = None,
 ) -> DriftSummary:
-    drifts = np.array([r.summary.terminal_drift for r in results], dtype=float)
-    if drifts.size == 0:
+    """The terminal drifts, their mean and, given a target, the largest
+    Euclidean distance of a drift from it (as ``np.linalg.norm`` forms it:
+    the square root of the squares' pairwise sum)."""
+    drifts = [tuple(map(float, r.summary.terminal_drift)) for r in results]
+    if not drifts:
         raise DegenerateSamplesError("no trajectories")
-    mean = drifts.mean(axis=0)
-    if len(drifts) > 1:
-        cov = np.cov(drifts.T).reshape(drifts.shape[1], drifts.shape[1])
-    else:
-        cov = np.zeros((drifts.shape[1], drifts.shape[1]))
     dev = None
     tgt = None
     if target is not None:
         tgt = tuple(float(t) for t in target)
-        dev = float(np.max(np.linalg.norm(drifts - np.asarray(tgt), axis=1)))
+        dev = _max(
+            math.sqrt(_pairwise_sum([(v - t) * (v - t) for v, t in zip(row, tgt)]))
+            for row in drifts
+        )
     return DriftSummary(
-        per_trajectory=tuple(tuple(row) for row in drifts),
-        mean=tuple(mean),
-        covariance=tuple(tuple(row) for row in cov),
+        per_trajectory=tuple(drifts),
+        mean=tuple(_column_means(drifts)),
         target=tgt,
         max_dev_from_target=dev,
     )
@@ -277,11 +287,12 @@ def exact_finite_orbit_target(
     table = system.orbit_table(start, tuple(g for g, _ in atoms), 4096)
     if table is None:
         return None
-    total = np.zeros(system.d)
+    total = [0.0] * system.d
     for row in table.moves:
         for (_, delta), (_, prob) in zip(row, atoms):
-            total += prob * np.asarray(delta, dtype=float)
-    return tuple(float(v) for v in total / len(table.reps))
+            total = [s + prob * float(v) for s, v in zip(total, delta)]
+    states = len(table.reps)
+    return tuple(s / states for s in total)
 
 
 # ---------------------------------------------------------------------------
@@ -312,58 +323,81 @@ def accumulation_diagnostic(
     projected on an orthonormal basis of the span of the cusp translations
     and on its complement; the report gives componentwise max-minus-min
     ranges and the pooled fractions against the thresholds."""
-    u = _orthonormal(ec_basis, d)
+    u = _orthonormal(ec_basis)
     v = _complement(u, d)
     span_r, comp_r, tot_r = [], [], []
     for traj, series in sorted(series_by_traj.items()):
-        pts = np.array([p for n, p in series if n >= n_min], dtype=float)
-        if len(pts) == 0:
+        pts = [p for n, p in series if n >= n_min]
+        if not pts:
             continue
-        tot = float(np.max(np.ptp(pts, axis=0))) if len(pts) > 1 else 0.0
-        if u.size:
-            proj = pts @ u.T
-            span_r.append(float(np.max(np.ptp(proj, axis=0))))
-        else:
-            span_r.append(0.0)
-        if v.size:
-            proj = pts @ v.T
-            comp_r.append(float(np.max(np.ptp(proj, axis=0))))
-        else:
-            comp_r.append(0.0)
-        tot_r.append(tot)
+        tot_r.append(_max(map(_ptp, zip(*pts))) if len(pts) > 1 else 0.0)
+        span_r.append(_spread(pts, u))
+        comp_r.append(_spread(pts, v))
     if not tot_r:
         raise DegenerateSamplesError("no checkpoints above n_min")
-    span_arr = np.array(span_r)
-    comp_arr = np.array(comp_r)
+    k = len(tot_r)
     return OscillationReport(
         span_range=tuple(span_r),
         complement_range=tuple(comp_r),
         total_range=tuple(tot_r),
-        frac_span_above=float((span_arr > span_threshold).mean()),
-        frac_complement_below=float((comp_arr < complement_threshold).mean()),
+        frac_span_above=sum(r > span_threshold for r in span_r) / k,
+        frac_complement_below=sum(r < complement_threshold for r in comp_r) / k,
         span_threshold=span_threshold,
         complement_threshold=complement_threshold,
     )
 
 
-def _orthonormal(basis: Sequence[IntVec], d: int) -> np.ndarray:
-    if not basis:
-        return np.zeros((0, d))
-    m = np.asarray(basis, dtype=float)
-    q, _ = np.linalg.qr(m.T)
-    return q.T[: len(basis)]
+def _spread(pts: list[Sequence[float]], dirs: list[list[float]]) -> float:
+    """The largest range of the points' projections on the unit vectors
+    dirs; 0.0 with no direction."""
+    if not dirs:
+        return 0.0
+    return _max(_ptp([_dot(p, w) for p in pts]) for w in dirs)
 
 
-def _complement(u: np.ndarray, d: int) -> np.ndarray:
-    if u.shape[0] >= d:
-        return np.zeros((0, d))
-    a = np.vstack([u, np.eye(d)])
-    q, r = np.linalg.qr(a.T)
-    keep = []
-    for j in range(q.shape[1]):
-        if abs(r[j, j]) > 1e-12 and j >= u.shape[0]:
-            keep.append(j)
-    return q.T[keep][: d - u.shape[0]]
+def _dot(p: Sequence[float], w: Sequence[float]) -> float:
+    s = p[0] * w[0]
+    for j in range(1, len(w)):
+        s += p[j] * w[j]
+    return s
+
+
+def _residual(vec: Sequence[float], basis: list[list[float]]) -> list[float]:
+    """vec less its projection on the orthonormal basis, by modified
+    Gram-Schmidt taken twice, so that the residual of a nearly dependent
+    vector stays orthogonal to the basis."""
+    r = list(vec)
+    for _ in range(2):
+        for q in basis:
+            c = _dot(r, q)
+            r = [ri - c * qi for ri, qi in zip(r, q)]
+    return r
+
+
+def _orthonormal(basis: Sequence[IntVec]) -> list[list[float]]:
+    """An orthonormal basis of the span of independent integer vectors, by
+    Gram-Schmidt in their order (as QR forms it, up to signs)."""
+    out: list[list[float]] = []
+    for vec in basis:
+        r = _residual([float(v) for v in vec], out)
+        norm = math.sqrt(_dot(r, r))
+        out.append([ri / norm for ri in r])
+    return out
+
+
+def _complement(u: list[list[float]], d: int) -> list[list[float]]:
+    """An orthonormal basis of the orthogonal complement of the orthonormal
+    rows u in R^d: the unit vectors e_1, e_2, ... orthogonalized against u
+    and each other, skipping those whose residual is below 1e-12."""
+    out: list[list[float]] = []
+    for i in range(d):
+        if len(u) + len(out) >= d:
+            break
+        r = _residual([float(i == j) for j in range(d)], u + out)
+        norm = math.sqrt(_dot(r, r))
+        if norm > 1e-12:
+            out.append([ri / norm for ri in r])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +451,8 @@ def recurrence_report(
         grid=tuple(grid),
         return_fraction=tuple(e / k for e in ever),
         window_fraction=tuple(w / k for w in window),
-        median_first_return=float(quantile(firsts)) if firsts else None,
-        median_max_excursion=tuple(float(quantile(e)) for e in exc),
+        median_first_return=quantile(firsts) if firsts else None,
+        median_max_excursion=tuple(quantile(e) for e in exc),
         d=d,
         dim_EC=dim_ec,
         verdict_hint=recurrence_verdict(d, dim_ec),

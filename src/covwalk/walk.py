@@ -26,7 +26,10 @@ reduces it, and turns the state its loop reports at each checkpoint into a
 record.  The loop walks every step in the compiled C kernel, which draws the
 same stream in C, or in its Python reference where the kernel cannot be
 built (``segments``, imported when a run starts, so that importing this
-module builds nothing).
+module builds nothing).  numpy is imported only where it is used: in
+``trajectory_rng``, which only the Python kernel and the tests call, in
+``zariski_density_check`` for a parametric measure, and in
+``lyapunov_estimate``; a run on the C kernel imports none.
 The greedy descent tries ``CoverSystem.fast_unwind`` on its iterations 7,
 15, 23, ... (``cover.UNWIND_MASK``): descent depth has the 1/x tail of the
 Haar cusp law, so a Haar start spends a good share of its pairings in cusp
@@ -39,14 +42,16 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import hyp2
 from . import fuchsian
 from . import cover as cover_mod
 from .hyp2 import GroupElement, UnitTangent
 from .cover import CoverSystem, IntVec
+
+if TYPE_CHECKING:
+    import numpy
 
 # A fixed start whose orbit under the step letters has at most this many
 # states walks it as an OrbitTable.  Finite orbits this large occur: the
@@ -128,6 +133,8 @@ def zariski_density_check(m: MeasureSpec) -> ZariskiResult:
     if m.kind == "atoms":
         gens = [g for g, p in m.atoms if p > 0]
     else:
+        import numpy as np
+
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(20240601)))
         gens = []
         for _ in range(6):
@@ -287,7 +294,11 @@ class TrajectoryResult:
     summary: TrajectorySummary
 
 
-def trajectory_rng(master_seed: int, traj: int) -> np.random.Generator:
+def trajectory_rng(master_seed: int, traj: int) -> numpy.random.Generator:
+    """Trajectory traj's uniform stream as numpy draws it: the Python
+    kernel's generator, and the reference for the C kernel's own."""
+    import numpy as np
+
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence([master_seed, traj]))
     )
@@ -545,6 +556,8 @@ def lyapunov_estimate(
         z = zariski_density_check(measure)
         if not z.passed:
             raise ZariskiCheckError(z.reason)
+    import numpy as np
+
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence([master_seed, 0x17A9]))
     )

@@ -653,7 +653,7 @@ class TestEntryPoint:
     def test_threaded_run_leaves_numpy_ma_and_process_pools_out(self, tmp_path):
         # a walk run at two threads, with every report that takes a median
         # or a quantile; np.median and np.quantile import numpy.ma.  On the
-        # C kernel the run imports no numpy.random either
+        # C kernel the run imports no numpy at all
         cfgp = tmp_path / "exp.cfg"
         cfgp.write_text(ALL_REPORTS)
         env = src_env()
@@ -665,18 +665,38 @@ class TestEntryPoint:
              f"'--out', {str(tmp_path / 'o')!r}]); "
              "print(code, c.segments.load_kernel(), *(m in sys.modules for m in "
              "('numpy.ma', 'concurrent.futures', 'multiprocessing', "
-             "'numpy.random')))"],
+             "'numpy.random', 'numpy')))"],
             capture_output=True,
             text=True,
             env=env,
         )
         assert res.returncode == 0, res.stderr
-        code, kernel, *imported = res.stdout.split()[-6:]
+        code, kernel, *imported = res.stdout.split()[-7:]
         assert code == "0"
         # the C kernel draws the uniforms; only the Python one uses numpy's
-        assert imported == ["False", "False", "False", str(kernel != "c")]
+        on_python = str(kernel != "c")
+        assert imported == ["False", "False", "False", on_python, on_python]
         summary = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert set(summary["analysis"]) == {"drift", "cauchy", "accumulation", "recurrence"}
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=os.path.basename)
+    def test_setup_probe_imports_no_numpy(self, path):
+        # the set-up a run makes before it simulates: import, parse the
+        # config, build the bundle and the walk config
+        res = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, covwalk.config as c\n"
+             "with open(sys.argv[1], encoding='utf-8') as fh:\n"
+             "    b = c.build_bundle(c.parse_config_text(fh.read()))\n"
+             "c.walk_config(b.config)\n"
+             "print('numpy' in sys.modules)\n",
+             path],
+            capture_output=True,
+            text=True,
+            env=src_env(),
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split() == ["False"]
 
     def test_import_leaves_the_kernel_unloaded(self):
         # the kernel is loaded by the first run, not by an import

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from covwalk import _pykernel as P
 from covwalk import cover as C
 from covwalk import fuchsian as F
 from covwalk import hyp2 as H
@@ -345,10 +346,10 @@ def atom_draws(measure, cfg, traj):
     through the cumulative weights."""
     rng = W.trajectory_rng(cfg.master_seed, traj)
     cum = list(itertools.accumulate(p for _, p in measure.atoms))
-    uni, pos = rng.random(S._RNG_BLOCK), 0
+    uni, pos = rng.random(P._RNG_BLOCK), 0
     for _ in range(cfg.steps):
         if pos >= len(uni):
-            uni, pos = rng.random(S._RNG_BLOCK), 0
+            uni, pos = rng.random(P._RNG_BLOCK), 0
         u = uni[pos]
         pos += 1
         ai = 0
@@ -359,10 +360,10 @@ def atom_draws(measure, cfg, traj):
 
 def parametric_draws(measure, cfg, traj):
     rng = W.trajectory_rng(cfg.master_seed, traj)
-    uni, pos = rng.random(S._RNG_BLOCK), 0
+    uni, pos = rng.random(P._RNG_BLOCK), 0
     for _ in range(cfg.steps):
         if pos + 3 > len(uni):
-            uni, pos = rng.random(S._RNG_BLOCK), 0
+            uni, pos = rng.random(P._RNG_BLOCK), 0
         yield engine_increment(measure, *uni[pos:pos + 3])
         pos += 3
 
@@ -539,7 +540,7 @@ def replay(system, measure, cfg, traj):
     for k in range(1, cfg.steps + 1):
         if atoms:
             if pos >= len(uni):
-                uni, pos = rng.random(S._RNG_BLOCK), 0
+                uni, pos = rng.random(P._RNG_BLOCK), 0
             u = uni[pos]
             pos += 1
             ai = 0
@@ -549,7 +550,7 @@ def replay(system, measure, cfg, traj):
             g = measure.atoms[ai][0]
         else:
             if pos + 3 > len(uni):
-                uni, pos = rng.random(S._RNG_BLOCK), 0
+                uni, pos = rng.random(P._RNG_BLOCK), 0
             g = engine_increment(measure, *uni[pos:pos + 3])
             pos += 3
         p = step(g)
@@ -746,11 +747,11 @@ class TestBlockDraws:
            tau_min=st.floats(0.01, 3.0), width=st.floats(0.0, 3.0))
     def test_parametric_matches_engine_increment(self, seed, tau_min, width):
         mu = W.parametric_measure(tau_min, tau_min + width)
-        got = S._draw_block(W.trajectory_rng(seed, 0), mu, None)
-        uni = W.trajectory_rng(seed, 0).random(S._RNG_BLOCK)
+        got = P._draw_block(W.trajectory_rng(seed, 0), mu, None)
+        uni = W.trajectory_rng(seed, 0).random(P._RNG_BLOCK)
         want = [engine_increment(mu, *uni[i:i + 3]).as_tuple()
-                for i in range(0, S._RNG_BLOCK - 2, 3)]
-        assert len(got) == len(want) == S._RNG_BLOCK // 3
+                for i in range(0, P._RNG_BLOCK - 2, 3)]
+        assert len(got) == len(want) == P._RNG_BLOCK // 3
         assert np.array_equal(np.array(got).view(np.uint64),
                               np.array(want).view(np.uint64))
 
@@ -760,10 +761,10 @@ class TestBlockDraws:
            .filter(lambda w: sum(w) > 0))
     def test_atoms_match_linear_scan(self, seed, raw):
         mu = W.measure_from_atoms([(H.IDENTITY, w / sum(raw)) for w in raw])
-        got = S._draw_block(W.trajectory_rng(seed, 0), mu, S._cumulative_weights(mu))
+        got = P._draw_block(W.trajectory_rng(seed, 0), mu, S._cumulative_weights(mu))
         cum = list(itertools.accumulate(p for _, p in mu.atoms))
         want = []
-        for u in W.trajectory_rng(seed, 0).random(S._RNG_BLOCK):
+        for u in W.trajectory_rng(seed, 0).random(P._RNG_BLOCK):
             ai = 0
             while cum[ai] < u:
                 ai += 1
@@ -865,11 +866,11 @@ class TestReturnDetector:
             x0 = F.haar_sample(system.polygon, system.cusps, system.pres, rng, parts)
             p = system.start_point(x0)
             z0 = p.rep.base_point()
-            uni, pos = rng.random(S._RNG_BLOCK), 0
+            uni, pos = rng.random(P._RNG_BLOCK), 0
             in_tile, returns = True, []
             for k in range(1, n + 1):
                 if pos + 3 > len(uni):
-                    uni, pos = rng.random(S._RNG_BLOCK), 0
+                    uni, pos = rng.random(P._RNG_BLOCK), 0
                 p = system.apply_step(p, engine_increment(mu, *uni[pos:pos + 3]))
                 pos += 3
                 now = p.index == (0,) and H.distance(p.rep.base_point(), z0) <= radius
