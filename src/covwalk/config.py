@@ -43,8 +43,8 @@ import configparser
 import hashlib
 import io
 import math
-from dataclasses import dataclass, field
 
+from ._record import record
 from . import hyp2
 from . import fuchsian
 from . import cover as cover_mod
@@ -62,7 +62,7 @@ class ConfigError(ValueError):
 _SECTIONS = ("lattice", "weights", "measure", "walk", "analysis")
 
 
-@dataclass(frozen=True)
+@record
 class ExperimentConfig:
     """Typed, validated experiment description (canonical field order)."""
 
@@ -308,7 +308,7 @@ def config_hash(cfg: ExperimentConfig) -> str:
 # ---------------------------------------------------------------------------
 # bundle assembly
 
-@dataclass(frozen=True)
+@record
 class Bundle:
     """Everything an experiment needs, built once from a config."""
 

@@ -20,9 +20,9 @@ one step of the axis translation g2 raises the index by exactly phi(g2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
+from ._record import record
 from . import hyp2
 from . import fuchsian
 from .hyp2 import GroupElement, UnitTangent
@@ -132,7 +132,7 @@ def integer_rank(vectors: list[IntVec]) -> tuple[int, list[int]]:
     return len(chosen), chosen
 
 
-@dataclass(frozen=True)
+@record
 class CoverSpec:
     """A validated Z^d cover of the base lattice.
 
@@ -203,7 +203,7 @@ def validate_cover(
     return CoverSpec(d=d, weights=dict(weights), v=v, E_C_basis=basis, unfolded=unfolded)
 
 
-@dataclass(frozen=True)
+@record
 class CoverPoint:
     """A reduced tangent on the base plus an exact integer sheet index."""
 
@@ -211,7 +211,7 @@ class CoverPoint:
     index: IntVec
 
 
-@dataclass(frozen=True)
+@record
 class OrbitTable:
     """A finite orbit compiled to integers: ``reps[s]`` is the reduced tangent
     of state s (state 0 is the start) and ``moves[s][j]`` the state reached
@@ -231,17 +231,6 @@ UNWIND_MASK = 7
 # orbits of at most this many states under the generators and their inverses
 # are walked through an OrbitTable by CoverSystem.stepper
 ORBIT_TABLE_STATES = 16
-
-
-@dataclass(frozen=True)
-class ExcursionRecord:
-    """One maximal interval a trajectory spends above height h in a cusp."""
-
-    cusp_id: int
-    entry: float
-    exit: float
-    index_delta: IntVec
-    max_height: float
 
 
 class CoverSystem:
@@ -559,86 +548,3 @@ def cover_system(
     spec: CoverSpec,
 ) -> CoverSystem:
     return CoverSystem(pres, polygon, cusps, spec)
-
-
-# ---------------------------------------------------------------------------
-# cusp excursions
-
-def cusp_excursions(
-    steps: list[tuple[float, int, float, IntVec]],
-) -> list[ExcursionRecord]:
-    """Maximal intervals above the cusp height threshold, from a per-step
-    trajectory trace of (time_or_step, cusp_id_or_-1, height, index)."""
-    out: list[ExcursionRecord] = []
-    open_cusp = -1
-    entry_t = 0.0
-    entry_idx: IntVec = ()
-    peak = -math.inf
-    last_t = 0.0
-    last_idx: IntVec = ()
-    for t, cusp, h, idx in steps:
-        if open_cusp >= 0 and cusp != open_cusp:
-            out.append(
-                ExcursionRecord(
-                    cusp_id=open_cusp,
-                    entry=entry_t,
-                    exit=t,
-                    index_delta=tuple(a - b for a, b in zip(idx, entry_idx)),
-                    max_height=peak,
-                )
-            )
-            open_cusp = -1
-        if cusp >= 0 and open_cusp < 0:
-            open_cusp = cusp
-            entry_t = t
-            entry_idx = idx
-            peak = h
-        elif cusp >= 0:
-            peak = max(peak, h)
-        last_t, last_idx = t, idx
-    if open_cusp >= 0:
-        out.append(
-            ExcursionRecord(
-                cusp_id=open_cusp,
-                entry=entry_t,
-                exit=last_t,
-                index_delta=tuple(a - b for a, b in zip(last_idx, entry_idx)),
-                max_height=peak,
-            )
-        )
-    return out
-
-
-def sigma_cusp_bound_check(
-    system: CoverSystem,
-    cusp_index: int,
-    atoms: list[GroupElement],
-    heights: list[float],
-    samples_per_height: int,
-    rng,
-) -> list[tuple[float, float]]:
-    """Empirical sup of |sigma(x, g)| / e^t over points x at cusp height t.
-
-    The single-step index change of a point that sits at height t in a cusp
-    is at most C e^t; the returned ratios should stay bounded (and tend to
-    zero when the cusp is not unfolded).
-    """
-    cusp = system.cusps[cusp_index]
-    out = []
-    for t in heights:
-        worst = 0.0
-        for _ in range(samples_per_height):
-            u = rng.random() * cusp.width
-            theta = rng.random() * 2.0 * math.pi
-            g = hyp2.compose(
-                cusp.normalizer,
-                hyp2.compose(hyp2.unipotent(u), hyp2.translation(t)),
-            )
-            x = UnitTangent(hyp2.compose(g, hyp2.rotation(theta)))
-            p = system.start_point(x)
-            for atom in atoms:
-                q = system.apply_step(p, atom)
-                norm = math.sqrt(sum(k * k for k in q.index))
-                worst = max(worst, norm / math.exp(t))
-        out.append((t, worst))
-    return out

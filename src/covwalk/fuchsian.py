@@ -19,8 +19,8 @@ left-to-right as a matrix product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from . import hyp2
 from .hyp2 import GroupElement, PointH, UnitTangent
 
@@ -80,16 +80,6 @@ def word_inverse(word: Word) -> Word:
     return tuple((lab, -s) for lab, s in reversed(word))
 
 
-def free_reduce(word: Word) -> Word:
-    out: list[tuple[str, int]] = []
-    for letter in word:
-        if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
-            out.pop()
-        else:
-            out.append(letter)
-    return tuple(out)
-
-
 def evaluate_word(gens: dict[str, GroupElement], word: Word) -> GroupElement:
     g = hyp2.IDENTITY
     for lab, s in word:
@@ -101,7 +91,7 @@ def evaluate_word(gens: dict[str, GroupElement], word: Word) -> GroupElement:
 # ---------------------------------------------------------------------------
 # presentations
 
-@dataclass(frozen=True)
+@record
 class LatticePresentation:
     """Ordered generators plus relator words (empty for free groups)."""
 
@@ -145,7 +135,7 @@ class LatticePresentation:
 # ---------------------------------------------------------------------------
 # half-planes in the upper half-plane model
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class HalfPlane:
     """The region alpha*(x^2+y^2) + beta*x + delta <= 0."""
 
@@ -209,7 +199,7 @@ def _halfplane_point_from_disk(w: complex) -> complex:
 # ---------------------------------------------------------------------------
 # polygon data
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class Vertex:
     """Polygon vertex; ideal vertices sit on the boundary circle.
 
@@ -224,7 +214,7 @@ class Vertex:
     boundary: float = math.nan
 
 
-@dataclass(frozen=True)
+@record
 class Side:
     """One polygon side: a bounding geodesic plus its pairing.
 
@@ -240,7 +230,7 @@ class Side:
     pairing: GroupElement
 
 
-@dataclass(frozen=True)
+@record
 class FundamentalPolygon:
     """A finite-sided Dirichlet domain with ccw side/vertex lists.
 
@@ -524,7 +514,7 @@ def _check_pairings(sides: list) -> None:
 # ---------------------------------------------------------------------------
 # cusps
 
-@dataclass(frozen=True)
+@record
 class CornerChart:
     """One polygon corner belonging to a cusp.
 
@@ -537,7 +527,7 @@ class CornerChart:
     chart: GroupElement
 
 
-@dataclass(frozen=True)
+@record
 class CuspData:
     """One cusp of the quotient surface.
 
@@ -657,10 +647,14 @@ def derive_cusps(
         ball = enumerate_ball(pres, 6)
     y_star = 1.0
     norms = [g for _, g, _, _, _, _ in data]
-    for gj in norms:
-        for gk in norms:
-            for _, gamma in [((), hyp2.IDENTITY)] + ball:
-                m = hyp2.compose(hyp2.compose(hyp2.inverse(gk), gamma), gj)
+    # the max over (gj, gk, gamma) is taken in any order, so gk^-1 gamma is
+    # composed once per (gk, gamma) and shared by every gj
+    for gk in norms:
+        gk_inv = hyp2.inverse(gk)
+        for _, gamma in [((), hyp2.IDENTITY)] + ball:
+            kg = hyp2.compose(gk_inv, gamma)
+            for gj in norms:
+                m = hyp2.compose(kg, gj)
                 if abs(m.c) > 1e-9:
                     y_star = max(y_star, 1.0 / abs(m.c))
     s = math.log(y_star)
@@ -820,7 +814,7 @@ def builtin_lattice(
 # ---------------------------------------------------------------------------
 # cusp neighborhoods and Haar sampling
 
-@dataclass(frozen=True)
+@record
 class CuspSector:
     """Horoball sector of one cusp above log-height h (normalized chart)."""
 
@@ -830,7 +824,7 @@ class CuspSector:
     area: float  # width * e^{-h}
 
 
-@dataclass(frozen=True)
+@record
 class CoreRegion:
     """Complement of the cusp sectors in the polygon, with a bounding box
     for rejection sampling of the hyperbolic area measure dx dy / y^2."""
@@ -1085,18 +1079,3 @@ def parse_lattice_text(
         generators=tuple(generators), relators=tuple(relators)
     )
     return pres, (weights or None)
-
-
-def format_lattice_text(
-    pres: LatticePresentation, weights: dict[str, tuple[int, ...]] | None = None
-) -> str:
-    lines = []
-    for lab, g in pres.generators:
-        lines.append(f"[generator] {lab} = {g.a!r} {g.b!r} {g.c!r} {g.d!r}")
-    for w in pres.relators:
-        lines.append(f"[relator] {word_str(w)}")
-    if weights:
-        lines.append("[weights]")
-        for lab in sorted(weights):
-            lines.append(f"{lab} = " + " ".join(str(k) for k in weights[lab]))
-    return "\n".join(lines) + "\n"

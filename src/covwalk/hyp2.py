@@ -14,7 +14,8 @@ operations millions of times.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from ._record import record
 
 DET_TOL = 1e-10       # determinant considered clean below this deviation
 TRACE_TOL = 1e-9      # elliptic/parabolic/hyperbolic classification margin
@@ -37,7 +38,7 @@ def _wrap_angle(theta: float) -> float:
     return t
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class GroupElement:
     """A PSL(2,R) element stored as its sign-canonical det-1 representative.
 
@@ -135,7 +136,7 @@ def unipotent(u: float) -> GroupElement:
     return GroupElement(*canonical_entries(1.0, u, 0.0, 1.0))
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class PointH:
     """A point of the upper half-plane, y > 0 strictly."""
 
@@ -184,7 +185,7 @@ def distance(z: PointH, w: PointH) -> float:
     return math.acosh(arg)
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class UnitTangent:
     """A unit tangent vector, stored as the group element moving the
     base tangent (i, upward) onto it."""
@@ -198,12 +199,7 @@ class UnitTangent:
 BASE_TANGENT = UnitTangent(IDENTITY)
 
 
-def geodesic_flow(x: UnitTangent, t: float) -> UnitTangent:
-    """Move the tangent time t along its own geodesic."""
-    return UnitTangent(compose(x.rep, translation(t)))
-
-
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class IwasawaCoords:
     """g = unipotent(u) * translation(t) * rotation(theta), theta in [0, 2pi)."""
 
@@ -237,7 +233,7 @@ def iwasawa_reconstruct(co: IwasawaCoords) -> GroupElement:
     return compose(compose(unipotent(co.u), translation(co.t)), rotation(co.theta))
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class CartanCoords:
     """g = rotation(theta1) * translation(t) * rotation(theta2), t >= 0."""
 
@@ -291,7 +287,7 @@ def cartan_reconstruct(co: CartanCoords) -> GroupElement:
     return compose(compose(rotation(co.theta1), translation(co.t)), rotation(co.theta2))
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class Classification:
     kind: str  # "identity" | "elliptic" | "parabolic" | "hyperbolic"
     translation_length: float | None = None

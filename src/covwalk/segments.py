@@ -53,7 +53,6 @@ import hashlib
 import itertools
 import math
 import os
-import platform
 import tempfile
 from typing import TYPE_CHECKING
 
@@ -322,7 +321,7 @@ def _load_library(cache_dir: str) -> ctypes.CDLL | None:
     with open(_KERNEL_SOURCE, "rb") as fh:
         source = fh.read()
     key = hashlib.sha256(b"\0".join(
-        [source, " ".join(_KERNEL_FLAGS).encode(), platform.machine().encode()]
+        [source, " ".join(_KERNEL_FLAGS).encode(), os.uname().machine.encode()]
     )).hexdigest()[:24]
     path = os.path.join(cache_dir, f"_segment-{key}.so")
     if os.path.exists(path):

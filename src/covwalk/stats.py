@@ -20,9 +20,9 @@ when they are called.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+from ._record import record
 from . import hyp2
 from .cover import CoverSystem, IntVec
 from .walk import MeasureSpec, TrajectoryResult
@@ -161,7 +161,7 @@ def hill_tail_index(samples: Sequence[float], center: float | None = None) -> fl
     return 1.0 / h
 
 
-@dataclass(frozen=True)
+@record
 class CauchyFit:
     location: float
     scale: float
@@ -210,7 +210,7 @@ def cauchy_scale_mle(samples: Sequence[float], location: float | None = None) ->
     return 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True)
+@record
 class GaussianFit:
     mean: float
     sd: float
@@ -236,7 +236,7 @@ def gaussian_fit(samples: Sequence[float]) -> GaussianFit:
 # ---------------------------------------------------------------------------
 # drift summaries and the exact finite-orbit target
 
-@dataclass(frozen=True)
+@record
 class DriftSummary:
     per_trajectory: tuple[tuple[float, ...], ...]
     mean: tuple[float, ...]
@@ -298,7 +298,7 @@ def exact_finite_orbit_target(
 # ---------------------------------------------------------------------------
 # accumulation-set diagnostic
 
-@dataclass(frozen=True)
+@record
 class OscillationReport:
     span_range: tuple[float, ...]        # per trajectory: range inside E_C
     complement_range: tuple[float, ...]  # per trajectory: range transverse to E_C
@@ -403,7 +403,7 @@ def _complement(u: list[list[float]], d: int) -> list[list[float]]:
 # ---------------------------------------------------------------------------
 # recurrence report
 
-@dataclass(frozen=True)
+@record
 class RecurrenceReport:
     grid: tuple[int, ...]
     return_fraction: tuple[float, ...]        # ever returned by grid n

@@ -41,9 +41,9 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from ._record import record
 from . import hyp2
 from . import fuchsian
 from . import cover as cover_mod
@@ -75,7 +75,7 @@ class ZariskiCheckError(RuntimeError):
 # ---------------------------------------------------------------------------
 # step measures
 
-@dataclass(frozen=True)
+@record
 class MeasureSpec:
     """Either finitely many atoms or the rotation-translation-rotation family
     with uniform angles and uniform translation length in [tau_min, tau_max].
@@ -115,7 +115,7 @@ def two_atom_measure(pres: fuchsian.LatticePresentation) -> MeasureSpec:
     return measure_from_atoms([(g1, 0.5), (g2, 0.5)], labels=[l1, l2])
 
 
-@dataclass(frozen=True)
+@record
 class ZariskiResult:
     passed: bool
     reason: str = ""
@@ -189,7 +189,7 @@ def zariski_density_check(m: MeasureSpec) -> ZariskiResult:
 # ---------------------------------------------------------------------------
 # run configuration
 
-@dataclass(frozen=True)
+@record
 class CheckpointPlan:
     """linear: every `stride` steps; geometric: n0, n0*ratio, ... (rounded,
     none past n).  The final step is always a checkpoint."""
@@ -219,7 +219,7 @@ class CheckpointPlan:
         return out
 
 
-@dataclass(frozen=True)
+@record
 class ReturnSpec:
     """Return/excursion tracking.  The start tile is sheet index zero with
     the base point within `radius` of the start; a 'return' is a step that
@@ -231,19 +231,19 @@ class ReturnSpec:
     grid: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class StartSpec:
     mode: str = "haar"  # "haar" | "fixed"
     tangent: UnitTangent | None = None
 
 
-@dataclass(frozen=True)
+@record
 class WalkConfig:
     steps: int
     trajectories: int
     master_seed: int = 0
-    checkpoints: CheckpointPlan = field(default_factory=CheckpointPlan)
-    start: StartSpec = field(default_factory=StartSpec)
+    checkpoints: CheckpointPlan = CheckpointPlan()
+    start: StartSpec = StartSpec()
     dt: float = 0.25
     returns: ReturnSpec | None = None
     count_atoms: bool = False
@@ -256,7 +256,7 @@ class WalkConfig:
             )
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class CheckpointRecord:
     traj: int
     n: float  # step count (walk) or flow time (geodesic)
@@ -266,7 +266,7 @@ class CheckpointRecord:
     cartan_t: float
 
 
-@dataclass(frozen=True)
+@record
 class ReturnStats:
     first_return: int | None
     n_returns: int
@@ -275,7 +275,7 @@ class ReturnStats:
     max_excursion_by: tuple[tuple[int, float], ...]  # (grid n, max sup-norm <= n)
 
 
-@dataclass(frozen=True)
+@record
 class TrajectorySummary:
     traj: int
     steps: int
@@ -288,7 +288,7 @@ class TrajectorySummary:
     orbit_states: int | None = None  # OrbitTable size when the run walked one
 
 
-@dataclass(frozen=True)
+@record
 class TrajectoryResult:
     records: tuple[CheckpointRecord, ...]
     summary: TrajectorySummary
@@ -534,7 +534,7 @@ def _worker_blocks(ids: list[int], workers: int) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 # Lyapunov exponent
 
-@dataclass(frozen=True)
+@record
 class LyapunovEstimate:
     value: float
     se: float

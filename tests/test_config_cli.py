@@ -107,6 +107,11 @@ CONFIGS = sorted(
     glob.glob(os.path.join(os.path.dirname(os.path.dirname(__file__)), "configs", "*.cfg"))
 )
 
+# modules whose import cost a covwalk process does not pay: dataclasses
+# compiles each generated method with its own exec and brings inspect (and
+# with it dis, ast and tokenize); platform served one machine name
+STARTUP_MODULES = {"dataclasses", "inspect", "platform"}
+
 
 def with_value(text: str, key: str, value: str) -> str:
     """The config text with the one line of ``key`` set to ``value``."""
@@ -653,50 +658,57 @@ class TestEntryPoint:
     def test_threaded_run_leaves_numpy_ma_and_process_pools_out(self, tmp_path):
         # a walk run at two threads, with every report that takes a median
         # or a quantile; np.median and np.quantile import numpy.ma.  On the
-        # C kernel the run imports no numpy at all
+        # C kernel the run imports no numpy at all, and no run imports the
+        # start-up costs of STARTUP_MODULES
         cfgp = tmp_path / "exp.cfg"
         cfgp.write_text(ALL_REPORTS)
         env = src_env()
         env["COVWALK_THREADS"] = "2"
         res = subprocess.run(
             [sys.executable, "-c",
-             "import sys, covwalk.cli as c; "
+             "import sys; before = set(sys.modules)\n"
+             "import covwalk.cli as c\n"
              f"code = c.main(['walk', 'run', '--config', {str(cfgp)!r}, "
-             f"'--out', {str(tmp_path / 'o')!r}]); "
+             f"'--out', {str(tmp_path / 'o')!r}])\n"
              "print(code, c.segments.load_kernel(), *(m in sys.modules for m in "
              "('numpy.ma', 'concurrent.futures', 'multiprocessing', "
-             "'numpy.random', 'numpy')))"],
+             "'numpy.random', 'numpy')))\n"
+             f"print(*sorted(set(sys.modules) - before & {STARTUP_MODULES!r}))"],
             capture_output=True,
             text=True,
             env=env,
         )
         assert res.returncode == 0, res.stderr
-        code, kernel, *imported = res.stdout.split()[-7:]
+        line, startup = res.stdout.split("\n")[-3:-1]
+        code, kernel, *imported = line.split()
         assert code == "0"
         # the C kernel draws the uniforms; only the Python one uses numpy's
         on_python = str(kernel != "c")
         assert imported == ["False", "False", "False", on_python, on_python]
+        assert startup == ""
         summary = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert set(summary["analysis"]) == {"drift", "cauchy", "accumulation", "recurrence"}
 
     @pytest.mark.parametrize("path", CONFIGS, ids=os.path.basename)
     def test_setup_probe_imports_no_numpy(self, path):
         # the set-up a run makes before it simulates: import, parse the
-        # config, build the bundle and the walk config
+        # config, build the bundle and the walk config; modules that site
+        # loaded before covwalk do not count
         res = subprocess.run(
             [sys.executable, "-c",
-             "import sys, covwalk.config as c\n"
+             "import sys; before = set(sys.modules)\n"
+             "import covwalk.config as c\n"
              "with open(sys.argv[1], encoding='utf-8') as fh:\n"
              "    b = c.build_bundle(c.parse_config_text(fh.read()))\n"
              "c.walk_config(b.config)\n"
-             "print('numpy' in sys.modules)\n",
+             f"print(*sorted(set(sys.modules) - before & {STARTUP_MODULES | {'numpy'}!r}))\n",
              path],
             capture_output=True,
             text=True,
             env=src_env(),
         )
         assert res.returncode == 0, res.stderr
-        assert res.stdout.split() == ["False"]
+        assert res.stdout.strip() == ""
 
     def test_import_leaves_the_kernel_unloaded(self):
         # the kernel is loaded by the first run, not by an import

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from covwalk import cover as C
 from covwalk import fuchsian as F
 from covwalk import hyp2 as H
+from helpers import cusp_excursions, sigma_cusp_bound_check
 
 
 @pytest.fixture(scope="module")
@@ -545,7 +546,7 @@ def flow_trace(system, cfg, height):
 class TestCuspExcursions:
     def test_no_cusp_entry(self):
         steps = [(k, -1, -1.0, (0,)) for k in range(10)]
-        assert C.cusp_excursions(steps) == []
+        assert cusp_excursions(steps) == []
 
     def test_partition_of_deltas(self, gamma2_d1):
         from covwalk import walk as W
@@ -560,7 +561,7 @@ class TestCuspExcursions:
         trace = flow_trace(gamma2_d1, cfg, 1.0)
         res = W.simulate_trajectory(gamma2_d1, None, cfg, 0, geodesic=True)
         assert res.summary.final_index == trace[-1][3], "replay left the engine's path"
-        recs = C.cusp_excursions(trace)
+        recs = cusp_excursions(trace)
         total_exc = sum(r.index_delta[0] for r in recs)
         inside = {r.cusp_id for r in recs}
         assert inside <= {0, 1, 2}
@@ -589,7 +590,7 @@ class TestCuspExcursions:
             start=W.StartSpec(mode="fixed", tangent=x0),
         )
         trace = flow_trace(gamma2_d1, cfg, 1.0)
-        recs = [r for r in C.cusp_excursions(trace) if r.cusp_id == 0]
+        recs = [r for r in cusp_excursions(trace) if r.cusp_id == 0]
         assert len(recs) >= 1
         first = recs[0]
         # winding oracle: the geodesic through the tangent rep g runs from
@@ -607,7 +608,7 @@ class TestSigmaCuspBound:
     def test_folded_cusp_ratios_vanish(self, torus_d1):
         rng = np.random.default_rng(4)
         gm = torus_d1.pres.gen_map()
-        out = C.sigma_cusp_bound_check(
+        out = sigma_cusp_bound_check(
             torus_d1, 0, [gm["g1"], gm["g2"]], [2.0, 4.0, 6.0], 60, rng
         )
         ratios = [r for _, r in out]
@@ -618,7 +619,7 @@ class TestSigmaCuspBound:
         rng = np.random.default_rng(5)
         gm = gamma2_d1.pres.gen_map()
         atoms = [gm["A"], gm["B"], H.inverse(gm["A"]), H.inverse(gm["B"])]
-        out = C.sigma_cusp_bound_check(
+        out = sigma_cusp_bound_check(
             gamma2_d1, 0, atoms, [2.0, 3.0, 4.0, 5.0, 6.0], 100, rng
         )
         ratios = [r for _, r in out]

@@ -6,6 +6,7 @@ import pytest
 from covwalk import cover as C
 from covwalk import fuchsian as F
 from covwalk import hyp2 as H
+from helpers import free_reduce, format_lattice_text
 
 R2 = math.sqrt(2.0)
 
@@ -29,7 +30,7 @@ class TestWords:
     def test_inverse_and_reduce(self):
         w = F.parse_word("A B^-1")
         assert F.word_inverse(w) == (("B", 1), ("A", -1))
-        assert F.free_reduce(w + F.word_inverse(w)) == ()
+        assert free_reduce(w + F.word_inverse(w)) == ()
 
 
 class TestPresets:
@@ -267,7 +268,7 @@ B = 0
         pres, weights = F.parse_lattice_text(self.GOOD)
         assert pres.labels == ("A", "B")
         assert weights == {"A": (1,), "B": (0,)}
-        text = F.format_lattice_text(pres, weights)
+        text = format_lattice_text(pres, weights)
         pres2, weights2 = F.parse_lattice_text(text)
         assert weights2 == weights
         for (l1, g1), (l2, g2) in zip(pres.generators, pres2.generators):
