@@ -9,12 +9,12 @@
  * Haar sampler reads before the walk starts.  Python builds the start and
  * the orbit table and turns the state at each checkpoint into a record;
  * everything a step does happens here, with the arithmetic of the Python
- * reference (segments._PySegments) in the same operation order:
+ * reference (_pykernel._PySegments) in the same operation order:
  *
  *   - the letter: for atoms the first cumulative weight >= u (numpy's
  *     searchsorted, side="left"); for a parametric measure the increment
  *     rotation(th1) translation(tau) rotation(th2) of
- *     segments._draw_block; for a flow the constant flow step;
+ *     _pykernel._draw_block; for a flow the constant flow step;
  *   - the position: one orbit-table move, or the multiply followed by the
  *     greedy descent of CoverSystem.reduce_raw, with CoverSystem.fast_unwind
  *     on iterations unwind_mask, 2 * unwind_mask + 1, ... and the
@@ -538,24 +538,33 @@ static int segment(walk_t *w, const double *u, int64_t j0, int64_t k0, int64_t k
     return rc;
 }
 
-/* The whole trajectory from the start state in w: a block of RNG_BLOCK
- * uniforms is drawn when a step needs one (a parametric block covers
- * RNG_BLOCK / 3 steps and leaves its last uniform unused; a flow draws
- * none), and at each stop the checkpoint or grid outputs are written. */
+/* The whole trajectory from the start state in w: a block of uniforms is
+ * drawn when a step needs one, and at each stop the checkpoint or grid
+ * outputs are written.  The blocks are the Python kernel's: RNG_BLOCK atom
+ * letters, or RNG_BLOCK / 3 parametric steps, whose block leaves its last
+ * uniform unused; a flow draws none.  A block is drawn only as far as the
+ * last step, so the stream ends where the steps leave it, and the unused
+ * uniform of a parametric block is skipped when the next block starts. */
 int covwalk_trajectory(walk_t *w)
 {
     double u[RNG_BLOCK];
-    const int64_t block_len =
-        w->letters == LETTERS_PARAMETRIC ? RNG_BLOCK / 3 : RNG_BLOCK;
+    const int parametric = w->letters == LETTERS_PARAMETRIC;
+    const int64_t block_len = parametric ? RNG_BLOCK / 3 : RNG_BLOCK;
     int64_t k = 0, b0 = 0, bend = 0, cp = 0, grid = 0;
     w->fail_step = 0;
     for (int64_t s = 0; s < w->n_stops; s++) {
         const int64_t end = w->stops[s];
         while (k < end) {
             if (k == bend) {
-                if (w->letters != LETTERS_FLOW)
-                    for (int64_t j = 0; j < RNG_BLOCK; j++)
+                if (w->letters != LETTERS_FLOW) {
+                    const int64_t last = w->stops[w->n_stops - 1];
+                    const int64_t steps =
+                        last - k < block_len ? last - k : block_len;
+                    if (parametric && k)
+                        next_double(w);
+                    for (int64_t j = 0; j < (parametric ? 3 : 1) * steps; j++)
                         u[j] = next_double(w);
+                }
                 b0 = k;
                 bend = k + block_len;
             }

@@ -8,6 +8,7 @@ never leave half-written artifacts.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -38,13 +39,16 @@ RUNTIME_ERRORS = (fuchsian.NonTerminationError, walk_mod.ZariskiCheckError,
                   ValueError, ArithmeticError)
 
 
-def _atomic_write(path: str, data: str) -> None:
+@contextlib.contextmanager
+def _atomic_file(path: str):
+    """A text file opened for writing in path's directory, renamed onto path
+    when the block ends without an exception and removed when it raises."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-covwalk-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(data)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -52,41 +56,52 @@ def _atomic_write(path: str, data: str) -> None:
         raise
 
 
+def _atomic_write(path: str, data: str) -> None:
+    with _atomic_file(path) as fh:
+        fh.write(data)
+
+
 # JSON's names for the non-finite floats whose repr is nan, inf or -inf
 _JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _records_text(results, d: int) -> tuple[str, str]:
-    """``records.csv`` and ``records.jsonl``, formatted in one pass.
+def _write_records(results, d: int, csv_fh, jsonl_fh) -> None:
+    """``records.csv`` to csv_fh and ``records.jsonl`` to jsonl_fh, one
+    trajectory at a time, so neither file's text is ever whole in memory.
 
     Each number's repr serves both files: CSV keeps repr (``nan``, ``inf``),
     and JSON writes the text ``json.dumps`` would, with ``NaN``,
     ``Infinity`` and ``-Infinity`` for a non-finite drift or ``cartan_t`` and
     ``null`` for a non-finite cusp height.  ``n`` is an int for walks and a
-    float for flows, in both files."""
+    float for flows, in both files.  A run with no records writes an empty
+    line to ``records.jsonl``."""
     header = (
         ["traj", "n"]
         + [f"k{i+1}" for i in range(d)]
         + [f"drift{i+1}" for i in range(d)]
         + ["cusp_height", "cartan_t"]
     )
-    csv_lines = [",".join(header)]
-    json_lines = []
+    csv_fh.write(",".join(header) + "\n")
     js = _JSON_FLOATS.get
     for res in results:
+        csv_lines = []
+        json_lines = []
         for r in res.records:
             traj, n = repr(r.traj), repr(r.n)
             index = list(map(repr, r.index))
             drift = list(map(repr, r.drift))
             h, cart = repr(r.cusp_height), repr(r.cartan_t)
-            csv_lines.append(",".join([traj, n, *index, *drift, h, cart]))
+            csv_lines.append(",".join([traj, n, *index, *drift, h, cart]) + "\n")
             json_lines.append(
                 f'{{"traj":{traj},"n":{js(n, n)},"index":[{",".join(index)}],'
                 f'"drift":[{",".join([js(v, v) for v in drift])}],'
                 f'"cusp_height":{"null" if h in _JSON_FLOATS else h},'
-                f'"cartan_t":{js(cart, cart)}}}'
+                f'"cartan_t":{js(cart, cart)}}}\n'
             )
-    return "\n".join(csv_lines) + "\n", "\n".join(json_lines) + "\n"
+        csv_fh.write("".join(csv_lines))
+        jsonl_fh.write("".join(json_lines))
+    if not any(res.records for res in results):
+        jsonl_fh.write("\n")
 
 
 def _summary(bundle, results, extra: dict) -> dict:
@@ -311,9 +326,9 @@ def cmd_run(args, geodesic: bool) -> int:
         "workers": workers,
     }
     summary = _summary(bundle, results, {"engine": engine, "analysis": analysis})
-    records_csv, records_jsonl = _records_text(results, bundle.spec.d)
-    _atomic_write(os.path.join(outdir, "records.csv"), records_csv)
-    _atomic_write(os.path.join(outdir, "records.jsonl"), records_jsonl)
+    with _atomic_file(os.path.join(outdir, "records.csv")) as csv_fh, \
+            _atomic_file(os.path.join(outdir, "records.jsonl")) as jsonl_fh:
+        _write_records(results, bundle.spec.d, csv_fh, jsonl_fh)
     _atomic_write(
         os.path.join(outdir, "summary.json"), json.dumps(summary, indent=2) + "\n"
     )

@@ -40,9 +40,18 @@ two configs get the same hash exactly when every semantic field agrees.
 from __future__ import annotations
 
 import configparser
-import hashlib
 import io
 import math
+
+# CPython's own SHA-256 (``_sha2`` from 3.12, ``_sha256`` before): hashlib
+# would load OpenSSL's libcrypto, about 3 MB of mapped pages, for two digests
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from ._record import record
 from . import hyp2
@@ -302,7 +311,7 @@ def canonical_text(cfg: ExperimentConfig) -> str:
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    return hashlib.sha256(canonical_text(cfg).encode()).hexdigest()[:16]
+    return sha256(canonical_text(cfg).encode()).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------

@@ -114,20 +114,27 @@ def smith_invariants(rows: list[list[int]]) -> list[int]:
 
 def integer_rank(vectors: list[IntVec]) -> tuple[int, list[int]]:
     """Rank over the rationals and indices of a maximal independent subset
-    (exact arithmetic; rational and real rank agree)."""
-    from fractions import Fraction
+    (exact arithmetic; rational and real rank agree).
 
-    basis: list[tuple[int, list[Fraction]]] = []  # (lead position, row)
+    A vector is chosen when it is not in the span of those before it.  Each
+    is reduced against the chosen rows in turn by fraction-free integer
+    elimination: a multiple of the row is subtracted from a multiple of the
+    vector, which clears the row's lead position and keeps the span test
+    exact.  A chosen row is zero at the leads of the rows before it, so
+    later steps keep earlier leads clear; it is divided by the gcd of its
+    entries to keep them small."""
+    basis: list[tuple[int, list[int]]] = []  # (lead position, row)
     chosen: list[int] = []
     for idx, vec in enumerate(vectors):
-        v = [Fraction(x) for x in vec]
-        for lead, row in sorted(basis, key=lambda p: p[0]):
+        v = list(vec)
+        for lead, row in basis:
             if v[lead]:
-                f = v[lead] / row[lead]
-                v = [x - f * y for x, y in zip(v, row)]
-        nz = next((i for i, x in enumerate(v) if x != 0), None)
+                f, r = v[lead], row[lead]
+                v = [r * x - f * y for x, y in zip(v, row)]
+        nz = next((i for i, x in enumerate(v) if x), None)
         if nz is not None:
-            basis.append((nz, v))
+            g = math.gcd(*v)
+            basis.append((nz, [x // g for x in v]))
             chosen.append(idx)
     return len(chosen), chosen
 

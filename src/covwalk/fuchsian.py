@@ -43,7 +43,8 @@ class EllipticCenterError(RuntimeError):
 
 
 class NonTerminationError(RuntimeError):
-    """Greedy reduction failed to terminate (bad polygon/presentation pair)."""
+    """Greedy reduction, or the Haar sampler's core rejection loop, failed to
+    terminate (bad polygon/presentation pair)."""
 
 
 class OverlappingHoroballsError(RuntimeError):
@@ -652,11 +653,11 @@ def derive_cusps(
     for gk in norms:
         gk_inv = hyp2.inverse(gk)
         for _, gamma in [((), hyp2.IDENTITY)] + ball:
-            kg = hyp2.compose(gk_inv, gamma)
+            ka, kb, kc, kd = hyp2.compose(gk_inv, gamma).as_tuple()
             for gj in norms:
-                m = hyp2.compose(kg, gj)
-                if abs(m.c) > 1e-9:
-                    y_star = max(y_star, 1.0 / abs(m.c))
+                c = _composed_abs_c(ka, kb, kc, kd, gj)
+                if c > 1e-9:
+                    y_star = max(y_star, 1.0 / c)
     s = math.log(y_star)
     scale = hyp2.translation(s)
 
@@ -685,6 +686,23 @@ def derive_cusps(
     out.sort(key=lambda c: (0, 0.0) if math.isinf(c.fixed_point) else (1, c.fixed_point))
     _check_corner_widths(polygon, out)
     return tuple(out)
+
+
+def _composed_abs_c(
+    ka: float, kb: float, kc: float, kd: float, g: GroupElement
+) -> float:
+    """|c| of ``hyp2.compose(k, g)`` for k = (ka, kb, kc, kd), bit for bit,
+    without building it: the same products and the determinant rescale of
+    ``hyp2.element``; its sign flip leaves |c| as it is."""
+    a = ka * g.a + kb * g.c
+    b = ka * g.b + kb * g.d
+    c = kc * g.a + kd * g.c
+    d = kc * g.b + kd * g.d
+    det = a * d - b * c
+    m = max(abs(a), abs(b), abs(c), abs(d))
+    if abs(det - 1.0) > 1e-13 * (1.0 + m * m):
+        c = c * (1.0 / math.sqrt(det))
+    return abs(c)
 
 
 def _partner_table(sides: tuple[Side, ...]) -> list[int]:
@@ -956,8 +974,19 @@ def _lowest_crossing(plane: HalfPlane, v: float, dia: float) -> float | None:
     hh = math.sqrt(h2)
     mx, my = cx + a * dx / d, a * dy / d
     ys = (my - hh * dx / d, my + hh * dx / d)
-    pos = [y for y in ys if y > 1e-15]
+    # the side ends at v, so one root is v itself, which rounding can leave
+    # a few ulps above the axis; a crossing must stand clear of the figure's
+    # scale
+    floor = 1e-9 * max(dia, r, abs(v))
+    pos = [y for y in ys if y > floor]
     return min(pos) if pos else None
+
+
+# proposals the core rejection loop of haar_sample makes before it gives up:
+# the lattices here accept about one proposal in six to ten, so the loop
+# ends after a handful, and a box the core hardly meets fails within a
+# second instead of spinning
+HAAR_MAX_PROPOSALS = 100_000
 
 
 def haar_sample(
@@ -999,7 +1028,7 @@ def haar_sample(
         u -= s.area
     inv_lo = 1.0 / core.y_min
     inv_hi = 1.0 / core.y_max
-    while True:
+    for _ in range(HAAR_MAX_PROPOSALS):
         x = core.x_min + rng.random() * (core.x_max - core.x_min)
         y = 1.0 / (inv_lo - rng.random() * (inv_lo - inv_hi))
         if not polygon.contains(x, y):
@@ -1008,6 +1037,10 @@ def haar_sample(
             continue
         g = hyp2.compose(hyp2.unipotent(x), hyp2.translation(math.log(y)))
         return UnitTangent(hyp2.compose(g, hyp2.rotation(theta)))
+    raise NonTerminationError(
+        f"Haar core sampling accepted none of {HAAR_MAX_PROPOSALS} proposals"
+        f" from the box {core}"
+    )
 
 
 TWO_PI_F = 2.0 * math.pi

@@ -7,7 +7,8 @@
 walks every step and returns the state at each checkpoint and the return
 counts at each grid point.  The loop advances in segments, which end at
 those stops and at the end of a block of uniforms.  It runs in one of two
-kernels with the same output bits:
+kernels with the same output bits, each step reading the same uniforms of
+the stream:
 
 - The C kernel (``_segment.c``, one ``covwalk_trajectory`` call through
   ``ctypes`` per trajectory, which releases the GIL for the call) does every
@@ -19,6 +20,8 @@ kernels with the same output bits:
   ``fuchsian.cusp_height`` at each checkpoint.  Its uniform stream is
   Philox4x64-10 keyed by SeedSequence([seed, traj]), drawn in C bit for bit
   as numpy's ``walk.trajectory_rng`` draws it, so a run imports no numpy.
+  It draws each block of uniforms only as far as the trajectory's last
+  step, so nothing past the last step is drawn.
 - The Python kernel (``_pykernel._PySegments``) does the same steps through
   ``CoverSystem.reduce_raw`` with a tuple index, on the numpy generator of
   ``walk.trajectory_rng``.  It is the reference the C kernel is tested
@@ -49,7 +52,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import hashlib
 import itertools
 import math
 import os
@@ -318,11 +320,7 @@ def _load_library(cache_dir: str) -> ctypes.CDLL | None:
     from there and moved into place with ``os.replace``, so processes that
     build at once each load a whole file.  Returns None when the compiler
     fails; raises OSError when ``cache_dir`` cannot be written."""
-    with open(_KERNEL_SOURCE, "rb") as fh:
-        source = fh.read()
-    key = hashlib.sha256(b"\0".join(
-        [source, " ".join(_KERNEL_FLAGS).encode(), os.uname().machine.encode()]
-    )).hexdigest()[:24]
+    key = _kernel_key()
     path = os.path.join(cache_dir, f"_segment-{key}.so")
     if os.path.exists(path):
         lib = _open_library(path, key)
@@ -351,6 +349,18 @@ def _load_library(cache_dir: str) -> ctypes.CDLL | None:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def _kernel_key() -> str:
+    """The kernel's cache key: a hash of the source, the flags and the
+    machine."""
+    from .config import sha256  # the interpreter's own, without OpenSSL
+
+    with open(_KERNEL_SOURCE, "rb") as fh:
+        source = fh.read()
+    return sha256(b"\0".join(
+        [source, " ".join(_KERNEL_FLAGS).encode(), os.uname().machine.encode()]
+    )).hexdigest()[:24]
 
 
 def _open_library(path: str, key: str) -> ctypes.CDLL | None:

@@ -1,11 +1,13 @@
 """Helpers only the tests use: word reduction, lattice-file formatting, the
-geodesic flow of one tangent, cusp excursions of a per-step trace and the
-empirical cusp bound of the one-step index change."""
+geodesic flow of one tangent, cusp excursions of a per-step trace, the
+empirical cusp bound of the one-step index change and a rational-arithmetic
+reference for ``cover.integer_rank``."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from covwalk import hyp2
 from covwalk.cover import CoverSystem, IntVec
@@ -133,3 +135,22 @@ def sigma_cusp_bound_check(
                 worst = max(worst, norm / math.exp(t))
         out.append((t, worst))
     return out
+
+
+def integer_rank_fraction(vectors: list[IntVec]) -> tuple[int, list[int]]:
+    """``cover.integer_rank`` by Gaussian elimination over the rationals:
+    the rank and the indices of the vectors outside the span of those
+    before them."""
+    basis: list[tuple[int, list[Fraction]]] = []  # (lead position, row)
+    chosen: list[int] = []
+    for idx, vec in enumerate(vectors):
+        v = [Fraction(x) for x in vec]
+        for lead, row in sorted(basis, key=lambda p: p[0]):
+            if v[lead]:
+                f = v[lead] / row[lead]
+                v = [x - f * y for x, y in zip(v, row)]
+        nz = next((i for i, x in enumerate(v) if x != 0), None)
+        if nz is not None:
+            basis.append((nz, v))
+            chosen.append(idx)
+    return len(chosen), chosen

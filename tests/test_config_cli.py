@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 import covwalk
 from covwalk import cli
 from covwalk import config as CFG
+from covwalk import fuchsian as F
 from covwalk import hyp2 as H
 from covwalk import segments as S
 from covwalk import walk as W
@@ -109,8 +110,12 @@ CONFIGS = sorted(
 
 # modules whose import cost a covwalk process does not pay: dataclasses
 # compiles each generated method with its own exec and brings inspect (and
-# with it dis, ast and tokenize); platform served one machine name
-STARTUP_MODULES = {"dataclasses", "inspect", "platform"}
+# with it dis, ast and tokenize); platform served one machine name; hashlib
+# maps OpenSSL's libcrypto through _hashlib for two SHA-256 digests, which
+# the interpreter's built-in module takes; fractions brings decimal to rank
+# a few integer vectors
+STARTUP_MODULES = {"dataclasses", "inspect", "platform",
+                   "hashlib", "_hashlib", "fractions", "decimal"}
 
 
 def with_value(text: str, key: str, value: str) -> str:
@@ -448,6 +453,20 @@ class TestRunCommands:
             assert not out.exists()
 
 
+    def test_haar_core_that_accepts_nothing_exits_3(self, tmp_path, monkeypatch):
+        # with no proposal allowed every core draw gives up; RECURRENCE's ten
+        # Haar starts on the torus, whose core is most of the surface, draw
+        # from the core
+        monkeypatch.setattr(F, "HAAR_MAX_PROPOSALS", 0)
+        cfgp = tmp_path / "exp.cfg"
+        cfgp.write_text(RECURRENCE)
+        out = tmp_path / "o"
+        code, printed = run_cli("walk", "run", "--config", str(cfgp), "--out", str(out))
+        assert code == 3
+        assert "runtime error: Haar core sampling accepted none of 0 proposals" in printed
+        assert "Traceback" not in printed
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "report, trajectories", [("cauchy", 99), ("gaussian", 2)]
     )
@@ -533,9 +552,56 @@ class TestRecordsText:
     @given(record_sets())
     def test_same_bytes_as_the_two_writers(self, case):
         d, results = case
-        assert cli._records_text(results, d) == (
+        csv_fh, jsonl_fh = io.StringIO(), io.StringIO()
+        cli._write_records(results, d, csv_fh, jsonl_fh)
+        assert (csv_fh.getvalue(), jsonl_fh.getvalue()) == (
             old_records_csv(results, d), old_records_jsonl(results)
         )
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        # records.csv and records.jsonl are renamed into place only when
+        # both are written whole; a write that raises leaves neither behind
+        def fail(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "_write_records", fail)
+        cfgp = tmp_path / "exp.cfg"
+        cfgp.write_text(DRIFT_HALF)
+        out = tmp_path / "o"
+        with pytest.raises(OSError, match="disk full"):
+            cli.main(["walk", "run", "--config", str(cfgp), "--out", str(out)])
+        assert list(out.iterdir()) == []
+
+
+class TestSha256:
+    """covwalk's SHA-256 is the interpreter's built-in one, not OpenSSL's;
+    its digests are hashlib's."""
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=os.path.basename)
+    def test_config_text(self, path):
+        import hashlib
+
+        with open(path, encoding="utf-8") as fh:
+            cfg = CFG.parse_config_text(fh.read())
+        text = CFG.canonical_text(cfg).encode()
+        assert CFG.sha256(text).hexdigest() == hashlib.sha256(text).hexdigest()
+        assert CFG.config_hash(cfg) == hashlib.sha256(text).hexdigest()[:16]
+
+    def test_config_hash_is_pinned(self):
+        with open(os.path.join(os.path.dirname(CONFIGS[0]), "drift_half.cfg"),
+                  encoding="utf-8") as fh:
+            cfg = CFG.parse_config_text(fh.read())
+        assert CFG.config_hash(cfg) == "5c7b51ffc91c8929"
+
+    def test_kernel_key(self):
+        import hashlib
+
+        with open(S._KERNEL_SOURCE, "rb") as fh:
+            source = fh.read()
+        text = b"\0".join(
+            [source, " ".join(S._KERNEL_FLAGS).encode(), os.uname().machine.encode()]
+        )
+        assert S._kernel_key() == hashlib.sha256(text).hexdigest()[:24]
 
 
 class TestFitCommand:
@@ -685,7 +751,9 @@ class TestEntryPoint:
         # the C kernel draws the uniforms; only the Python one uses numpy's
         on_python = str(kernel != "c")
         assert imported == ["False", "False", "False", on_python, on_python]
-        assert startup == ""
+        # numpy.random, which only the Python kernel imports, loads hashlib
+        allowed = {"hashlib", "_hashlib"} if kernel != "c" else set()
+        assert set(startup.split()) <= allowed
         summary = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert set(summary["analysis"]) == {"drift", "cauchy", "accumulation", "recurrence"}
 

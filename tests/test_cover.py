@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from covwalk import cover as C
 from covwalk import fuchsian as F
 from covwalk import hyp2 as H
-from helpers import cusp_excursions, sigma_cusp_bound_check
+from helpers import cusp_excursions, integer_rank_fraction, sigma_cusp_bound_check
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +63,43 @@ class TestSmith:
         # textbook example: invariant factors 2 | 6 | 12
         assert C.smith_invariants([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]) == [2, 6, 12]
         assert C.smith_invariants([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]) == [2, 2, 156]
+
+
+@st.composite
+def integer_vectors(draw):
+    """Lists of integer vectors of one length, with repeats, multiples and
+    sums of earlier vectors mixed in so dependent ones are common."""
+    d = draw(st.integers(1, 5))
+    entries = st.one_of(st.integers(-3, 3), st.integers(-10**20, 10**20))
+    vectors: list[tuple[int, ...]] = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["new", "zero", "multiple", "sum"]))
+        if kind == "zero":
+            vectors.append((0,) * d)
+        elif kind == "new" or not vectors:
+            vectors.append(tuple(draw(entries) for _ in range(d)))
+        elif kind == "multiple":
+            k = draw(st.integers(-5, 5))
+            vectors.append(tuple(k * x for x in draw(st.sampled_from(vectors))))
+        else:
+            u, w = draw(st.sampled_from(vectors)), draw(st.sampled_from(vectors))
+            a, b = draw(st.integers(-4, 4)), draw(st.integers(-4, 4))
+            vectors.append(tuple(a * x + b * y for x, y in zip(u, w)))
+    return vectors
+
+
+class TestIntegerRank:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(integer_vectors())
+    def test_matches_rational_elimination(self, vectors):
+        assert C.integer_rank(vectors) == integer_rank_fraction(vectors)
+
+    def test_known(self):
+        assert C.integer_rank([]) == (0, [])
+        assert C.integer_rank([(0, 0), (2, 4), (-1, -2), (1, 0), (3, 3)]) == (2, [1, 3])
+        assert C.integer_rank([(1, 0), (0, 1)]) == (2, [0, 1])
+        # rows whose lead positions arrive out of order
+        assert C.integer_rank([(0, 0, 3), (0, 2, 1), (5, 0, 0), (5, 2, 4)]) == (3, [0, 1, 2])
 
 
 class TestValidateCover:

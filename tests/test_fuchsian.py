@@ -287,3 +287,140 @@ B = 0
         pres, _ = F.parse_lattice_text(text)
         assert pres.relators == ((("A", 1), ("A", -1)),)
         pres.validate()
+
+
+class TestCoreBox:
+    # the boxes the Haar sampler draws the shipped presets' cores from, as
+    # they were before the crossing at the vertex itself was dropped; a
+    # change here moves every Haar-start record
+    PINNED = {
+        "gamma2": "CoreRegion(height=0.0, area=0.28318530717958623, x_min=-1.0,"
+                  " x_max=1.0, y_min=0.44999999999999996, y_max=1.0)",
+        "punctured_square_torus": "CoreRegion(height=0.0, area=5.111612431925776,"
+                                  " x_min=-2.4142135623730945, x_max=2.414213562373096,"
+                                  " y_min=0.14806461960133802, y_max=2.414213562373095)",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_presets_unchanged(self, name):
+        _, poly, cusps = F.builtin_lattice(name)
+        assert repr(F.cusp_neighborhoods(poly, cusps, 0.0)[1]) == self.PINNED[name]
+
+    def test_crossing_at_the_vertex_is_dropped(self):
+        # the unit circle ends at v = 1; a horoball at 1 of diameter 1/2
+        # meets it at 1 and at height dia r^2 / (r^2 + (dia/2)^2) = 8/17,
+        # which is the crossing that counts
+        plane = F.HalfPlane(alpha=1.0, beta=0.0, delta=-1.0)
+        y = F._lowest_crossing(plane, 1.0, 0.5)
+        assert y == pytest.approx(8.0 / 17.0, rel=1e-12)
+
+
+def hexagon_generators():
+    """The regular ideal hexagon about i with opposite sides paired: the
+    translations by 2 ln(2 + sqrt 3) along the axes through i at angles 0,
+    pi/3 and 2pi/3.  The surface is a torus with two punctures, and no
+    ideal vertex lies at infinity."""
+    length = 2.0 * math.log(2.0 + math.sqrt(3.0))
+    return tuple(
+        (f"g{k + 1}", H.compose_all(H.rotation(k * math.pi / 3),
+                                    H.translation(length),
+                                    H.rotation(-k * math.pi / 3)))
+        for k in range(3)
+    )
+
+
+class TestHexagonLattice:
+    """A lattice whose polygon has only finite ideal vertices: its core box
+    once reached down to the axis and the Haar sampler never returned."""
+
+    @pytest.fixture(scope="class")
+    def hexagon(self, tmp_path_factory):
+        from covwalk import config as CFG
+
+        pres = F.LatticePresentation(generators=hexagon_generators(), relators=())
+        path = tmp_path_factory.mktemp("hexagon") / "hexagon.txt"
+        path.write_text(format_lattice_text(
+            pres, {"g1": (1, 0), "g2": (0, 1), "g3": (0, 0)}))
+        cfg = CFG.parse_config_text(
+            f"[lattice]\nfile = {path}\nword_bound = 4\n"
+            "[measure]\ntype = parametric\n[walk]\nsteps = 200\n"
+            "trajectories = 20\nseed = 11\ncheckpoints = linear:100\n"
+        )
+        return path, CFG.build_bundle(cfg)
+
+    def test_builds(self, hexagon):
+        _, bundle = hexagon
+        assert len(bundle.polygon.sides) == 6
+        assert bundle.polygon.area == pytest.approx(4.0 * math.pi, rel=1e-9)
+        assert len(bundle.cusps) == 2
+        assert all(math.isfinite(c.fixed_point) for c in bundle.cusps)
+        assert bundle.spec.dim_EC == 1
+
+    def test_haar_draws_finish(self, hexagon):
+        _, bundle = hexagon
+        system = bundle.system
+        _, core = system.haar_parts
+        assert core.y_min > 0.01
+
+        class Counting:
+            def __init__(self):
+                self.rng = np.random.default_rng(3)
+                self.calls = 0
+
+            def random(self):
+                self.calls += 1
+                return self.rng.random()
+
+        rng = Counting()
+        core_draws = proposals = 0
+        for _ in range(2000):
+            before = rng.calls
+            x = F.haar_sample(system.polygon, system.cusps, system.pres, rng,
+                              system.haar_parts)
+            bp = x.base_point()
+            # a core draw lies in the polygon below the cusp sectors; it took
+            # two uniforms of area and angle, then two per proposal
+            if F.cusp_height(system.cusps, bp.x, bp.y) <= core.height:
+                core_draws += 1
+                proposals += (rng.calls - before - 2) // 2
+        assert core_draws > 1000
+        assert 0.05 < core_draws / proposals < 0.2
+
+    def test_walk_run(self, hexagon, tmp_path):
+        from covwalk import cli
+
+        path, _ = hexagon
+        cfgp = tmp_path / "hex.cfg"
+        cfgp.write_text(
+            f"[lattice]\nfile = {path}\nword_bound = 4\n"
+            "[measure]\ntype = parametric\n[walk]\nsteps = 200\n"
+            "trajectories = 20\nseed = 11\ncheckpoints = linear:100\n"
+        )
+        assert cli.main(["walk", "run", "--config", str(cfgp),
+                         "--out", str(tmp_path / "o")]) == 0
+        assert len((tmp_path / "o" / "records.csv").read_text().splitlines()) == 41
+
+
+class TestTangencyBound:
+    def test_entry_matches_compose(self, gamma2):
+        # every product derive_cusps' tangency bound reads on gamma2, against
+        # the |c| of the element hyp2.compose builds, bit for bit
+        pres, _, cusps = gamma2
+        ball = F.enumerate_ball(pres, 6)
+        norms = [c.normalizer for c in cusps]
+        for gk in norms:
+            for _, gamma in [((), H.IDENTITY)] + ball:
+                k = H.compose(H.inverse(gk), gamma)
+                for gj in norms:
+                    got = F._composed_abs_c(*k.as_tuple(), gj)
+                    assert got == abs(H.compose(k, gj).c)
+
+    def test_entry_matches_compose_when_rescaled(self):
+        # a left factor of determinant 1 + 1e-9, built without element's
+        # rescale, so that every product is rescaled
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            a, b, c = rng.normal(size=3) * 3.0
+            k = H.GroupElement(a, b, c, (1.0 + 1e-9 + b * c) / a)
+            g = H.compose(H.rotation(rng.uniform(0, 6.3)), H.translation(rng.normal()))
+            assert F._composed_abs_c(*k.as_tuple(), g) == abs(H.compose(k, g).c)

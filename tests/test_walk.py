@@ -835,6 +835,32 @@ class TestStream:
         assert np.array_equal(np.array(got).view(np.uint64),
                               np.array(want).view(np.uint64))
 
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**63 - 1), scalars=st.integers(0, 5),
+           shape=st.sampled_from(["atoms", "parametric", "flow"]),
+           steps=st.one_of(st.integers(0, 3000),
+                           st.sampled_from([1364, 1365, 1366, 2730, 2731])))
+    def test_run_draws_only_the_uniforms_its_steps_take(
+            self, gamma2_d1, seed, scalars, shape, steps):
+        # an atom takes one uniform, a parametric step three plus the unused
+        # last uniform of each block before the next one starts, a flow step
+        # none; the stream after the run stands where the steps left it
+        measure = {"atoms": W.two_atom_measure(gamma2_d1.pres),
+                   "parametric": W.parametric_measure(0.5, 1.5),
+                   "flow": None}[shape]
+        cfg = W.WalkConfig(steps=steps, trajectories=1, master_seed=seed,
+                           checkpoints=W.CheckpointPlan(stride=max(steps, 1)))
+        loop = W._Run(gamma2_d1, measure, cfg, shape == "flow").loop(0)
+        for _ in range(scalars):
+            loop.random()
+        loop.run(gamma2_d1.start_point(H.BASE_TANGENT))
+        block = P._RNG_BLOCK // 3
+        used = {"atoms": steps, "flow": 0,
+                "parametric": 3 * steps + max(steps - 1, 0) // block}[shape]
+        rng = W.trajectory_rng(seed, 0)
+        want = rng.random(scalars + used + 1)[-1]
+        assert loop.random() == want
+
     def test_negative_seed_refused(self):
         with pytest.raises(ValueError, match="expected non-negative integer"):
             S._seed_words(5, -1)
