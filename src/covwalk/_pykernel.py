@@ -1,6 +1,10 @@
 """The trajectory loop in Python: the fallback where the C kernel of
 ``segments`` cannot be built, and the reference it is tested against.
 
+``_PySegments.run`` walks a trajectory in one loop, as ``_segment.c``'s
+``covwalk_trajectory`` does, with the walk's state in its locals: an outer
+loop stops at each checkpoint, each return grid point and each end of a
+block of letters, and an inner loop takes the steps between them.
 ``segments.trajectory_loops`` imports this module only when the C kernel
 does not load, so a run on the C kernel neither compiles nor imports it.
 Its uniforms come from numpy's generator of ``walk.trajectory_rng``; the
@@ -17,10 +21,10 @@ import numpy as np
 
 from . import fuchsian
 from . import walk as walk_mod
-from .segments import _STOP_CHECKPOINT, _STOP_GRID, _cumulative_weights, base_xy
+from .segments import _cumulative_weights, base_xy
 
 if TYPE_CHECKING:
-    from .walk import MeasureSpec
+    from .walk import MeasureSpec, _Run
 
 # the uniforms drawn at once: a block is 4096 atom letters, or 1365
 # parametric ones
@@ -34,133 +38,113 @@ _INDEX_LIMIT = 1 << 62
 class _PySegments:
     """One trajectory's loop, with the interface of ``segments._CTrajectory``.
     A position moves by its orbit table, or by a multiply and
-    ``CoverSystem.reduce_raw`` with a tuple index.  ``_segment`` holds the
-    state in locals over a segment."""
+    ``CoverSystem.reduce_raw`` with a tuple index."""
 
-    def __init__(self, system, measure, cfg, geodesic, letters, table, stops, traj):
-        self.rng = walk_mod.trajectory_rng(cfg.master_seed, traj)
+    def __init__(self, shared: _Run, traj: int):
+        self.shared = shared
+        self.rng = walk_mod.trajectory_rng(shared.cfg.master_seed, traj)
         self.random = self.rng.random
-        self.stops = stops
-        self.cusps = system.cusps
-        self.block_len = _RNG_BLOCK if letters else _RNG_BLOCK // 3
-        self.reduce = system.reduce_raw
-        self.measure = measure
-        self.flow = geodesic
-        self.cum = _cumulative_weights(measure) if letters and not geodesic else None
-        self.mats = [g.as_tuple() for g in letters]
-        self.block: list | range = [0] * _RNG_BLOCK if geodesic else []
-        self.moves = None if table is None else table.moves
-        self.table_xy = None if table is None else [
-            base_xy(*r.rep.as_tuple()) for r in table.reps
-        ]
-        self.state = 0
-        self.cartan = (1.0, 0.0, 0.0, 1.0, 0.0)  # flow runs keep no product
-        self.atom_counts = [0] * len(letters) if cfg.count_atoms and self.cum else None
-        self.cosh_r = None if cfg.returns is None else math.cosh(cfg.returns.radius)
-        self.ret = (False, None, 0, 0)  # left_zero, first_return, n_returns, max_exc
 
     def run(self, p0) -> tuple[list, list, tuple[int, ...]]:
-        self.m = p0.rep.rep.as_tuple()
-        self.index = p0.index
-        self.xy = self.start_xy = base_xy(*self.m)
+        shared, rng = self.shared, self.rng
+        measure, letters, flow, cfg = (
+            shared.measure, shared.letters, shared.geodesic, shared.cfg
+        )
+        checkpoints, grid, cusps = shared.checkpoints, shared.grid, shared.system.cusps
+        reduce = shared.system.reduce_raw
+        cum = _cumulative_weights(measure) if letters and not flow else None
+        mats = [g.as_tuple() for g in letters]
+        # a flow's every letter is the flow step, letter 0
+        block: list | range = [0] * _RNG_BLOCK if flow else []
+        block_len = _RNG_BLOCK if letters else _RNG_BLOCK // 3
+        moves = table_xy = None
+        if shared.table is not None:
+            moves = shared.table.moves
+            table_xy = [base_xy(*r.rep.as_tuple()) for r in shared.table.reps]
+        counts = [0] * len(letters) if cfg.count_atoms and cum is not None else None
+        cosh_r = None if cfg.returns is None else math.cosh(cfg.returns.radius)
+
+        a, b, c, d = p0.rep.rep.as_tuple()
+        index, state = p0.index, 0
+        px, py = sx, sy = base_xy(a, b, c, d)
+        ta, tb, tc, td, tlog = 1.0, 0.0, 0.0, 1.0, 0.0  # flow runs keep no product
+        left_zero, first_return, n_returns, max_exc = False, None, 0, 0
         marks: list[tuple] = []
         at_grid: list[tuple[int | None, int, int]] = []
         # steps b0 + 1 .. bend take their letters from the current block
-        k = b0 = bend = 0
-        for end, kind in self.stops:
-            while k < end:
-                if k == bend:
-                    self._refill()
-                    b0, bend = k, k + self.block_len
-                stop = min(end, bend)
-                self._segment(k - b0, k, stop)
-                k = stop
-            if kind & _STOP_GRID:
-                at_grid.append(self.ret[1:])
-            if kind & _STOP_CHECKPOINT:
+        k = b0 = bend = cp = gp = 0
+        while True:
+            if gp < len(grid) and grid[gp] == k:
+                at_grid.append((first_return, n_returns, max_exc))
+                gp += 1
+            if checkpoints[cp] == k:
                 marks.append((
-                    self.index,
-                    fuchsian.cusp_height(self.cusps, *self.xy),
-                    *self.cartan,
+                    index, fuchsian.cusp_height(cusps, px, py), ta, tb, tc, td, tlog
                 ))
-        counts = () if self.atom_counts is None else tuple(self.atom_counts)
-        return marks, at_grid, counts
-
-    def _refill(self) -> None:
-        if self.flow:
-            return  # every letter is the flow step, letter 0
-        if self.cum is not None:
-            self.block = _draw_block(self.rng, self.measure, self.cum)
-        else:
-            self.mats = _draw_block(self.rng, self.measure, None)
-            self.block = range(len(self.mats))
-
-    def _segment(self, j0: int, k0: int, k1: int) -> None:
-        seg = self.block[j0:j0 + k1 - k0]
-        if self.atom_counts is not None:
-            for j in range(len(self.atom_counts)):
-                self.atom_counts[j] += seg.count(j)
-        mats, moves, table_xy = self.mats, self.moves, self.table_xy
-        reduce = self.reduce
-        a, b, c, d = self.m
-        px, py = self.xy
-        index, state = self.index, self.state
-        flow = self.flow
-        ta, tb, tc, td, tlog = self.cartan
-        cosh_r = self.cosh_r
-        sx, sy = self.start_xy
-        left_zero, first_return, n_returns, max_exc = self.ret
-        for k, ai in enumerate(seg, k0 + 1):
-            ga, gb, gc, gd = mats[ai]
-            if moves is not None:
-                state, dl = moves[state][ai]
-                index = tuple(map(operator.add, index, dl))
-                px, py = table_xy[state]
-            else:
-                (a, b, c, d), index, _ = reduce((
-                    a * ga + b * gc,
-                    a * gb + b * gd,
-                    c * ga + d * gc,
-                    c * gb + d * gd,
-                ), index)
-                px, py = base_xy(a, b, c, d)
-            exc = max(map(abs, index))
-            if exc >= _INDEX_LIMIT:
-                raise OverflowError(f"step {k}: sheet index {index} is beyond +-2**62")
-            if not flow:
-                ta, tb, tc, td = (
-                    ta * ga + tb * gc,
-                    ta * gb + tb * gd,
-                    tc * ga + td * gc,
-                    tc * gb + td * gd,
-                )
-                if k & 63 == 0:
-                    mm = max(abs(ta), abs(tb), abs(tc), abs(td))
-                    if mm > 1.0:
-                        ta, tb, tc, td = ta / mm, tb / mm, tc / mm, td / mm
-                        tlog += math.log(mm)
-            if cosh_r is not None:
-                # the start tile is: sheet index zero AND base within the
-                # radius of the start; a return is re-entering it after
-                # having left it
-                if exc:
-                    if exc > max_exc:
-                        max_exc = exc
-                    left_zero = True
+                cp += 1
+                if cp == len(checkpoints):  # the last checkpoint is the last step
+                    break
+            if k == bend:
+                if cum is not None:
+                    block = _draw_block(rng, measure, cum)
+                elif not flow:
+                    mats = _draw_block(rng, measure, None)
+                    block = range(len(mats))
+                b0, bend = k, k + block_len
+            stop = min(bend, checkpoints[cp], grid[gp] if gp < len(grid) else bend)
+            seg = block[k - b0:stop - b0]
+            if counts is not None:
+                for j in range(len(counts)):
+                    counts[j] += seg.count(j)
+            for k, ai in enumerate(seg, k + 1):
+                ga, gb, gc, gd = mats[ai]
+                if moves is not None:
+                    state, dl = moves[state][ai]
+                    index = tuple(map(operator.add, index, dl))
+                    px, py = table_xy[state]
                 else:
-                    dx = px - sx
-                    dy = py - sy
-                    inside = 1.0 + (dx * dx + dy * dy) / (2.0 * py * sy) <= cosh_r
-                    if left_zero and inside:
-                        n_returns += 1
-                        left_zero = False
-                        if first_return is None:
-                            first_return = k
-                    elif not left_zero and not inside:
+                    (a, b, c, d), index, _ = reduce((
+                        a * ga + b * gc,
+                        a * gb + b * gd,
+                        c * ga + d * gc,
+                        c * gb + d * gd,
+                    ), index)
+                    px, py = base_xy(a, b, c, d)
+                exc = max(map(abs, index))
+                if exc >= _INDEX_LIMIT:
+                    raise OverflowError(f"step {k}: sheet index {index} is beyond +-2**62")
+                if not flow:
+                    ta, tb, tc, td = (
+                        ta * ga + tb * gc,
+                        ta * gb + tb * gd,
+                        tc * ga + td * gc,
+                        tc * gb + td * gd,
+                    )
+                    if k & 63 == 0:
+                        mm = max(abs(ta), abs(tb), abs(tc), abs(td))
+                        if mm > 1.0:
+                            ta, tb, tc, td = ta / mm, tb / mm, tc / mm, td / mm
+                            tlog += math.log(mm)
+                if cosh_r is not None:
+                    # the start tile is: sheet index zero AND base within the
+                    # radius of the start; a return is re-entering it after
+                    # having left it
+                    if exc:
+                        if exc > max_exc:
+                            max_exc = exc
                         left_zero = True
-        self.m, self.xy, self.index, self.state = (a, b, c, d), (px, py), index, state
-        self.cartan = (ta, tb, tc, td, tlog)
-        self.ret = (left_zero, first_return, n_returns, max_exc)
+                    else:
+                        dx = px - sx
+                        dy = py - sy
+                        inside = 1.0 + (dx * dx + dy * dy) / (2.0 * py * sy) <= cosh_r
+                        if left_zero and inside:
+                            n_returns += 1
+                            left_zero = False
+                            if first_return is None:
+                                first_return = k
+                        elif not left_zero and not inside:
+                            left_zero = True
+        return marks, at_grid, () if counts is None else tuple(counts)
 
 
 def _draw_block(

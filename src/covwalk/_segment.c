@@ -1,9 +1,10 @@
 /* The trajectory engine, compiled.
  *
  * covwalk_trajectory runs one trajectory of walk.simulate_trajectory from its
- * reduced start to its last step, in segments that end at the run's stops
- * (checkpoints and return grid points) and at the end of a block of
- * uniforms.  It draws the trajectory's uniforms itself, from a Philox4x64-10
+ * reduced start to its last step in one loop, whose locals hold the walk's
+ * state: an outer loop stops at each checkpoint, each return grid point and
+ * each end of a block of uniforms, and an inner loop takes the steps between
+ * them.  It draws the trajectory's uniforms itself, from a Philox4x64-10
  * stream bit-identical to numpy's Generator(Philox(SeedSequence([s, k]))):
  * covwalk_seed keys it and covwalk_random draws one double, which Python's
  * Haar sampler reads before the walk starts.  Python builds the start and
@@ -53,8 +54,6 @@ enum {
     ERR_RANGE = 5      /* OverflowError: float ** overflow, floor of infinity */
 };
 
-enum { STOP_CHECKPOINT = 1, STOP_GRID = 2 };
-
 #define RNG_BLOCK 4096             /* uniforms per block: _pykernel._RNG_BLOCK */
 #define INDEX_LIMIT (INT64_C(1) << 62)
 #define TWO_PI 6.283185307179586
@@ -86,19 +85,17 @@ typedef struct {
     const double *table_xy;        /* per state: base point x, y */
     /* return tracking */
     int64_t returns;
-    double sx, sy, cosh_r;
-    /* the state after the last step */
+    double cosh_r;
+    /* the start: the reduced tangent and its base point */
     double a, b, c, d, px, py;
-    double ta, tb, tc, td, tlog;
-    int64_t state;
-    int64_t *index;                /* dim coordinates */
+    int64_t *index;                /* dim coordinates, the start's on entry */
     int64_t *counts;               /* per atom, or NULL */
-    int64_t left_zero, first_return, n_returns, max_exc;
     int64_t fail_step;             /* the step an error code refers to */
-    /* the run's stops, ascending: checkpoints and return grid points */
-    const int64_t *stops;
-    const int64_t *stop_kinds;     /* per stop: STOP_CHECKPOINT | STOP_GRID */
-    int64_t n_stops;
+    /* the run's stops, each ascending; the last checkpoint is the last step */
+    const int64_t *checkpoints;
+    int64_t n_checkpoints;
+    const int64_t *grid;           /* return grid points */
+    int64_t n_grid;
     /* the trajectory's outputs */
     double *cp_state;              /* per checkpoint: cusp height, ta, tb, tc, td, tlog */
     int64_t *cp_index;             /* per checkpoint: dim coordinates */
@@ -387,213 +384,191 @@ static int cusp_height(const walk_t *w, double x, double y, double *out)
     return OK;
 }
 
-/* advances the trajectory over steps k0 + 1 .. k1, taking step k0 + 1's
- * letter from uniform j0 of the block u */
-static int segment(walk_t *w, const double *u, int64_t j0, int64_t k0, int64_t k1)
-{
-    const int64_t dim = w->dim;
-    int64_t *index = w->index;
-    double m[4] = {w->a, w->b, w->c, w->d};
-    double px = w->px, py = w->py;
-    double ta = w->ta, tb = w->tb, tc = w->tc, td = w->td, tlog = w->tlog;
-    int64_t state = w->state;
-    int64_t left_zero = w->left_zero, first_return = w->first_return;
-    int64_t n_returns = w->n_returns, max_exc = w->max_exc;
-    int rc = OK;
-    int64_t k = k0, j = j0;
-
-    while (k < k1) {
-        k++;
-        /* the letter */
-        int64_t ai = 0;
-        double ga, gb, gc, gd;
-        if (w->letters == LETTERS_PARAMETRIC) {
-            const double *v = u + 3 * j;
-            double th1 = v[0] * TWO_PI;
-            double tau = w->tau_min + v[1] * w->tau_span;
-            double th2 = v[2] * TWO_PI;
-            double h1 = 0.5 * th1, h2 = 0.5 * th2;
-            double c1 = cos(h1), s1 = sin(h1), c2 = cos(h2), s2 = sin(h2);
-            double e = exp(0.5 * tau);
-            double ei = 1.0 / e;
-            ga = c1 * e * c2 - s1 * ei * s2;
-            gb = -c1 * e * s2 - s1 * ei * c2;
-            gc = s1 * e * c2 + c1 * ei * s2;
-            gd = -s1 * e * s2 + c1 * ei * c2;
-        } else {
-            if (w->letters == LETTERS_ATOMS) {
-                double x = u[j];
-                while (ai < w->n_letters - 1 && w->cum[ai] < x)
-                    ai++;
-                if (w->counts)
-                    w->counts[ai]++;
-            }
-            const double *g = w->mats + 4 * ai;
-            ga = g[0];
-            gb = g[1];
-            gc = g[2];
-            gd = g[3];
-        }
-        j++;
-
-        /* the position: an orbit-table move, or multiply and reduce */
-        if (w->table_next) {
-            int64_t t = state * w->n_letters + ai;
-            state = w->table_next[t];
-            rc = charge(index, w->table_delta + dim * t, 1, dim);
-            px = w->table_xy[2 * state];
-            py = w->table_xy[2 * state + 1];
-        } else {
-            double a = m[0], b = m[1], c = m[2], d = m[3];
-            m[0] = a * ga + b * gc;
-            m[1] = a * gb + b * gd;
-            m[2] = c * ga + d * gc;
-            m[3] = c * gb + d * gd;
-            rc = descend(w, m, index, &px, &py);
-        }
-        if (rc)
-            break;
-        int64_t exc = 0;
-        for (int64_t i = 0; i < dim; i++) {
-            int64_t v = index[i] < 0 ? -index[i] : index[i];
-            if (v > exc)
-                exc = v;
-        }
-        if (exc >= INDEX_LIMIT) {
-            rc = ERR_INDEX;
-            break;
-        }
-
-        /* the running Cartan product */
-        if (w->cartan) {
-            double na = ta * ga + tb * gc;
-            double nb = ta * gb + tb * gd;
-            double nc = tc * ga + td * gc;
-            double nd = tc * gb + td * gd;
-            ta = na;
-            tb = nb;
-            tc = nc;
-            td = nd;
-            if ((k & 63) == 0) {
-                double mm = __builtin_fabs(ta);
-                if (__builtin_fabs(tb) > mm)
-                    mm = __builtin_fabs(tb);
-                if (__builtin_fabs(tc) > mm)
-                    mm = __builtin_fabs(tc);
-                if (__builtin_fabs(td) > mm)
-                    mm = __builtin_fabs(td);
-                if (mm > 1.0) {
-                    ta = ta / mm;
-                    tb = tb / mm;
-                    tc = tc / mm;
-                    td = td / mm;
-                    tlog += log(mm);
-                }
-            }
-        }
-
-        /* returns: re-entering sheet zero within the radius of the start */
-        if (w->returns) {
-            if (exc) {
-                if (exc > max_exc)
-                    max_exc = exc;
-                left_zero = 1;
-            } else {
-                double dx = px - w->sx, dy = py - w->sy;
-                double scale = 2.0 * py * w->sy;
-                if (scale == 0.0) {
-                    rc = ERR_ZERO;
-                    break;
-                }
-                int inside = 1.0 + (dx * dx + dy * dy) / scale <= w->cosh_r;
-                if (left_zero && inside) {
-                    n_returns++;
-                    left_zero = 0;
-                    if (first_return < 0)
-                        first_return = k;
-                } else if (!left_zero && !inside) {
-                    left_zero = 1;
-                }
-            }
-        }
-    }
-
-    w->a = m[0];
-    w->b = m[1];
-    w->c = m[2];
-    w->d = m[3];
-    w->px = px;
-    w->py = py;
-    w->ta = ta;
-    w->tb = tb;
-    w->tc = tc;
-    w->td = td;
-    w->tlog = tlog;
-    w->state = state;
-    w->left_zero = left_zero;
-    w->first_return = first_return;
-    w->n_returns = n_returns;
-    w->max_exc = max_exc;
-    w->fail_step = k;
-    return rc;
-}
-
-/* The whole trajectory from the start state in w: a block of uniforms is
- * drawn when a step needs one, and at each stop the checkpoint or grid
- * outputs are written.  The blocks are the Python kernel's: RNG_BLOCK atom
- * letters, or RNG_BLOCK / 3 parametric steps, whose block leaves its last
- * uniform unused; a flow draws none.  A block is drawn only as far as the
- * last step, so the stream ends where the steps leave it, and the unused
- * uniform of a parametric block is skipped when the next block starts. */
+/* The whole trajectory from the start in w, with the walk's state in this
+ * function's locals.  The outer loop writes the outputs of step k (a grid
+ * point's return counts, then a checkpoint's index, cusp height and Cartan
+ * product), draws the next block of uniforms once the last one is used up,
+ * and runs the inner loop to the next stop: the next checkpoint, grid point
+ * or block end.  The blocks are the Python kernel's: RNG_BLOCK atom letters,
+ * or RNG_BLOCK / 3 parametric steps, whose block leaves its last uniform
+ * unused; a flow draws none.  A block is drawn only as far as the last step,
+ * so the stream ends where the steps leave it, and the unused uniform of a
+ * parametric block is skipped when the next block starts. */
 int covwalk_trajectory(walk_t *w)
 {
     double u[RNG_BLOCK];
     const int parametric = w->letters == LETTERS_PARAMETRIC;
     const int64_t block_len = parametric ? RNG_BLOCK / 3 : RNG_BLOCK;
-    int64_t k = 0, b0 = 0, bend = 0, cp = 0, grid = 0;
-    w->fail_step = 0;
-    for (int64_t s = 0; s < w->n_stops; s++) {
-        const int64_t end = w->stops[s];
-        while (k < end) {
-            if (k == bend) {
-                if (w->letters != LETTERS_FLOW) {
-                    const int64_t last = w->stops[w->n_stops - 1];
-                    const int64_t steps =
-                        last - k < block_len ? last - k : block_len;
-                    if (parametric && k)
-                        next_double(w);
-                    for (int64_t j = 0; j < (parametric ? 3 : 1) * steps; j++)
-                        u[j] = next_double(w);
-                }
-                b0 = k;
-                bend = k + block_len;
-            }
-            const int64_t stop = end < bend ? end : bend;
-            int rc = segment(w, u, k - b0, k, stop);
-            if (rc)
-                return rc;
-            k = stop;
+    const int64_t dim = w->dim;
+    const int64_t last = w->checkpoints[w->n_checkpoints - 1];
+    const double sx = w->px, sy = w->py;
+    int64_t *index = w->index;
+    double m[4] = {w->a, w->b, w->c, w->d};
+    double px = sx, py = sy;
+    double ta = 1.0, tb = 0.0, tc = 0.0, td = 1.0, tlog = 0.0;
+    int64_t state = 0;
+    int64_t left_zero = 0, first_return = -1, n_returns = 0, max_exc = 0;
+    int64_t k = 0, j = 0, bend = 0, cp = 0, gp = 0;
+    int rc = OK;
+
+    for (;;) {
+        if (gp < w->n_grid && w->grid[gp] == k) {
+            int64_t *out = w->grid_returns + 3 * gp++;
+            out[0] = first_return;
+            out[1] = n_returns;
+            out[2] = max_exc;
         }
-        if (w->stop_kinds[s] & STOP_GRID) {
-            int64_t *out = w->grid_returns + 3 * grid++;
-            out[0] = w->first_return;
-            out[1] = w->n_returns;
-            out[2] = w->max_exc;
-        }
-        if (w->stop_kinds[s] & STOP_CHECKPOINT) {
+        if (w->checkpoints[cp] == k) {
             double *out = w->cp_state + 6 * cp;
-            int rc = cusp_height(w, w->px, w->py, out);
+            rc = cusp_height(w, px, py, out);
             if (rc)
-                return rc;
-            out[1] = w->ta;
-            out[2] = w->tb;
-            out[3] = w->tc;
-            out[4] = w->td;
-            out[5] = w->tlog;
-            for (int64_t i = 0; i < w->dim; i++)
-                w->cp_index[w->dim * cp + i] = w->index[i];
+                break;
+            out[1] = ta;
+            out[2] = tb;
+            out[3] = tc;
+            out[4] = td;
+            out[5] = tlog;
+            for (int64_t i = 0; i < dim; i++)
+                w->cp_index[dim * cp + i] = index[i];
             cp++;
         }
+        if (k == last)
+            break;
+        if (k == bend) {
+            if (w->letters != LETTERS_FLOW) {
+                const int64_t steps = last - k < block_len ? last - k : block_len;
+                if (parametric && k)
+                    next_double(w);
+                for (int64_t i = 0; i < (parametric ? 3 : 1) * steps; i++)
+                    u[i] = next_double(w);
+            }
+            j = 0;
+            bend = k + block_len;
+        }
+        int64_t stop = bend;
+        if (w->checkpoints[cp] < stop)
+            stop = w->checkpoints[cp];
+        if (gp < w->n_grid && w->grid[gp] < stop)
+            stop = w->grid[gp];
+
+        while (k < stop) {
+            k++;
+            /* the letter */
+            int64_t ai = 0;
+            double ga, gb, gc, gd;
+            if (parametric) {
+                const double *v = u + 3 * j;
+                double th1 = v[0] * TWO_PI;
+                double tau = w->tau_min + v[1] * w->tau_span;
+                double th2 = v[2] * TWO_PI;
+                double h1 = 0.5 * th1, h2 = 0.5 * th2;
+                double c1 = cos(h1), s1 = sin(h1), c2 = cos(h2), s2 = sin(h2);
+                double e = exp(0.5 * tau);
+                double ei = 1.0 / e;
+                ga = c1 * e * c2 - s1 * ei * s2;
+                gb = -c1 * e * s2 - s1 * ei * c2;
+                gc = s1 * e * c2 + c1 * ei * s2;
+                gd = -s1 * e * s2 + c1 * ei * c2;
+            } else {
+                if (w->letters == LETTERS_ATOMS) {
+                    double x = u[j];
+                    while (ai < w->n_letters - 1 && w->cum[ai] < x)
+                        ai++;
+                    if (w->counts)
+                        w->counts[ai]++;
+                }
+                const double *g = w->mats + 4 * ai;
+                ga = g[0];
+                gb = g[1];
+                gc = g[2];
+                gd = g[3];
+            }
+            j++;
+
+            /* the position: an orbit-table move, or multiply and reduce */
+            if (w->table_next) {
+                int64_t t = state * w->n_letters + ai;
+                state = w->table_next[t];
+                rc = charge(index, w->table_delta + dim * t, 1, dim);
+                px = w->table_xy[2 * state];
+                py = w->table_xy[2 * state + 1];
+            } else {
+                double a = m[0], b = m[1], c = m[2], d = m[3];
+                m[0] = a * ga + b * gc;
+                m[1] = a * gb + b * gd;
+                m[2] = c * ga + d * gc;
+                m[3] = c * gb + d * gd;
+                rc = descend(w, m, index, &px, &py);
+            }
+            if (rc)
+                break;
+            int64_t exc = 0;
+            for (int64_t i = 0; i < dim; i++) {
+                int64_t v = index[i] < 0 ? -index[i] : index[i];
+                if (v > exc)
+                    exc = v;
+            }
+            if (exc >= INDEX_LIMIT) {
+                rc = ERR_INDEX;
+                break;
+            }
+
+            /* the running Cartan product */
+            if (w->cartan) {
+                double na = ta * ga + tb * gc;
+                double nb = ta * gb + tb * gd;
+                double nc = tc * ga + td * gc;
+                double nd = tc * gb + td * gd;
+                ta = na;
+                tb = nb;
+                tc = nc;
+                td = nd;
+                if ((k & 63) == 0) {
+                    double mm = __builtin_fabs(ta);
+                    if (__builtin_fabs(tb) > mm)
+                        mm = __builtin_fabs(tb);
+                    if (__builtin_fabs(tc) > mm)
+                        mm = __builtin_fabs(tc);
+                    if (__builtin_fabs(td) > mm)
+                        mm = __builtin_fabs(td);
+                    if (mm > 1.0) {
+                        ta = ta / mm;
+                        tb = tb / mm;
+                        tc = tc / mm;
+                        td = td / mm;
+                        tlog += log(mm);
+                    }
+                }
+            }
+
+            /* returns: re-entering sheet zero within the radius of the start */
+            if (w->returns) {
+                if (exc) {
+                    if (exc > max_exc)
+                        max_exc = exc;
+                    left_zero = 1;
+                } else {
+                    double dx = px - sx, dy = py - sy;
+                    double scale = 2.0 * py * sy;
+                    if (scale == 0.0) {
+                        rc = ERR_ZERO;
+                        break;
+                    }
+                    int inside = 1.0 + (dx * dx + dy * dy) / scale <= w->cosh_r;
+                    if (left_zero && inside) {
+                        n_returns++;
+                        left_zero = 0;
+                        if (first_return < 0)
+                            first_return = k;
+                    } else if (!left_zero && !inside) {
+                        left_zero = 1;
+                    }
+                }
+            }
+        }
+        if (rc)
+            break;
     }
-    return OK;
+    w->fail_step = k;
+    return rc;
 }

@@ -187,11 +187,7 @@ def _analysis(bundle, results) -> dict:
             results, bundle.spec.d, bundle.spec.dim_EC
         )
         out["recurrence"] = {
-            "grid": list(rep.grid),
-            "return_fraction": list(rep.return_fraction),
-            "window_fraction": list(rep.window_fraction),
-            "median_first_return": rep.median_first_return,
-            "median_max_excursion": list(rep.median_max_excursion),
+            **_recurrence_fields(rep),
             "verdict_hint": rep.verdict_hint + " (statistical indicator, not a proof)",
         }
     if "accumulation" in reports:
@@ -217,23 +213,28 @@ def _analysis(bundle, results) -> dict:
     return out
 
 
+def _recurrence_fields(rep) -> dict:
+    """The fields of a ``stats.RecurrenceReport`` that ``summary.json`` and
+    ``recurrence.json`` both write, in their order."""
+    return {
+        "grid": list(rep.grid),
+        "return_fraction": list(rep.return_fraction),
+        "window_fraction": list(rep.window_fraction),
+        "median_first_return": rep.median_first_return,
+        "median_max_excursion": list(rep.median_max_excursion),
+    }
+
+
 # ---------------------------------------------------------------------------
 # commands
 
 def cmd_lattice_check(args) -> int:
     name = args.lattice
-    weights: dict[str, tuple[int, ...]] | None = None
+    preset = name if name in ("gamma2", "punctured_square_torus") else ""
     try:
-        if name in ("gamma2", "punctured_square_torus"):
-            pres, polygon, cusps = fuchsian.builtin_lattice(name)
-        else:
-            with open(name, "r", encoding="utf-8") as fh:
-                pres, weights = fuchsian.parse_lattice_text(fh.read())
-            pres.validate()
-            polygon = fuchsian.dirichlet_domain(
-                pres, hyp2.PointH(0.05, 1.3), args.word_bound
-            )
-            cusps = fuchsian.derive_cusps(polygon, pres)
+        pres, polygon, cusps, weights = config_mod.load_lattice(
+            preset, "" if preset else name, (0.05, 1.3), args.word_bound
+        )
     except FileNotFoundError:
         print(f"error: no such preset or file: {name}", file=sys.stderr)
         return 2
@@ -471,11 +472,7 @@ def cmd_recurrence(args) -> int:
                     "d": rep.d,
                     "dim_EC": rep.dim_EC,
                     "verdict_hint": rep.verdict_hint,
-                    "grid": list(rep.grid),
-                    "return_fraction": list(rep.return_fraction),
-                    "window_fraction": list(rep.window_fraction),
-                    "median_first_return": rep.median_first_return,
-                    "median_max_excursion": list(rep.median_max_excursion),
+                    **_recurrence_fields(rep),
                 },
                 indent=2,
             )

@@ -331,30 +331,37 @@ class Bundle:
 
 
 def load_lattice(
-    cfg: ExperimentConfig,
+    preset: str,
+    lattice_file: str,
+    center: tuple[float, float],
+    word_bound: int,
+    l1: float | None = None,
+    l2: float | None = None,
 ) -> tuple[
     fuchsian.LatticePresentation,
     fuchsian.FundamentalPolygon,
     tuple[fuchsian.CuspData, ...],
     dict[str, tuple[int, ...]] | None,
 ]:
-    if cfg.preset:
-        pres, polygon, cusps = fuchsian.builtin_lattice(
-            cfg.preset, l1=cfg.l1, l2=cfg.l2
-        )
+    """The preset lattice ``preset`` (with lengths l1, l2), or else the one in
+    ``lattice_file`` with its Dirichlet domain about ``center`` over words
+    of length at most ``word_bound``; last come the file's weights (None
+    for a preset)."""
+    if preset:
+        pres, polygon, cusps = fuchsian.builtin_lattice(preset, l1=l1, l2=l2)
         return pres, polygon, cusps, None
-    with open(cfg.lattice_file, "r", encoding="utf-8") as fh:
+    with open(lattice_file, "r", encoding="utf-8") as fh:
         pres, file_weights = fuchsian.parse_lattice_text(fh.read())
     pres.validate()
-    polygon = fuchsian.dirichlet_domain(
-        pres, hyp2.PointH(*cfg.center), cfg.word_bound
-    )
+    polygon = fuchsian.dirichlet_domain(pres, hyp2.PointH(*center), word_bound)
     cusps = fuchsian.derive_cusps(polygon, pres)
     return pres, polygon, cusps, file_weights
 
 
 def build_bundle(cfg: ExperimentConfig) -> Bundle:
-    pres, polygon, cusps, file_weights = load_lattice(cfg)
+    pres, polygon, cusps, file_weights = load_lattice(
+        cfg.preset, cfg.lattice_file, cfg.center, cfg.word_bound, cfg.l1, cfg.l2
+    )
     weights = dict(cfg.weights) if cfg.weights else (file_weights or {})
     if not weights:
         raise ConfigError("no weights given (config [weights] or lattice file)")

@@ -109,7 +109,7 @@ class LatticePresentation:
     def evaluate(self, word: Word) -> GroupElement:
         return evaluate_word(self.gen_map(), word)
 
-    def validate(self, tol: float = 1e-9) -> None:
+    def validate(self) -> None:
         seen = set()
         for lab, g in self.generators:
             if lab in seen:
@@ -122,7 +122,7 @@ class LatticePresentation:
                 raise PresentationError(f"generator {lab!r} is the identity")
         for w in self.relators:
             g = self.evaluate(w)
-            if hyp2.psl_distance(g, hyp2.IDENTITY) > tol:
+            if hyp2.psl_distance(g, hyp2.IDENTITY) > 1e-9:
                 raise PresentationError(
                     f"relator {word_str(w)!r} does not evaluate to the identity"
                 )
@@ -236,8 +236,7 @@ class FundamentalPolygon:
     """A finite-sided Dirichlet domain with ccw side/vertex lists.
 
     sides[i] runs from vertices[i] to vertices[(i+1) % n].  ``area`` is the
-    hyperbolic area from the Gauss-Bonnet angle formula (math.inf when free
-    boundary arcs are present).
+    hyperbolic area from the Gauss-Bonnet angle formula.
     """
 
     center: PointH
@@ -359,16 +358,14 @@ def dirichlet_domain(
     pres: LatticePresentation,
     center: PointH,
     word_length_bound: int,
-    check_area: bool = True,
 ) -> FundamentalPolygon:
     """Dirichlet domain about ``center``: the points at least as close to the
     center as to every enumerated orbit point.
 
-    With ``check_area`` the hyperbolic area must match 2*pi*|chi| of the
-    presentation within 1e-6 (certifying that the word bound sufficed and the
-    group is the lattice it claims to be); otherwise AreaMismatchError.
-    Passing ``check_area=False`` permits infinite-area groups (free boundary
-    arcs are then allowed and the reported area is math.inf).
+    The hyperbolic area must match 2*pi*|chi| of the presentation within 1e-6
+    (certifying that the word bound sufficed and the group is the lattice it
+    claims to be); otherwise AreaMismatchError, which a domain with free
+    boundary arcs (an infinite-area group) raises too.
     """
     elements = enumerate_ball(pres, word_length_bound)
     c = complex(center.x, center.y)
@@ -407,7 +404,7 @@ def dirichlet_domain(
     has_free = any(s == _FREE_SRC for _, s in poly) or any(
         abs(v) > 1.0 + _IDEAL_TOL for v, _ in poly
     )
-    if has_free and check_area:
+    if has_free:
         raise AreaMismatchError(
             "domain has free boundary (word bound too small or infinite covolume)"
         )
@@ -428,40 +425,27 @@ def dirichlet_domain(
         else:
             z = _halfplane_point_from_disk(_disk_from_klein(kv))
             vertices.append(Vertex(z.real, z.imag, False))
-        if src == _FREE_SRC:
-            sides.append(None)  # type: ignore[arg-type]
-        else:
-            _, word, g, _ = candidates[src]
-            sides.append(
-                Side(
-                    plane=planes[src],
-                    source_word=word,
-                    pairing_word=word_inverse(word),
-                    pairing=hyp2.inverse(g),
-                )
+        _, word, g, _ = candidates[src]
+        sides.append(
+            Side(
+                plane=planes[src],
+                source_word=word,
+                pairing_word=word_inverse(word),
+                pairing=hyp2.inverse(g),
             )
+        )
 
-    if has_free:
-        area = math.inf
-    else:
-        area = _gauss_bonnet_area(sides, vertices)
-
-    if check_area:
-        chi = pres.euler_characteristic()
-        expected = 2.0 * math.pi * abs(chi)
-        if not math.isfinite(area) or abs(area - expected) > 1e-6:
-            raise AreaMismatchError(
-                f"polygon area {area:.9f} vs 2*pi*|chi| = {expected:.9f}; "
-                "increase the word length bound"
-            )
-        _check_pairings(sides)
-
-    keep = [i for i, s in enumerate(sides) if s is not None]
+    area = _gauss_bonnet_area(sides, vertices)
+    chi = pres.euler_characteristic()
+    expected = 2.0 * math.pi * abs(chi)
+    if not math.isfinite(area) or abs(area - expected) > 1e-6:
+        raise AreaMismatchError(
+            f"polygon area {area:.9f} vs 2*pi*|chi| = {expected:.9f}; "
+            "increase the word length bound"
+        )
+    _check_pairings(sides)
     return FundamentalPolygon(
-        center=center,
-        sides=tuple(sides[i] for i in keep),
-        vertices=tuple(vertices[i] for i in keep),
-        area=area,
+        center=center, sides=tuple(sides), vertices=tuple(vertices), area=area
     )
 
 
@@ -495,14 +479,8 @@ def _grad(plane: HalfPlane, x: float, y: float) -> tuple[float, float]:
 
 def _check_pairings(sides: list) -> None:
     """Every surviving side must have its partner (from the inverse element)."""
-    keys = set()
+    keys = {tuple(round(v * 1e9) for v in s.pairing.as_tuple()) for s in sides}
     for s in sides:
-        if s is None:
-            continue
-        keys.add(tuple(round(v * 1e9) for v in s.pairing.as_tuple()))
-    for s in sides:
-        if s is None:
-            continue
         src = tuple(
             round(v * 1e9) for v in hyp2.inverse(s.pairing).as_tuple()
         )
@@ -719,9 +697,7 @@ def _partner_table(sides: tuple[Side, ...]) -> list[int]:
     return partner
 
 
-def _check_corner_widths(
-    polygon: FundamentalPolygon, cusps: list[CuspData], tol: float = 1e-6
-) -> None:
+def _check_corner_widths(polygon: FundamentalPolygon, cusps: list[CuspData]) -> None:
     """The corner slices of each cusp must tile exactly one strip width.
 
     Under a corner chart the two sides through the ideal vertex become
@@ -743,14 +719,14 @@ def _check_corner_widths(
             if any(math.isinf(u) for u in us):
                 raise AreaMismatchError("corner chart failed to rectify sides")
             total += abs(us[1] - us[0])
-        if abs(total - cusp.width) > tol:
+        if abs(total - cusp.width) > 1e-6:
             raise AreaMismatchError(
                 f"corner widths {total:.9f} disagree with cusp width {cusp.width:.9f}"
             )
 
 
-def _same_boundary(u: float, v: float, tol: float = 1e-7) -> bool:
-    return abs(_cayley_boundary(u) - _cayley_boundary(v)) < tol
+def _same_boundary(u: float, v: float) -> bool:
+    return abs(_cayley_boundary(u) - _cayley_boundary(v)) < 1e-7
 
 
 def cusp_height(cusps: tuple[CuspData, ...], x: float, y: float) -> float:

@@ -17,7 +17,6 @@ import math
 
 from ._record import record
 
-DET_TOL = 1e-10       # determinant considered clean below this deviation
 TRACE_TOL = 1e-9      # elliptic/parabolic/hyperbolic classification margin
 Y_MIN = 1e-300        # images below this height signal numeric overflow
 
@@ -293,14 +292,14 @@ class Classification:
     translation_length: float | None = None
 
 
-def classify(g: GroupElement, tol: float = TRACE_TOL) -> Classification:
+def classify(g: GroupElement) -> Classification:
     """Conjugacy type by |trace| against 2."""
     tr = abs(g.trace)
-    if tr > 2.0 + tol:
+    if tr > 2.0 + TRACE_TOL:
         return Classification("hyperbolic", 2.0 * math.acosh(0.5 * tr))
-    if tr >= 2.0 - tol:
+    if tr >= 2.0 - TRACE_TOL:
         off = max(abs(g.b), abs(g.c), abs(g.a - g.d))
-        if off <= tol:
+        if off <= TRACE_TOL:
             return Classification("identity", 0.0)
         return Classification("parabolic", 0.0)
     return Classification("elliptic", None)
@@ -317,7 +316,7 @@ def psl_distance(g: GroupElement, h: GroupElement) -> float:
     return min(d1, d2)
 
 
-def fixed_points_on_boundary(g: GroupElement, tol: float = TRACE_TOL) -> tuple:
+def fixed_points_on_boundary(g: GroupElement) -> tuple:
     """Fixed points of g on the boundary R u {inf}; inf encoded as math.inf.
 
     Hyperbolic elements give two points, parabolic one, elliptic none.
@@ -325,13 +324,13 @@ def fixed_points_on_boundary(g: GroupElement, tol: float = TRACE_TOL) -> tuple:
     a, b, c, d = g.a, g.b, g.c, g.d
     if abs(c) <= 1e-15:
         # fixes infinity; other fixed point solves (a-d) z + b = 0
-        if abs(a - d) <= tol:
+        if abs(a - d) <= TRACE_TOL:
             return (math.inf,)
         return (math.inf, b / (d - a))
     disc = (a + d) ** 2 - 4.0
-    if disc < -tol:
+    if disc < -TRACE_TOL:
         return ()
-    if disc <= tol:
+    if disc <= TRACE_TOL:
         return ((a - d) / (2.0 * c),)
     rt = math.sqrt(max(disc, 0.0))
     # roots of c z^2 + (d-a) z - b = 0

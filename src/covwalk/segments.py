@@ -5,10 +5,13 @@
 (``random()``) where the run has no fixed start, reduces it with
 ``CoverSystem.start_point``, and hands the reduced start to ``run``, which
 walks every step and returns the state at each checkpoint and the return
-counts at each grid point.  The loop advances in segments, which end at
-those stops and at the end of a block of uniforms.  It runs in one of two
-kernels with the same output bits, each step reading the same uniforms of
-the stream:
+counts at each grid point.  Both kernels run a trajectory in one function
+whose locals hold the walk's state: an outer loop stops at each of the
+run's checkpoints and return grid points (``walk._Run.checkpoints`` and
+``.grid``, each ascending, the last checkpoint being the last step) and at
+each end of a block of uniforms, and an inner loop takes the steps between
+them.  The two kernels give the same output bits, each step reading the
+same uniforms of the stream:
 
 - The C kernel (``_segment.c``, one ``covwalk_trajectory`` call through
   ``ctypes`` per trajectory, which releases the GIL for the call) does every
@@ -62,19 +65,15 @@ from . import cover as cover_mod
 from . import fuchsian
 
 if TYPE_CHECKING:
-    from .walk import MeasureSpec
-
-# what happens at a stop, as bits: _segment.c's STOP_CHECKPOINT, STOP_GRID
-_STOP_CHECKPOINT, _STOP_GRID = 1, 2
+    from .walk import MeasureSpec, _Run
 
 
-def trajectory_loops(system, measure, cfg, geodesic, letters, table,
-                     checkpoints, grid):
-    """The trajectory loops of one run: on the C kernel when it loads, else
-    in Python.  ``letters`` are the step letters (the flow step, the atoms,
-    or none for a parametric measure) and ``table`` the orbit table they
-    walk, or None; ``checkpoints`` and ``grid`` are the run's checkpoint and
-    return grid steps, ascending.  Returns ``loop``: ``loop(traj)`` is
+def trajectory_loops(run: _Run):
+    """The trajectory loops of the run ``run`` (``walk._Run``): on the C
+    kernel when it loads, else in Python.  The loops read the run's system,
+    measure, config, step letters (the flow step, the atoms, or none for a
+    parametric measure), orbit table or None, and its checkpoint and return
+    grid steps, each ascending.  Returns ``loop``: ``loop(traj)`` is
     trajectory traj's loop, keyed by ``cfg.master_seed`` and traj.  Its
     ``random()`` draws one uniform of the stream, and ``run(p0)`` walks from
     the reduced start p0 and returns (marks, returns, counts): per checkpoint
@@ -82,24 +81,15 @@ def trajectory_loops(system, measure, cfg, geodesic, letters, table,
     (ta, tb, tc, td) times e^tlog; per grid point (first return or None,
     returns, maximum excursion); and the atom counts.
 
-    The stops and the C kernel's constant arrays (the cover, the letters and
-    cumulative weights, the orbit table) are built here, once per run, and
+    The C kernel's constant arrays (the cover, the letters and cumulative
+    weights, the orbit table, the stops) are built here, once per run, and
     only read after.  Each loop owns its state, so the loops of a run may
     run in threads at once."""
-    cps, grid = set(checkpoints), set(grid)
-    stops = [
-        (k, (k in cps) * _STOP_CHECKPOINT | (k in grid) * _STOP_GRID)
-        for k in sorted(cps | grid)
-    ]
     if load_kernel() == "c":
-        return functools.partial(_CTrajectory, _CShared(
-            system, measure, cfg, geodesic, letters, table, stops
-        ))
+        return functools.partial(_CTrajectory, _CShared(run))
     from ._pykernel import _PySegments
 
-    return functools.partial(
-        _PySegments, system, measure, cfg, geodesic, letters, table, stops
-    )
+    return functools.partial(_PySegments, run)
 
 
 _F64, _I64, _U64 = ctypes.c_double, ctypes.c_int64, ctypes.c_uint64
@@ -127,12 +117,13 @@ class _Walk(ctypes.Structure):
         + _fields(_PI64, "table_next table_delta")
         + _fields(_PF64, "table_xy")
         + _fields(_I64, "returns")
-        + _fields(_F64, "sx sy cosh_r a b c d px py ta tb tc td tlog")
-        + _fields(_I64, "state")
+        + _fields(_F64, "cosh_r a b c d px py")
         + _fields(_PI64, "index counts")
-        + _fields(_I64, "left_zero first_return n_returns max_exc fail_step")
-        + _fields(_PI64, "stops stop_kinds")
-        + _fields(_I64, "n_stops")
+        + _fields(_I64, "fail_step")
+        + _fields(_PI64, "checkpoints")
+        + _fields(_I64, "n_checkpoints")
+        + _fields(_PI64, "grid")
+        + _fields(_I64, "n_grid")
         + _fields(_PF64, "cp_state")
         + _fields(_PI64, "cp_index grid_returns")
         + [("ctr", _U64 * 4), ("key", _U64 * 2), ("buffer", _U64 * 4)]
@@ -177,13 +168,12 @@ def _seed_words(*values: int) -> list[int]:
 class _CShared:
     """What the compiled trajectory loops of one run share: ``walk``, a
     ``_Walk`` that holds the run's constants (the cover, the letters, the
-    orbit table, the return radius, the stops) and the start of every
-    trajectory's state.  The arrays it points at live as long as it does;
-    the kernel only reads them."""
+    orbit table, the return radius, the stops).  The arrays it points at
+    live as long as it does; the kernel only reads them."""
 
-    def __init__(self, system, measure, cfg, geodesic, letters, table, stops):
+    def __init__(self, run: _Run):
+        system, cfg, letters = run.system, run.cfg, run.letters
         self.master_seed = cfg.master_seed
-        self.dim = system.d
         w = self.walk = _Walk()
         w.dim = system.d
         w.n_sides = len(system.planes)
@@ -198,44 +188,42 @@ class _CShared:
         w.corner_inv_mats = _array(_F64, system.corner_inv_mats)
         w.corner_widths = _array(_F64, [system.corner_widths])
         w.corner_phis = _array(_I64, system.corner_signed_phi)
-        if geodesic:
+        if run.geodesic:
             w.letters = _LETTERS_FLOW
         elif letters:
             w.letters = _LETTERS_ATOMS
-            w.cum = _array(_F64, [_cumulative_weights(measure)])
+            w.cum = _array(_F64, [_cumulative_weights(run.measure)])
         else:
             w.letters = _LETTERS_PARAMETRIC
-            w.tau_min = measure.tau_min
-            w.tau_span = measure.tau_max - measure.tau_min
+            w.tau_min = run.measure.tau_min
+            w.tau_span = run.measure.tau_max - run.measure.tau_min
         w.n_letters = len(letters)
         w.mats = _array(_F64, [g.as_tuple() for g in letters])
-        w.cartan = not geodesic
-        if table is not None:
-            moves = [move for out in table.moves for move in out]
+        w.cartan = not run.geodesic
+        if run.table is not None:
+            moves = [move for out in run.table.moves for move in out]
             w.table_next = _array(_I64, [[s for s, _ in moves]])
             w.table_delta = _array(_I64, [dl for _, dl in moves])
             w.table_xy = _array(
-                _F64, [base_xy(*r.rep.as_tuple()) for r in table.reps]
+                _F64, [base_xy(*r.rep.as_tuple()) for r in run.table.reps]
             )
         if cfg.returns is not None:
             w.returns = 1
             w.cosh_r = math.cosh(cfg.returns.radius)
-        w.ta = w.td = 1.0
-        w.first_return = -1
-        w.stops = _array(_I64, [[k for k, _ in stops]])
-        w.stop_kinds = _array(_I64, [[kind for _, kind in stops]])
-        w.n_stops = len(stops)
-        self.n_checkpoints = sum(kind & _STOP_CHECKPOINT != 0 for _, kind in stops)
-        self.n_grid = sum(kind & _STOP_GRID != 0 for _, kind in stops)
+        w.checkpoints = _array(_I64, [run.checkpoints])
+        w.n_checkpoints = len(run.checkpoints)
+        w.grid = _array(_I64, [run.grid])
+        w.n_grid = len(run.grid)
         counted = cfg.count_atoms and w.letters == _LETTERS_ATOMS
         self.n_counts = len(letters) if counted else 0
 
 
 class _CTrajectory:
-    """One trajectory on the compiled kernel: its state and its Philox
-    stream live in ``w``, a copy of the run's ``_CShared.walk``.  ``run`` is
-    one ``covwalk_trajectory`` call, for which ``ctypes`` releases the GIL;
-    the seeding and ``random`` are short calls that keep it."""
+    """One trajectory on the compiled kernel: its start, its outputs and its
+    Philox stream live in ``w``, a copy of the run's ``_CShared.walk``.
+    ``run`` is one ``covwalk_trajectory`` call, for which ``ctypes``
+    releases the GIL; the seeding and ``random`` are short calls that keep
+    it."""
 
     def __init__(self, shared: _CShared, traj: int):
         self.shared = shared  # keeps the arrays the copy points at alive
@@ -252,9 +240,9 @@ class _CTrajectory:
 
     def run(self, p0) -> tuple[list, list, tuple[int, ...]]:
         shared, w = self.shared, self.w
-        dim, n_cp = shared.dim, shared.n_checkpoints
+        dim, n_cp = w.dim, w.n_checkpoints
         w.a, w.b, w.c, w.d = p0.rep.rep.as_tuple()
-        w.px, w.py = w.sx, w.sy = base_xy(w.a, w.b, w.c, w.d)
+        w.px, w.py = base_xy(w.a, w.b, w.c, w.d)
         # w keeps the arrays it points at alive
         w.index = _array(_I64, [p0.index])
         counts = None
@@ -262,7 +250,7 @@ class _CTrajectory:
             w.counts = counts = (_I64 * shared.n_counts)()
         w.cp_state = cp_state = (_F64 * (6 * n_cp))()
         w.cp_index = cp_index = (_I64 * (dim * n_cp))()
-        w.grid_returns = grid = (_I64 * (3 * shared.n_grid))()
+        w.grid_returns = grid = (_I64 * (3 * w.n_grid))()
         code = _kernel.covwalk_trajectory(self.ref)
         if code:
             exc, what = _KERNEL_ERRORS[code]
@@ -293,7 +281,7 @@ _kernel = None
 
 def load_kernel() -> str:
     """Load the compiled segment kernel, building it on first use.  Returns
-    "c", or "python" when it cannot be built and the Python segment loop
+    "c", or "python" when it cannot be built and the Python trajectory loop
     runs instead.  The build is cached in ``__pycache__`` next to the
     source, or, where that is not writable, made in a per-process temporary
     directory that is removed once the library is loaded."""

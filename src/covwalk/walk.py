@@ -309,22 +309,25 @@ def trajectory_rng(master_seed: int, traj: int) -> numpy.random.Generator:
 
 class _Run:
     """What the trajectories of one run share, built before any of its
-    threads starts and only read after: the Haar sampler's parts (a
-    ``cached_property`` of the system, filled here), a fixed start's reduced
-    point and orbit table, the checkpoint and return grid steps, and the
-    trajectory loops with their constant arrays
-    (``segments.trajectory_loops``)."""
+    threads starts and only read after: the run's system, measure, config
+    and step letters, the Haar sampler's parts (a ``cached_property`` of the
+    system, filled here), a fixed start's reduced point and orbit table, the
+    checkpoint and return grid steps, and the trajectory loops with their
+    constant arrays (``segments.trajectory_loops``)."""
 
     def __init__(self, system: CoverSystem, measure: MeasureSpec | None,
                  cfg: WalkConfig, geodesic: bool) -> None:
+        self.system, self.measure, self.cfg, self.geodesic = (
+            system, measure, cfg, geodesic
+        )
         # the step letters: the flow step, the atoms, or none for a
         # parametric measure, whose letters are built from the uniforms
         if geodesic:
-            letters = (hyp2.translation(cfg.dt),)
+            self.letters = (hyp2.translation(cfg.dt),)
         elif measure.kind == "atoms":
-            letters = tuple(g for g, _ in measure.atoms)
+            self.letters = tuple(g for g, _ in measure.atoms)
         else:
-            letters = ()
+            self.letters = ()
         self.haar_parts = self.start = self.table = None
         if cfg.start.mode == "haar":
             self.haar_parts = system.haar_parts
@@ -334,8 +337,8 @@ class _Run:
             # a fixed start may lie on a finite orbit of the step letters; a
             # Haar start almost surely does not, and parametric letters are
             # never reused
-            if letters:
-                self.table = system.orbit_table(x0, letters, ENGINE_ORBIT_STATES)
+            if self.letters:
+                self.table = system.orbit_table(x0, self.letters, ENGINE_ORBIT_STATES)
         n = cfg.steps
         # a run of no steps records its start
         self.checkpoints = cfg.checkpoints.steps(n) or [0]
@@ -346,10 +349,7 @@ class _Run:
                 self.grid.append(n)
         from . import segments
 
-        self.loop = segments.trajectory_loops(
-            system, measure, cfg, geodesic, letters, self.table,
-            self.checkpoints, self.grid,
-        )
+        self.loop = segments.trajectory_loops(self)
 
 
 def simulate_trajectory(
@@ -493,13 +493,10 @@ def run_trajectories(
     if workers is None:
         workers = worker_count()
     run = _Run(system, measure, cfg, geodesic)
-    ids = list(range(cfg.trajectories))
-    blocks = _worker_blocks(ids, workers)
-    if len(blocks) <= 1:
-        return [simulate_trajectory(system, measure, cfg, t, geodesic, run) for t in ids]
-
+    # a run of no trajectories has one empty block
+    first, *rest = _worker_blocks(list(range(cfg.trajectories)), workers) or [[]]
     # each thread writes only its own trajectories' slots and keys
-    results: list[TrajectoryResult | None] = [None] * len(ids)
+    results: list[TrajectoryResult | None] = [None] * cfg.trajectories
     failures: dict[int, Exception] = {}
 
     def run_block(block: list[int]) -> None:
@@ -512,11 +509,11 @@ def run_trajectories(
 
     threads = [
         threading.Thread(target=run_block, args=(block,), daemon=True)
-        for block in blocks[1:]
+        for block in rest
     ]
     for thread in threads:
         thread.start()
-    run_block(blocks[0])
+    run_block(first)
     for thread in threads:
         thread.join()
     if failures:

@@ -645,6 +645,43 @@ class TestReplayOracle:
                        for res in self.check(system, mu, cfg))
         assert returned > 0
 
+    # The stops below fall on the ends of the letter blocks (4096 atom
+    # letters, or 1365 parametric ones) and on each other: a checkpoint and
+    # a grid point at the same step, a block end and a stop at once.
+
+    @pytest.mark.parametrize("steps", [8192, 8193])
+    def test_atom_stops_on_block_ends(self, steps):
+        pres, poly, cusps = F.builtin_lattice("punctured_square_torus")
+        system = C.cover_system(
+            pres, poly, cusps,
+            C.validate_cover(pres, cusps, {"g1": (1, 0), "g2": (0, 1)}),
+        )
+        cfg = W.WalkConfig(steps=steps, trajectories=2, master_seed=44,
+                           checkpoints=W.CheckpointPlan(stride=4096),
+                           returns=W.ReturnSpec(radius=2.0, grid=(4095, 4096, 8192)),
+                           count_atoms=True)
+        for res in self.check(system, W.two_atom_measure(pres), cfg):
+            assert [r.n for r in res.records][:2] == [4096, 8192]
+
+    @pytest.mark.parametrize("steps", [2730, 2731])
+    def test_parametric_stops_on_block_ends(self, gamma2_d1, steps):
+        cfg = W.WalkConfig(steps=steps, trajectories=2, master_seed=45,
+                           checkpoints=W.CheckpointPlan(stride=1365),
+                           returns=W.ReturnSpec(radius=2.0, grid=(1365, 1366, 2730)))
+        for res in self.check(gamma2_d1, W.parametric_measure(0.5, 1.5), cfg):
+            assert [r.n for r in res.records][:2] == [1365, 2730]
+
+    def test_checkpoint_at_step_one(self, torus_d1):
+        mu = W.two_atom_measure(torus_d1.pres)
+        cfg = W.WalkConfig(steps=4100, trajectories=2, master_seed=46,
+                           checkpoints=W.CheckpointPlan("geometric", n0=1, ratio=64),
+                           start=W.StartSpec(mode="fixed", tangent=H.BASE_TANGENT),
+                           returns=W.ReturnSpec(radius=2.0, grid=(1, 4096)),
+                           count_atoms=True)
+        for res in self.check(torus_d1, mu, cfg):
+            assert [r.n for r in res.records] == [1, 64, 4096, 4100]
+            assert res.summary.orbit_states == 1
+
 
 class TestReplayOracleOnPython(OnPython, TestReplayOracle):
     pass
@@ -729,6 +766,21 @@ class TestKernelParity:
         assert on_c == on_python
         if shape == "table":
             assert {r.summary.orbit_states for r in on_c} == {1}
+
+
+def test_zero_steps_with_returns(torus_d1):
+    # the start is the one record and the one grid point, on both kernels
+    cfg = W.WalkConfig(steps=0, trajectories=2, master_seed=47,
+                       returns=W.ReturnSpec(radius=2.0))
+    on_c, on_python = on_both_kernels(lambda: W.run_trajectories(
+        torus_d1, W.two_atom_measure(torus_d1.pres), cfg, workers=1))
+    assert on_c == on_python
+    for res in on_c:
+        (record,) = res.records
+        assert (record.n, record.index, record.drift) == (0, (0,), (0.0,))
+        assert res.summary.returns == W.ReturnStats(
+            first_return=None, n_returns=0, returned_by=((0, False),),
+            window_returns=((0, 0),), max_excursion_by=((0, 0.0),))
 
 
 class _ConstantStream:
