@@ -1,8 +1,10 @@
 """Command-line experiment runner.
 
-Exit codes: 0 success, 2 configuration/validation problem, 3 runtime failure.
-All files are written atomically (temp file + rename) so interrupted runs
-never leave half-written artifacts.
+Every command is a load, which reads and checks its inputs, and a run, which
+does the rest.  Only ``main`` maps what they raise to exit codes: 0 success,
+2 (``error: ...``) for ``CONFIG_ERRORS`` from a load, 3 (``runtime error:
+...``) for ``RUNTIME_ERRORS`` from a run.  All files are written atomically
+(temp file + rename) so interrupted runs never leave half-written artifacts.
 """
 
 from __future__ import annotations
@@ -29,14 +31,15 @@ if TYPE_CHECKING:
     import numpy
 
 
-# Every config command exits 2 on a config, lattice or cover that cannot be
+# A load exits 2 on a config, lattice, cover or sample file that cannot be
 # read or built (ConfigError, the lattice-file and presentation errors and
-# the cover errors are ValueErrors), and 3 on a run that fails (a too-small
-# sample for a fit is a ValueError, as is a math domain error).
+# the cover errors are ValueErrors), and a run exits 3 when it fails (a
+# too-small sample for a fit is a ValueError, as is a math domain error, and
+# an output that cannot be written is an OSError).
 CONFIG_ERRORS = (OSError, ValueError, fuchsian.AreaMismatchError,
                  fuchsian.EllipticCenterError)
 RUNTIME_ERRORS = (fuchsian.NonTerminationError, walk_mod.ZariskiCheckError,
-                  ValueError, ArithmeticError)
+                  ValueError, ArithmeticError, OSError)
 
 
 @contextlib.contextmanager
@@ -228,21 +231,20 @@ def _recurrence_fields(rep) -> dict:
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_lattice_check(args) -> int:
+def _load_lattice(args):
     name = args.lattice
     preset = name if name in ("gamma2", "punctured_square_torus") else ""
     try:
-        pres, polygon, cusps, weights = config_mod.load_lattice(
+        return config_mod.load_lattice(
             preset, "" if preset else name, (0.05, 1.3), args.word_bound
         )
     except FileNotFoundError:
-        print(f"error: no such preset or file: {name}", file=sys.stderr)
-        return 2
-    except CONFIG_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise FileNotFoundError(f"no such preset or file: {name}") from None
 
-    print(f"lattice: {name}")
+
+def cmd_lattice_check(args, lattice) -> int:
+    pres, polygon, cusps, weights = lattice
+    print(f"lattice: {args.lattice}")
     for lab, g in pres.generators:
         cl = hyp2.classify(g)
         extra = (
@@ -296,28 +298,41 @@ def _load_bundle(path: str):
     return config_mod.build_bundle(cfg)
 
 
-def cmd_run(args, geodesic: bool) -> int:
-    try:
-        bundle = _load_bundle(args.config)
-        cfg = bundle.config
-        if geodesic and cfg.mode != "geodesic":
-            raise config_mod.ConfigError("config mode must be 'geodesic'")
-        if not geodesic and cfg.mode != "walk":
-            raise config_mod.ConfigError("config mode must be 'walk'")
-        wcfg = config_mod.walk_config(cfg)
-    except CONFIG_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    # the threads the run uses: never more than it has trajectories
+def _load_run(args, mode: str):
+    """The bundle and walk config of a run whose config has ``mode``
+    ("walk" or "geodesic"), or of a ``recurrence`` (mode "recurrence"),
+    which takes either and needs return tracking."""
+    bundle = _load_bundle(args.config)
+    cfg = bundle.config
+    if mode == "recurrence":
+        if cfg.return_radius is None:
+            raise config_mod.ConfigError(
+                "recurrence needs return_radius (and return_grid) in [walk]"
+            )
+    elif cfg.mode != mode:
+        raise config_mod.ConfigError(f"config mode must be {mode!r}")
+    return bundle, config_mod.walk_config(cfg)
+
+
+def _run_trajectories(bundle, wcfg):
+    """The run's results and the threads it used: never more than it has
+    trajectories."""
     workers = min(walk_mod.worker_count(), wcfg.trajectories)
-    try:
-        results = walk_mod.run_trajectories(
-            bundle.system, bundle.measure, wcfg, geodesic=geodesic, workers=workers
-        )
-        analysis = _analysis(bundle, results)
-    except RUNTIME_ERRORS as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 3
+    results = walk_mod.run_trajectories(
+        bundle.system, bundle.measure, wcfg,
+        geodesic=bundle.config.mode == "geodesic", workers=workers,
+    )
+    return results, workers
+
+
+def _write_json(path: str, data: dict) -> None:
+    _atomic_write(path, json.dumps(data, indent=2) + "\n")
+
+
+def cmd_run(args, loaded) -> int:
+    bundle, wcfg = loaded
+    results, workers = _run_trajectories(bundle, wcfg)
+    analysis = _analysis(bundle, results)
     outdir = args.out or "."
     # only fixed starts build a table, and all trajectories share that start
     engine = {
@@ -330,50 +345,40 @@ def cmd_run(args, geodesic: bool) -> int:
     with _atomic_file(os.path.join(outdir, "records.csv")) as csv_fh, \
             _atomic_file(os.path.join(outdir, "records.jsonl")) as jsonl_fh:
         _write_records(results, bundle.spec.d, csv_fh, jsonl_fh)
-    _atomic_write(
-        os.path.join(outdir, "summary.json"), json.dumps(summary, indent=2) + "\n"
-    )
+    _write_json(os.path.join(outdir, "summary.json"), summary)
     print(f"wrote records.csv, records.jsonl, summary.json to {outdir}")
     for key, val in analysis.items():
         print(f"{key}: {json.dumps(val)}")
     return 0
 
 
-def cmd_lyapunov(args) -> int:
-    try:
-        bundle = _load_bundle(args.config)
-        if bundle.measure is None:
-            raise config_mod.ConfigError("lyapunov needs a walk measure")
-    except CONFIG_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        est = walk_mod.lyapunov_estimate(
-            bundle.measure,
-            steps=bundle.config.steps,
-            trajectories=bundle.config.trajectories,
-            master_seed=bundle.config.seed,
-            override_zariski=args.override_zariski,
-        )
-    except RUNTIME_ERRORS as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 3
+def _load_lyapunov(args):
+    bundle = _load_bundle(args.config)
+    if bundle.measure is None:
+        raise config_mod.ConfigError("lyapunov needs a walk measure")
+    return bundle
+
+
+def cmd_lyapunov(args, bundle) -> int:
+    est = walk_mod.lyapunov_estimate(
+        bundle.measure,
+        steps=bundle.config.steps,
+        trajectories=bundle.config.trajectories,
+        master_seed=bundle.config.seed,
+        override_zariski=args.override_zariski,
+    )
     print(f"lyapunov = {est.value!r} se = {est.se!r} "
           f"(n = {est.steps}, K = {est.trajectories})")
     if args.out:
-        _atomic_write(
+        _write_json(
             os.path.join(args.out, "lyapunov.json"),
-            json.dumps(
-                {
-                    "lyapunov": est.value,
-                    "se": est.se,
-                    "steps": est.steps,
-                    "trajectories": est.trajectories,
-                    "config_hash": config_mod.config_hash(bundle.config),
-                },
-                indent=2,
-            )
-            + "\n",
+            {
+                "lyapunov": est.value,
+                "se": est.se,
+                "steps": est.steps,
+                "trajectories": est.trajectories,
+                "config_hash": config_mod.config_hash(bundle.config),
+            },
         )
     return 0
 
@@ -393,6 +398,8 @@ def _read_samples(path: str, column: str | None) -> numpy.ndarray:
             has_header = True
         if has_header:
             rows = list(csv.DictReader(fh))
+            if not rows:
+                raise ValueError(f"no samples in {path}")
             col = column or ("drift1" if "drift1" in rows[0] else None)
             if col is None or col not in rows[0]:
                 raise ValueError(
@@ -410,51 +417,29 @@ def _read_samples(path: str, column: str | None) -> numpy.ndarray:
         return np.loadtxt(fh, ndmin=1)
 
 
-def cmd_fit(args) -> int:
-    try:
-        samples = _read_samples(args.infile, args.column)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        if args.law == "cauchy":
-            f = stats_mod.cauchy_fit(samples)
-            print(
-                f"cauchy fit: location {f.location!r} scale {f.scale!r} "
-                f"ks {f.ks_distance!r} tail_index {f.tail_index!r} n {f.n}"
-            )
-        else:
-            f = stats_mod.gaussian_fit(samples)
-            print(
-                f"gaussian fit: mean {f.mean!r} sd {f.sd!r} "
-                f"ks {f.ks_distance!r} n {f.n}"
-            )
-    except stats_mod.DegenerateSamplesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _load_fit(args) -> str:
+    """The fit's line; fitting in the load makes a sample too small or too
+    degenerate to fit exit 2, as a file that cannot be read does."""
+    samples = _read_samples(args.infile, args.column)
+    if args.law == "cauchy":
+        f = stats_mod.cauchy_fit(samples)
+        return (
+            f"cauchy fit: location {f.location!r} scale {f.scale!r} "
+            f"ks {f.ks_distance!r} tail_index {f.tail_index!r} n {f.n}"
+        )
+    f = stats_mod.gaussian_fit(samples)
+    return f"gaussian fit: mean {f.mean!r} sd {f.sd!r} ks {f.ks_distance!r} n {f.n}"
+
+
+def cmd_fit(args, line: str) -> int:
+    print(line)
     return 0
 
 
-def cmd_recurrence(args) -> int:
-    try:
-        bundle = _load_bundle(args.config)
-        cfg = bundle.config
-        if cfg.return_radius is None:
-            raise config_mod.ConfigError(
-                "recurrence needs return_radius (and return_grid) in [walk]"
-            )
-        wcfg = config_mod.walk_config(cfg)
-    except CONFIG_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        results = walk_mod.run_trajectories(
-            bundle.system, bundle.measure, wcfg, geodesic=cfg.mode == "geodesic"
-        )
-        rep = stats_mod.recurrence_report(results, bundle.spec.d, bundle.spec.dim_EC)
-    except RUNTIME_ERRORS as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 3
+def cmd_recurrence(args, loaded) -> int:
+    bundle, wcfg = loaded
+    results, _ = _run_trajectories(bundle, wcfg)
+    rep = stats_mod.recurrence_report(results, bundle.spec.d, bundle.spec.dim_EC)
     print(f"d = {rep.d}, dim E_C = {rep.dim_EC}: expected {rep.verdict_hint}")
     for i, n in enumerate(rep.grid):
         print(
@@ -464,24 +449,22 @@ def cmd_recurrence(args) -> int:
         )
     print(f"  median first return: {rep.median_first_return}")
     if args.out:
-        _atomic_write(
+        _write_json(
             os.path.join(args.out, "recurrence.json"),
-            json.dumps(
-                {
-                    "config_hash": config_mod.config_hash(cfg),
-                    "d": rep.d,
-                    "dim_EC": rep.dim_EC,
-                    "verdict_hint": rep.verdict_hint,
-                    **_recurrence_fields(rep),
-                },
-                indent=2,
-            )
-            + "\n",
+            {
+                "config_hash": config_mod.config_hash(bundle.config),
+                "d": rep.d,
+                "dim_EC": rep.dim_EC,
+                "verdict_hint": rep.verdict_hint,
+                **_recurrence_fields(rep),
+            },
         )
     return 0
 
 
-def cmd_report(args) -> int:
+def _load_report(args) -> list[tuple[str, dict]]:
+    """Each JSON object under the directory with its path; a file that cannot
+    be read, is not JSON or holds no object is skipped."""
     import glob
 
     paths = sorted(glob.glob(os.path.join(args.dir, "**", "*.json"), recursive=True))
@@ -490,12 +473,16 @@ def cmd_report(args) -> int:
         try:
             with open(p, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-            summaries.append((p, data))
         except (OSError, json.JSONDecodeError):
             continue
+        if isinstance(data, dict):
+            summaries.append((p, data))
     if not summaries:
-        print(f"error: no JSON summaries under {args.dir}", file=sys.stderr)
-        return 2
+        raise ValueError(f"no JSON summaries under {args.dir}")
+    return summaries
+
+
+def cmd_report(args, summaries) -> int:
     lines = [f"covwalk report over {len(summaries)} summaries", ""]
     for p, data in summaries:
         lines.append(f"== {os.path.relpath(p, args.dir)}")
@@ -545,45 +532,47 @@ def main(argv: list[str] | None = None) -> int:
     p_check = lat_sub.add_parser("check", help="validate a preset or lattice file")
     p_check.add_argument("lattice")
     p_check.add_argument("--word-bound", type=int, default=12)
-    p_check.set_defaults(func=cmd_lattice_check)
+    p_check.set_defaults(load=_load_lattice, run=cmd_lattice_check)
 
-    p_walk = sub.add_parser("walk", help="random walk runs")
-    walk_sub = p_walk.add_subparsers(dest="subcommand", required=True)
-    p_wrun = walk_sub.add_parser("run")
-    p_wrun.add_argument("--config", required=True)
-    p_wrun.add_argument("--out", default=None)
-    p_wrun.set_defaults(func=lambda a: cmd_run(a, geodesic=False))
-
-    p_geo = sub.add_parser("geodesic", help="geodesic flow runs")
-    geo_sub = p_geo.add_subparsers(dest="subcommand", required=True)
-    p_grun = geo_sub.add_parser("run")
-    p_grun.add_argument("--config", required=True)
-    p_grun.add_argument("--out", default=None)
-    p_grun.set_defaults(func=lambda a: cmd_run(a, geodesic=True))
+    for mode, text in (("walk", "random walk runs"), ("geodesic", "geodesic flow runs")):
+        p_mode = sub.add_parser(mode, help=text)
+        p_run = p_mode.add_subparsers(dest="subcommand", required=True).add_parser("run")
+        p_run.add_argument("--config", required=True)
+        p_run.add_argument("--out", default=None)
+        p_run.set_defaults(load=lambda a, mode=mode: _load_run(a, mode), run=cmd_run)
 
     p_ly = sub.add_parser("lyapunov", help="top Lyapunov exponent of the measure")
     p_ly.add_argument("--config", required=True)
     p_ly.add_argument("--out", default=None)
     p_ly.add_argument("--override-zariski", action="store_true")
-    p_ly.set_defaults(func=cmd_lyapunov)
+    p_ly.set_defaults(load=_load_lyapunov, run=cmd_lyapunov)
 
     p_fit = sub.add_parser("fit", help="fit a limit law to samples")
     p_fit.add_argument("law", choices=["cauchy", "gaussian"])
     p_fit.add_argument("--in", dest="infile", required=True)
     p_fit.add_argument("--column", default=None)
-    p_fit.set_defaults(func=cmd_fit)
+    p_fit.set_defaults(load=_load_fit, run=cmd_fit)
 
     p_rec = sub.add_parser("recurrence", help="return statistics of a walk")
     p_rec.add_argument("--config", required=True)
     p_rec.add_argument("--out", default=None)
-    p_rec.set_defaults(func=cmd_recurrence)
+    p_rec.set_defaults(load=lambda a: _load_run(a, "recurrence"), run=cmd_recurrence)
 
     p_rep = sub.add_parser("report", help="collate JSON summaries in a directory")
     p_rep.add_argument("--dir", required=True)
-    p_rep.set_defaults(func=cmd_report)
+    p_rep.set_defaults(load=_load_report, run=cmd_report)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        loaded = args.load(args)
+    except CONFIG_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        return args.run(args, loaded)
+    except RUNTIME_ERRORS as exc:
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

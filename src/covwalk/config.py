@@ -388,16 +388,14 @@ def build_measure(
         return walk_mod.parametric_measure(cfg.tau_min, cfg.tau_max)
     gens = pres.gen_map()
     atoms = []
-    labels = []
     for word_text, p in cfg.atoms:
         word = fuchsian.parse_word(word_text)
         try:
             atoms.append((fuchsian.evaluate_word(gens, word), p))
         except KeyError as exc:
             raise ConfigError(f"unknown generator {exc} in atom word") from None
-        labels.append(word_text)
     try:
-        return walk_mod.measure_from_atoms(atoms, labels=labels)
+        return walk_mod.measure_from_atoms(atoms)
     except ValueError as exc:
         raise ConfigError(str(exc), "measure") from None
 

@@ -271,9 +271,6 @@ class CoverSystem:
         self.corner_mats = tuple(
             corner.chart.as_tuple() for c in cusps for corner in c.corners
         )
-        self.corner_cusp = tuple(
-            j for j, c in enumerate(cusps) for _ in c.corners
-        )
         self.zero = (0,) * spec.d
         gens = tuple(g for _, g in pres.generators)
         self.letters = gens + tuple(hyp2.inverse(g) for g in gens)
@@ -288,8 +285,7 @@ class CoverSystem:
         inv_mats = []
         signed_phis = []
         widths = []
-        for j, cusp in enumerate(self.cusps):
-            phi_p = self.spec.phi(cusp.parabolic_word)
+        for phi_p, cusp in zip(self.spec.v, self.cusps):
             for corner in cusp.corners:
                 mv = corner.chart
                 mvi = hyp2.inverse(mv)

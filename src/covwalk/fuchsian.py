@@ -272,10 +272,7 @@ def enumerate_ball(
         letters.append(((lab, 1), g))
         letters.append(((lab, -1), hyp2.inverse(g)))
 
-    def key(g: GroupElement) -> tuple[int, int, int, int]:
-        return tuple(round(v * 1e9) for v in g.as_tuple())  # type: ignore[return-value]
-
-    seen = {key(hyp2.IDENTITY)}
+    seen = {_matrix_key(hyp2.IDENTITY)}
     out: list[tuple[Word, GroupElement]] = []
     frontier: list[tuple[Word, GroupElement]] = [((), hyp2.IDENTITY)]
     for _ in range(word_length_bound):
@@ -286,7 +283,7 @@ def enumerate_ball(
                     continue  # free cancellation
                 w2 = word + (letter,)
                 g2 = hyp2.compose(g, mat)
-                k = key(g2)
+                k = _matrix_key(g2)
                 if k in seen:
                     continue
                 seen.add(k)
@@ -443,7 +440,7 @@ def dirichlet_domain(
             f"polygon area {area:.9f} vs 2*pi*|chi| = {expected:.9f}; "
             "increase the word length bound"
         )
-    _check_pairings(sides)
+    _partner_table(sides)  # raises when a side has no partner
     return FundamentalPolygon(
         center=center, sides=tuple(sides), vertices=tuple(vertices), area=area
     )
@@ -475,19 +472,6 @@ def _gauss_bonnet_area(sides: list, vertices: list[Vertex]) -> float:
 
 def _grad(plane: HalfPlane, x: float, y: float) -> tuple[float, float]:
     return (2.0 * plane.alpha * x + plane.beta, 2.0 * plane.alpha * y)
-
-
-def _check_pairings(sides: list) -> None:
-    """Every surviving side must have its partner (from the inverse element)."""
-    keys = {tuple(round(v * 1e9) for v in s.pairing.as_tuple()) for s in sides}
-    for s in sides:
-        src = tuple(
-            round(v * 1e9) for v in hyp2.inverse(s.pairing).as_tuple()
-        )
-        if src not in keys:
-            raise AreaMismatchError(
-                f"side from {word_str(s.source_word)!r} has no partner side"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -683,16 +667,22 @@ def _composed_abs_c(
     return abs(c)
 
 
-def _partner_table(sides: tuple[Side, ...]) -> list[int]:
-    def key(g: GroupElement):
-        return tuple(round(v * 1e9) for v in g.as_tuple())
+def _matrix_key(g: GroupElement) -> tuple[int, ...]:
+    """g's entries rounded to 1e-9: equal for matrices equal up to rounding."""
+    return tuple(round(v * 1e9) for v in g.as_tuple())
 
-    by_key = {key(s.pairing): i for i, s in enumerate(sides)}
+
+def _partner_table(sides: tuple[Side, ...] | list[Side]) -> list[int]:
+    """For each side, the index of the side whose pairing is its pairing's
+    inverse; AreaMismatchError when a side has none."""
+    by_key = {_matrix_key(s.pairing): i for i, s in enumerate(sides)}
     partner = []
     for s in sides:
-        j = by_key.get(key(hyp2.inverse(s.pairing)))
+        j = by_key.get(_matrix_key(hyp2.inverse(s.pairing)))
         if j is None:
-            raise AreaMismatchError("unpaired polygon side")
+            raise AreaMismatchError(
+                f"side from {word_str(s.source_word)!r} has no partner side"
+            )
         partner.append(j)
     return partner
 
@@ -990,7 +980,7 @@ def haar_sample(
     sectors, core = parts
     total = polygon.area
     u = rng.random() * total
-    theta = rng.random() * TWO_PI_F
+    theta = rng.random() * hyp2.TWO_PI
     for s in sectors:
         if u < s.area:
             cusp = cusps[s.cusp_index]
@@ -1017,9 +1007,6 @@ def haar_sample(
         f"Haar core sampling accepted none of {HAAR_MAX_PROPOSALS} proposals"
         f" from the box {core}"
     )
-
-
-TWO_PI_F = 2.0 * math.pi
 
 
 # ---------------------------------------------------------------------------

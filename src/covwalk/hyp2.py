@@ -276,12 +276,6 @@ def cartan(g: GroupElement) -> CartanCoords:
     )
 
 
-def cartan_t(g: GroupElement) -> float:
-    """The nonnegative A-coordinate of the K A K decomposition alone."""
-    s1, _ = singular_values(g.a, g.b, g.c, g.d)
-    return 2.0 * math.log(s1) if s1 > 1.0 else 0.0
-
-
 def cartan_reconstruct(co: CartanCoords) -> GroupElement:
     return compose(compose(rotation(co.theta1), translation(co.t)), rotation(co.theta2))
 

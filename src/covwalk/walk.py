@@ -83,24 +83,17 @@ class MeasureSpec:
 
     kind: str  # "atoms" | "parametric"
     atoms: tuple[tuple[GroupElement, float], ...] = ()
-    atom_labels: tuple[str, ...] = ()
     tau_min: float = 0.0
     tau_max: float = 0.0
 
 
-def measure_from_atoms(
-    atoms: list[tuple[GroupElement, float]], labels: list[str] | None = None
-) -> MeasureSpec:
+def measure_from_atoms(atoms: list[tuple[GroupElement, float]]) -> MeasureSpec:
     if not atoms:
         raise ValueError("need at least one atom")
     total = sum(p for _, p in atoms)
     if any(p < 0 for _, p in atoms) or abs(total - 1.0) > 1e-12:
         raise ValueError(f"atom probabilities must be >= 0 and sum to 1, got {total}")
-    return MeasureSpec(
-        kind="atoms",
-        atoms=tuple(atoms),
-        atom_labels=tuple(labels) if labels else tuple(f"atom{i}" for i in range(len(atoms))),
-    )
+    return MeasureSpec(kind="atoms", atoms=tuple(atoms))
 
 
 def parametric_measure(tau_min: float, tau_max: float) -> MeasureSpec:
@@ -111,8 +104,8 @@ def parametric_measure(tau_min: float, tau_max: float) -> MeasureSpec:
 
 def two_atom_measure(pres: fuchsian.LatticePresentation) -> MeasureSpec:
     """Equal weight on the two generators (the distinguished preset measure)."""
-    (l1, g1), (l2, g2) = pres.generators
-    return measure_from_atoms([(g1, 0.5), (g2, 0.5)], labels=[l1, l2])
+    (_, g1), (_, g2) = pres.generators
+    return measure_from_atoms([(g1, 0.5), (g2, 0.5)])
 
 
 @record

@@ -467,6 +467,24 @@ class TestRunCommands:
         assert "Traceback" not in printed
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, text", [
+        ("walk run", DRIFT_HALF), ("geodesic run", GEODESIC),
+        ("recurrence", RECURRENCE), ("lyapunov", DRIFT_HALF),
+    ], ids=["walk", "geodesic", "recurrence", "lyapunov"])
+    def test_out_that_cannot_be_created_exits_3(self, tmp_path, command, text):
+        # a directory under a regular file cannot be made, even by root
+        cfgp = tmp_path / "exp.cfg"
+        cfgp.write_text(text)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / "o"
+        code, printed = run_cli(*command.split(), "--config", str(cfgp), "--out", str(out))
+        assert code == 3
+        assert "runtime error: [Errno 20] Not a directory" in printed
+        assert "Traceback" not in printed
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "exp.cfg"]
+        assert blocker.read_text() == ""
+
     @pytest.mark.parametrize(
         "report, trajectories", [("cauchy", 99), ("gaussian", 2)]
     )
@@ -568,8 +586,9 @@ class TestRecordsText:
         cfgp = tmp_path / "exp.cfg"
         cfgp.write_text(DRIFT_HALF)
         out = tmp_path / "o"
-        with pytest.raises(OSError, match="disk full"):
-            cli.main(["walk", "run", "--config", str(cfgp), "--out", str(out)])
+        code, printed = run_cli("walk", "run", "--config", str(cfgp), "--out", str(out))
+        assert code == 3
+        assert "runtime error: disk full" in printed
         assert list(out.iterdir()) == []
 
 
@@ -643,6 +662,14 @@ class TestFitCommand:
         code, _ = run_cli("fit", "cauchy", "--in", str(p))
         assert code == 2
 
+    @pytest.mark.parametrize("text", ["traj,n,k1,drift1,cusp_height,cartan_t\n", ""],
+                             ids=["header-only", "empty"])
+    def test_no_samples(self, tmp_path, text):
+        p = tmp_path / "records.csv"
+        p.write_text(text)
+        code, printed = run_cli("fit", "gaussian", "--in", str(p))
+        assert (code, printed) == (2, f"error: no samples in {p}\n")
+
 
 class TestRecurrenceCommand:
     def test_runs_and_reports(self, tmp_path):
@@ -680,6 +707,35 @@ class TestReportCommand:
                 f"'workers': {min(W.worker_count(), 20)}}}") in text
         assert (tmp_path / "dashboard.txt").exists()
         assert (out / "drift_ecdf.dat").exists()
+
+    def test_skips_json_that_is_no_object(self, tmp_path):
+        (tmp_path / "list.json").write_text("[1, 2]")
+        (tmp_path / "number.json").write_text("3")
+        code, printed = run_cli("report", "--dir", str(tmp_path))
+        assert (code, printed) == (2, f"error: no JSON summaries under {tmp_path}\n")
+        (tmp_path / "summary.json").write_text('{"mode": "walk"}')
+        code, text = run_cli("report", "--dir", str(tmp_path))
+        assert code == 0
+        assert text.startswith("covwalk report over 1 summaries\n")
+
+    def test_skips_records_without_samples(self, tmp_path):
+        (tmp_path / "summary.json").write_text('{"mode": "walk"}')
+        (tmp_path / "records.csv").write_text("traj,n,k1,drift1,cusp_height,cartan_t\n")
+        code, _ = run_cli("report", "--dir", str(tmp_path))
+        assert code == 0
+        assert (tmp_path / "dashboard.txt").exists()
+        assert not (tmp_path / "drift_ecdf.dat").exists()
+
+    def test_failed_dashboard_write_exits_3(self, tmp_path, monkeypatch):
+        def fail(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "_atomic_write", fail)
+        (tmp_path / "summary.json").write_text('{"mode": "walk"}')
+        code, printed = run_cli("report", "--dir", str(tmp_path))
+        assert code == 3
+        assert "runtime error: disk full" in printed
+        assert not (tmp_path / "dashboard.txt").exists()
 
 
 class TestEntryPoint:

@@ -572,8 +572,9 @@ def flow_trace(system, cfg, height):
         cid = -1
         if h > height:
             cid = next(
-                (j for (_, _, mc, md), j in zip(system.corner_mats, system.corner_cusp)
-                 if y / ((mc * x + md) ** 2 + (mc * y) ** 2) > eh),
+                (j for j, cusp in enumerate(system.cusps) for corner in cusp.corners
+                 if y / ((corner.chart.c * x + corner.chart.d) ** 2
+                         + (corner.chart.c * y) ** 2) > eh),
                 -1,
             )
         trace.append((k * cfg.dt, cid, h, p.index))

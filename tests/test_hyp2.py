@@ -173,8 +173,8 @@ class TestCartan:
         rng = random.Random(7)
         for _ in range(500):
             g, h = rand_elt(rng), rand_elt(rng)
-            tgh = H.cartan_t(H.compose(g, h))
-            assert tgh <= H.cartan_t(g) + H.cartan_t(h) + 1e-9
+            tgh = H.cartan(H.compose(g, h)).t
+            assert tgh <= H.cartan(g).t + H.cartan(h).t + 1e-9
 
 
 class TestClassify:
