@@ -45,7 +45,7 @@ class _PySegments:
         self.rng = walk_mod.trajectory_rng(shared.cfg.master_seed, traj)
         self.random = self.rng.random
 
-    def run(self, p0) -> tuple[list, list, tuple[int, ...]]:
+    def run(self, p0) -> tuple[list, list, list, tuple[int, ...]]:
         shared, rng = self.shared, self.rng
         measure, letters, flow, cfg = (
             shared.measure, shared.letters, shared.geodesic, shared.cfg
@@ -69,7 +69,8 @@ class _PySegments:
         px, py = sx, sy = base_xy(a, b, c, d)
         ta, tb, tc, td, tlog = 1.0, 0.0, 0.0, 1.0, 0.0  # flow runs keep no product
         left_zero, first_return, n_returns, max_exc = False, None, 0, 0
-        marks: list[tuple] = []
+        cp_state: list[float] = []
+        cp_index: list[int] = []
         at_grid: list[tuple[int | None, int, int]] = []
         # steps b0 + 1 .. bend take their letters from the current block
         k = b0 = bend = cp = gp = 0
@@ -78,9 +79,8 @@ class _PySegments:
                 at_grid.append((first_return, n_returns, max_exc))
                 gp += 1
             if checkpoints[cp] == k:
-                marks.append((
-                    index, fuchsian.cusp_height(cusps, px, py), ta, tb, tc, td, tlog
-                ))
+                cp_state += (fuchsian.cusp_height(cusps, px, py), ta, tb, tc, td, tlog)
+                cp_index += index
                 cp += 1
                 if cp == len(checkpoints):  # the last checkpoint is the last step
                     break
@@ -144,7 +144,7 @@ class _PySegments:
                                 first_return = k
                         elif not left_zero and not inside:
                             left_zero = True
-        return marks, at_grid, () if counts is None else tuple(counts)
+        return cp_state, cp_index, at_grid, () if counts is None else tuple(counts)
 
 
 def _draw_block(

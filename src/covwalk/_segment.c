@@ -29,14 +29,24 @@
  *     product; at a grid point, the return counts.
  *
  * Built with -ffp-contract=off (no fused multiply-adds) and -fno-builtin, so
- * that cos, sin, exp, log, pow and floor are the libm calls CPython's math
- * module and float ** make: gcc would fold pow(x, 2.0) into x * x and pair
- * sin and cos into sincos.  fabs and sqrt are exact, so they are taken as
- * builtins.  Never build this with -ffast-math.
+ * that exp, log, pow and floor are the libm calls CPython's math module and
+ * float ** make: gcc would fold pow(x, 2.0) into x * x.  An angle's cosine
+ * and sine come from one libm sincos call where the C library is glibc,
+ * whose sincos gives the bits of its sin and cos (tests/test_walk.py checks
+ * this through ctypes), and from separate cos and sin calls elsewhere.
+ * fabs and sqrt are exact, so they are taken as builtins.  Never build this
+ * with -ffast-math.
  */
 
+#define _GNU_SOURCE /* glibc declares sincos only then */
 #include <math.h>
 #include <stdint.h>
+
+#ifdef __GLIBC__
+#define USES_SINCOS 1
+#else
+#define USES_SINCOS 0
+#endif
 
 #ifndef COVWALK_KERNEL_KEY
 #define COVWALK_KERNEL_KEY ""
@@ -109,6 +119,20 @@ typedef struct {
 int64_t covwalk_walk_size(void) { return (int64_t)sizeof(walk_t); }
 
 const char *covwalk_kernel_key(void) { return COVWALK_KERNEL_KEY; }
+
+/* 1 where an angle's cosine and sine come from one sincos call */
+int64_t covwalk_uses_sincos(void) { return USES_SINCOS; }
+
+/* the cosine and sine of h, as libm's cos(h) and sin(h) give them */
+static void cos_sin(double h, double *c, double *s)
+{
+#if USES_SINCOS
+    sincos(h, s, c);
+#else
+    *c = cos(h);
+    *s = sin(h);
+#endif
+}
 
 /* ------------------------------------------------------------------------
  * The trajectory's uniforms: numpy's SeedSequence (pool of four words) keys
@@ -462,7 +486,9 @@ int covwalk_trajectory(walk_t *w)
                 double tau = w->tau_min + v[1] * w->tau_span;
                 double th2 = v[2] * TWO_PI;
                 double h1 = 0.5 * th1, h2 = 0.5 * th2;
-                double c1 = cos(h1), s1 = sin(h1), c2 = cos(h2), s2 = sin(h2);
+                double c1, s1, c2, s2;
+                cos_sin(h1, &c1, &s1);
+                cos_sin(h2, &c2, &s2);
                 double e = exp(0.5 * tau);
                 double ei = 1.0 / e;
                 ga = c1 * e * c2 - s1 * ei * s2;

@@ -70,14 +70,16 @@ _JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 def _write_records(results, d: int, csv_fh, jsonl_fh) -> None:
     """``records.csv`` to csv_fh and ``records.jsonl`` to jsonl_fh, one
-    trajectory at a time, so neither file's text is ever whole in memory.
+    trajectory at a time from its record columns (``walk.Checkpoints``), so
+    neither file's text is ever whole in memory.
 
-    Each number's repr serves both files: CSV keeps repr (``nan``, ``inf``),
-    and JSON writes the text ``json.dumps`` would, with ``NaN``,
-    ``Infinity`` and ``-Infinity`` for a non-finite drift or ``cartan_t`` and
-    ``null`` for a non-finite cusp height.  ``n`` is an int for walks and a
-    float for flows, in both files.  A run with no records writes an empty
-    line to ``records.jsonl``."""
+    Each row's number text is built once and serves both files: CSV keeps
+    repr (``nan``, ``inf``), and JSON writes the text ``json.dumps`` would,
+    with ``NaN``, ``Infinity`` and ``-Infinity`` for a non-finite drift or
+    ``cartan_t`` and ``null`` for a non-finite cusp height; only a row whose
+    CSV line holds such a repr (the only numbers with an ``n``) is mapped.
+    ``n`` is an int for walks and a float for flows, in both files.  A run
+    with no records writes an empty line to ``records.jsonl``."""
     header = (
         ["traj", "n"]
         + [f"k{i+1}" for i in range(d)]
@@ -87,24 +89,33 @@ def _write_records(results, d: int, csv_fh, jsonl_fh) -> None:
     csv_fh.write(",".join(header) + "\n")
     js = _JSON_FLOATS.get
     for res in results:
+        cps = res.records
+        traj = repr(cps.traj)
         csv_lines = []
         json_lines = []
-        for r in res.records:
-            traj, n = repr(r.traj), repr(r.n)
-            index = list(map(repr, r.index))
-            drift = list(map(repr, r.drift))
-            h, cart = repr(r.cusp_height), repr(r.cartan_t)
-            csv_lines.append(",".join([traj, n, *index, *drift, h, cart]) + "\n")
+        for n, index, drift, h, cart in zip(
+            map(repr, cps.n), _row_texts(cps.index), _row_texts(cps.drift),
+            map(repr, cps.cusp_height), map(repr, cps.cartan_t),
+        ):
+            line = f"{traj},{n},{index},{drift},{h},{cart}\n"
+            csv_lines.append(line)
+            if "n" in line:  # a nan or inf repr, which JSON names otherwise
+                n, cart = js(n, n), js(cart, cart)
+                h = "null" if h in _JSON_FLOATS else h
+                drift = ",".join([js(v, v) for v in drift.split(",")])
             json_lines.append(
-                f'{{"traj":{traj},"n":{js(n, n)},"index":[{",".join(index)}],'
-                f'"drift":[{",".join([js(v, v) for v in drift])}],'
-                f'"cusp_height":{"null" if h in _JSON_FLOATS else h},'
-                f'"cartan_t":{js(cart, cart)}}}\n'
+                f'{{"traj":{traj},"n":{n},"index":[{index}],"drift":[{drift}],'
+                f'"cusp_height":{h},"cartan_t":{cart}}}\n'
             )
         csv_fh.write("".join(csv_lines))
         jsonl_fh.write("".join(json_lines))
     if not any(res.records for res in results):
         jsonl_fh.write("\n")
+
+
+def _row_texts(rows):
+    """Each row of numbers as its reprs joined by commas."""
+    return map(",".join, zip(*[map(repr, col) for col in zip(*rows)]))
 
 
 def _summary(bundle, results, extra: dict) -> dict:
@@ -195,8 +206,7 @@ def _analysis(bundle, results) -> dict:
         }
     if "accumulation" in reports:
         series = {
-            r.summary.traj: [(rec.n, rec.drift) for rec in r.records]
-            for r in results
+            r.summary.traj: zip(r.records.n, r.records.drift) for r in results
         }
         thr = 0.1
         rep = stats_mod.accumulation_diagnostic(
@@ -405,8 +415,14 @@ def _read_samples(path: str, column: str | None) -> numpy.ndarray:
                 raise ValueError(
                     f"column {column!r} not found; available: {list(rows[0])}"
                 )
+            by_traj = "traj" in rows[0] and "n" in rows[0]
+            # csv leaves None where a row is shorter than the header
+            for i, r in enumerate(rows, 1):
+                for key in (col, "traj", "n") if by_traj else (col,):
+                    if r[key] is None:
+                        raise ValueError(f"row {i} of {path} has no {key!r} value")
             # terminal checkpoint per trajectory when the file has many rows
-            if "traj" in rows[0] and "n" in rows[0]:
+            if by_traj:
                 last: dict[str, dict] = {}
                 for r in rows:
                     prev = last.get(r["traj"])
@@ -490,8 +506,10 @@ def cmd_report(args, summaries) -> int:
                     "drift_mean", "lyapunov", "verdict_hint", "engine"):
             if key in data:
                 lines.append(f"   {key}: {data[key]}")
-        for key, val in (data.get("analysis") or {}).items():
-            lines.append(f"   {key}: {json.dumps(val)}")
+        analysis = data.get("analysis")
+        if isinstance(analysis, dict):  # skipped when it holds no object
+            for key, val in analysis.items():
+                lines.append(f"   {key}: {json.dumps(val)}")
         lines.append("")
     text = "\n".join(lines)
     print(text)

@@ -76,10 +76,12 @@ def trajectory_loops(run: _Run):
     grid steps, each ascending.  Returns ``loop``: ``loop(traj)`` is
     trajectory traj's loop, keyed by ``cfg.master_seed`` and traj.  Its
     ``random()`` draws one uniform of the stream, and ``run(p0)`` walks from
-    the reduced start p0 and returns (marks, returns, counts): per checkpoint
-    (index, cusp height, ta, tb, tc, td, tlog), where the Cartan product is
-    (ta, tb, tc, td) times e^tlog; per grid point (first return or None,
-    returns, maximum excursion); and the atom counts.
+    the reduced start p0 and returns (state, index, returns, counts): the
+    list of (cusp height, ta, tb, tc, td, tlog) laid end to end over the
+    checkpoints, where the Cartan product is (ta, tb, tc, td) times e^tlog;
+    the list of the checkpoints' sheet indices laid end to end; per grid
+    point (first return or None, returns, maximum excursion); and the atom
+    counts.
 
     The C kernel's constant arrays (the cover, the letters and cumulative
     weights, the orbit table, the stops) are built here, once per run, and
@@ -238,9 +240,9 @@ class _CTrajectory:
     def random(self) -> float:
         return _kernel.covwalk_random(self.ref)
 
-    def run(self, p0) -> tuple[list, list, tuple[int, ...]]:
+    def run(self, p0) -> tuple[list, list, list, tuple[int, ...]]:
         shared, w = self.shared, self.w
-        dim, n_cp = w.dim, w.n_checkpoints
+        n_cp = w.n_checkpoints
         w.a, w.b, w.c, w.d = p0.rep.rep.as_tuple()
         w.px, w.py = base_xy(w.a, w.b, w.c, w.d)
         # w keeps the arrays it points at alive
@@ -249,28 +251,26 @@ class _CTrajectory:
         if shared.n_counts:  # NULL otherwise: the kernel counts no atoms
             w.counts = counts = (_I64 * shared.n_counts)()
         w.cp_state = cp_state = (_F64 * (6 * n_cp))()
-        w.cp_index = cp_index = (_I64 * (dim * n_cp))()
+        w.cp_index = cp_index = (_I64 * (w.dim * n_cp))()
         w.grid_returns = grid = (_I64 * (3 * w.n_grid))()
         code = _kernel.covwalk_trajectory(self.ref)
         if code:
             exc, what = _KERNEL_ERRORS[code]
             raise exc(f"trajectory {self.traj} step {w.fail_step}: {what}")
-        state, ix, g = cp_state[:], cp_index[:], grid[:]
-        marks = [
-            (tuple(ix[i * dim:i * dim + dim]), *state[6 * i:6 * i + 6])
-            for i in range(n_cp)
-        ]
+        g = grid[:]
         at_grid = [
             (None if g[i] < 0 else g[i], g[i + 1], g[i + 2])
             for i in range(0, len(g), 3)
         ]
-        return marks, at_grid, () if counts is None else tuple(counts)
+        return (cp_state[:], cp_index[:], at_grid,
+                () if counts is None else tuple(counts))
 
 
 _KERNEL_SOURCE = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "_segment.c"
 )
-# -fno-builtin keeps libm's cos, sin, exp, log, pow and floor (see _segment.c)
+# -fno-builtin keeps the libm calls _segment.c makes as it makes them (see
+# its header)
 _KERNEL_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-builtin")
 _BUILD_TIMEOUT_S = 120
 

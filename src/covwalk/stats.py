@@ -91,7 +91,7 @@ def _column_means(rows: Sequence[Sequence[float]]) -> list[float]:
 def _max(values: Iterable[float]) -> float:
     """``np.max``: a NaN among the values gives NaN."""
     values = list(values)
-    return math.nan if any(v != v for v in values) else max(values)
+    return math.nan if any(map(math.isnan, values)) else max(values)
 
 
 def _ptp(values: Sequence[float]) -> float:
@@ -310,7 +310,7 @@ class OscillationReport:
 
 
 def accumulation_diagnostic(
-    series_by_traj: dict[int, list[tuple[float, tuple[float, ...]]]],
+    series_by_traj: dict[int, Iterable[tuple[float, Sequence[float]]]],
     ec_basis: Sequence[IntVec],
     d: int,
     span_threshold: float,
@@ -319,20 +319,21 @@ def accumulation_diagnostic(
 ) -> OscillationReport:
     """Oscillation of the normalized index over a checkpoint grid.
 
-    For each trajectory the drift checkpoints (n, sigma/n) with n >= n_min are
-    projected on an orthonormal basis of the span of the cusp translations
-    and on its complement; the report gives componentwise max-minus-min
-    ranges and the pooled fractions against the thresholds."""
+    For each trajectory the drift checkpoints (n, sigma/n) with n >= n_min,
+    any iterable of pairs read once, are projected on an orthonormal basis
+    of the span of the cusp translations and on its complement; the report
+    gives componentwise max-minus-min ranges and the pooled fractions
+    against the thresholds."""
     u = _orthonormal(ec_basis)
     v = _complement(u, d)
     span_r, comp_r, tot_r = [], [], []
     for traj, series in sorted(series_by_traj.items()):
-        pts = [p for n, p in series if n >= n_min]
-        if not pts:
+        cols = list(zip(*[p for n, p in series if n >= n_min]))
+        if not cols:
             continue
-        tot_r.append(_max(map(_ptp, zip(*pts))) if len(pts) > 1 else 0.0)
-        span_r.append(_spread(pts, u))
-        comp_r.append(_spread(pts, v))
+        tot_r.append(_max(map(_ptp, cols)) if len(cols[0]) > 1 else 0.0)
+        span_r.append(_spread(cols, u))
+        comp_r.append(_spread(cols, v))
     if not tot_r:
         raise DegenerateSamplesError("no checkpoints above n_min")
     k = len(tot_r)
@@ -347,12 +348,19 @@ def accumulation_diagnostic(
     )
 
 
-def _spread(pts: list[Sequence[float]], dirs: list[list[float]]) -> float:
-    """The largest range of the points' projections on the unit vectors
-    dirs; 0.0 with no direction."""
+def _spread(cols: list[Sequence[float]], dirs: list[list[float]]) -> float:
+    """The largest range of the projections on the unit vectors dirs of
+    the points whose coordinates are the columns cols, each projection
+    summed as ``_dot`` sums it; 0.0 with no direction."""
     if not dirs:
         return 0.0
-    return _max(_ptp([_dot(p, w) for p in pts]) for w in dirs)
+    ranges = []
+    for w in dirs:
+        proj = [x * w[0] for x in cols[0]]
+        for j in range(1, len(w)):
+            proj = [s + x * w[j] for s, x in zip(proj, cols[j])]
+        ranges.append(_ptp(proj))
+    return _max(ranges)
 
 
 def _dot(p: Sequence[float], w: Sequence[float]) -> float:

@@ -22,14 +22,15 @@ threads of a run share only what ``_Run`` builds before they start, and
 read it; each trajectory owns its stream, its start and its loop's state.
 
 ``simulate_trajectory`` draws a Haar start from the trajectory's stream,
-reduces it, and turns the state its loop reports at each checkpoint into a
-record.  The loop walks every step in the compiled C kernel, which draws the
-same stream in C, or in its Python reference where the kernel cannot be
-built (``segments``, imported when a run starts, so that importing this
-module builds nothing).  numpy is imported only where it is used: in
-``trajectory_rng``, which only the Python kernel and the tests call, in
-``zariski_density_check`` for a parametric measure, and in
-``lyapunov_estimate``; a run on the C kernel imports none.
+reduces it, and turns the state its loop reports at the checkpoints into
+the columns of its records (``Checkpoints``).  The loop walks every step in
+the compiled C kernel, which draws the same stream in C, or in its Python
+reference where the kernel cannot be built (``segments``, imported when a
+run starts, so that importing this module builds nothing).  numpy is
+imported only where it is used: in ``trajectory_rng``, which only the
+Python kernel and the tests call, in ``zariski_density_check`` for a
+parametric measure, and in ``lyapunov_estimate``; a run on the C kernel
+imports none.
 The greedy descent tries ``CoverSystem.fast_unwind`` on its iterations 7,
 15, 23, ... (``cover.UNWIND_MASK``): descent depth has the 1/x tail of the
 Haar cusp law, so a Haar start spends a good share of its pairings in cusp
@@ -38,9 +39,11 @@ windings deeper than 8.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import threading
+from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 from ._record import record
@@ -281,9 +284,45 @@ class TrajectorySummary:
     orbit_states: int | None = None  # OrbitTable size when the run walked one
 
 
+class Checkpoints(Sequence):
+    """A trajectory's checkpoint records, kept as columns with one entry
+    per checkpoint: the abscissa ``n``, the sheet ``index`` and the
+    ``drift`` (each entry a tuple), the ``cusp_height`` and ``cartan_t``.
+    An item is the CheckpointRecord, built when it is read; ``records.csv``,
+    ``records.jsonl`` and the accumulation diagnostic read the columns.
+    Equal to any tuple or list of the same records."""
+
+    __slots__ = ("traj", "n", "index", "drift", "cusp_height", "cartan_t")
+
+    def __init__(self, traj: int, n: Sequence[float], index: Sequence[IntVec],
+                 drift: Sequence[tuple[float, ...]], cusp_height: Sequence[float],
+                 cartan_t: Sequence[float]) -> None:
+        self.traj, self.n, self.index, self.drift = traj, n, index, drift
+        self.cusp_height, self.cartan_t = cusp_height, cartan_t
+
+    def __len__(self) -> int:
+        return len(self.n)
+
+    def __getitem__(self, i: int) -> CheckpointRecord:
+        return CheckpointRecord(self.traj, self.n[i], self.index[i], self.drift[i],
+                                self.cusp_height[i], self.cartan_t[i])
+
+    def __iter__(self):
+        return map(CheckpointRecord, itertools.repeat(self.traj), self.n,
+                   self.index, self.drift, self.cusp_height, self.cartan_t)
+
+    def __eq__(self, other):
+        if isinstance(other, (Checkpoints, tuple, list)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Checkpoints({list(self)!r})"
+
+
 @record
 class TrajectoryResult:
-    records: tuple[CheckpointRecord, ...]
+    records: Checkpoints
     summary: TrajectorySummary
 
 
@@ -334,7 +373,7 @@ class _Run:
                 self.table = system.orbit_table(x0, self.letters, ENGINE_ORBIT_STATES)
         n = cfg.steps
         # a run of no steps records its start
-        self.checkpoints = cfg.checkpoints.steps(n) or [0]
+        self.checkpoints = tuple(cfg.checkpoints.steps(n)) or (0,)
         self.grid: list[int] = []
         if cfg.returns is not None:
             self.grid = sorted(cfg.returns.grid) if cfg.returns.grid else [n]
@@ -370,11 +409,8 @@ def simulate_trajectory(
         p0 = system.start_point(fuchsian.haar_sample(
             system.polygon, system.cusps, system.pres, loop, run.haar_parts
         ))
-    marks, at_grid, counts = loop.run(p0)
-    records = [
-        _checkpoint(traj, k, *mark, geodesic, cfg.dt)
-        for k, mark in zip(run.checkpoints, marks)
-    ]
+    state, index, at_grid, counts = loop.run(p0)
+    records = _checkpoints(run, traj, state, index)
 
     rstats = None
     if cfg.returns is not None:
@@ -392,53 +428,43 @@ def simulate_trajectory(
             max_excursion_by=tuple((g, float(r[2])) for g, r in zip(run.grid, at_grid)),
         )
 
-    idx = records[-1].index
+    idx = records.index[-1]
     tt = (n * cfg.dt if geodesic else n) or 1  # a run of no steps has drift 0
     summary = TrajectorySummary(
         traj=traj,
         steps=n,
         final_index=idx,
         terminal_drift=tuple(v / tt for v in idx),
-        cartan_t=records[-1].cartan_t,
+        cartan_t=records.cartan_t[-1],
         start_rep=p0.rep.rep.as_tuple(),
         returns=rstats,
         atom_counts=counts,
         orbit_states=None if run.table is None else len(run.table.reps),
     )
-    return TrajectoryResult(records=tuple(records), summary=summary)
+    return TrajectoryResult(records=records, summary=summary)
 
 
-def _checkpoint(
-    traj: int,
-    k: int,
-    idx: IntVec,
-    cusp_height: float,
-    ta: float,
-    tb: float,
-    tc: float,
-    td: float,
-    tlog: float,
-    geodesic: bool,
-    dt: float,
-) -> CheckpointRecord:
-    """The record after step k; the Cartan product is (ta, tb, tc, td)
-    times e^tlog (flow runs use the flow time instead)."""
-    tt = k * dt if geodesic else k
-    if geodesic:
-        cart = tt
+def _checkpoints(run: _Run, traj: int, state: list[float],
+                 index: list[int]) -> Checkpoints:
+    """Trajectory traj's records, a column at a time, from its loop's
+    (cusp height, ta, tb, tc, td, tlog) and sheet index at each checkpoint,
+    each laid end to end.  The Cartan product is (ta, tb, tc, td) times
+    e^tlog; flow runs use the flow time instead."""
+    dim, dt = run.system.d, run.cfg.dt
+    if run.geodesic:
+        n = cartan = [k * dt for k in run.checkpoints]
     else:
-        s1, _ = hyp2.singular_values(ta, tb, tc, td)
-        cart = 2.0 * (math.log(s1) + tlog) if s1 > 0 else 0.0
-        if cart < 0.0:
-            cart = 0.0
-    return CheckpointRecord(
-        traj=traj,
-        n=tt,
-        index=idx,
-        drift=tuple(v / (tt or 1) for v in idx),  # the start has drift 0
-        cusp_height=cusp_height,
-        cartan_t=cart,
-    )
+        n, cartan = run.checkpoints, []
+        for ta, tb, tc, td, tlog in zip(state[1::6], state[2::6], state[3::6],
+                                        state[4::6], state[5::6]):
+            s1, _ = hyp2.singular_values(ta, tb, tc, td)
+            cart = 2.0 * (math.log(s1) + tlog) if s1 > 0 else 0.0
+            cartan.append(0.0 if cart < 0.0 else cart)
+    columns = [index[i::dim] for i in range(dim)]
+    tts = [tt or 1 for tt in n]  # the start has drift 0
+    drift = [[v / tt for v, tt in zip(col, tts)] for col in columns]
+    return Checkpoints(traj, n, list(zip(*columns)), list(zip(*drift)),
+                       state[0::6], cartan)
 
 
 # ---------------------------------------------------------------------------

@@ -552,16 +552,18 @@ def record_sets(draw):
     flow = draw(st.booleans())
     results = []
     for traj in range(draw(st.integers(0, 3))):
-        records = []
+        rows = []  # (n, index, drift, cusp_height, cartan_t) per record
         for _ in range(draw(st.integers(1, 3))):
             n = draw(st.floats(0.0, 1e6)) if flow else draw(st.integers(0, 10**6))
-            records.append(W.CheckpointRecord(
-                traj=traj, n=n,
-                index=tuple(draw(INDICES) for _ in range(d)),
-                drift=tuple(draw(FLOATS) for _ in range(d)),
-                cusp_height=draw(FLOATS), cartan_t=draw(FLOATS),
+            rows.append((
+                n,
+                tuple(draw(INDICES) for _ in range(d)),
+                tuple(draw(FLOATS) for _ in range(d)),
+                draw(FLOATS),
+                draw(FLOATS),
             ))
-        results.append(SimpleNamespace(records=tuple(records)))
+        columns = [list(col) for col in zip(*rows)]
+        results.append(SimpleNamespace(records=W.Checkpoints(traj, *columns)))
     return d, results
 
 
@@ -670,6 +672,18 @@ class TestFitCommand:
         code, printed = run_cli("fit", "gaussian", "--in", str(p))
         assert (code, printed) == (2, f"error: no samples in {p}\n")
 
+    @pytest.mark.parametrize("text, row, key", [
+        ("traj,n,drift1\n0,1\n", 1, "drift1"),
+        ("traj,n,drift1\n0,1,0.5\n1\n", 2, "drift1"),
+        ("drift1,traj,n\n0.5,0,1\n0.25,1\n", 2, "n"),
+    ], ids=["first-row", "later-row", "no-n"])
+    def test_short_row(self, tmp_path, text, row, key):
+        # a row shorter than the header has no value for the chosen column
+        p = tmp_path / "records.csv"
+        p.write_text(text)
+        code, printed = run_cli("fit", "gaussian", "--in", str(p))
+        assert (code, printed) == (2, f"error: row {row} of {p} has no {key!r} value\n")
+
 
 class TestRecurrenceCommand:
     def test_runs_and_reports(self, tmp_path):
@@ -717,6 +731,13 @@ class TestReportCommand:
         code, text = run_cli("report", "--dir", str(tmp_path))
         assert code == 0
         assert text.startswith("covwalk report over 1 summaries\n")
+
+    def test_skips_analysis_that_is_no_object(self, tmp_path):
+        (tmp_path / "summary.json").write_text('{"mode": "walk", "analysis": [1]}')
+        code, text = run_cli("report", "--dir", str(tmp_path))
+        assert code == 0
+        assert text == ("covwalk report over 1 summaries\n\n"
+                        "== summary.json\n   mode: walk\n\n")
 
     def test_skips_records_without_samples(self, tmp_path):
         (tmp_path / "summary.json").write_text('{"mode": "walk"}')

@@ -231,6 +231,26 @@ class TestReduce:
             assert word == () and idx == (0,)
             assert torus_d1.start_point(p.rep) == p
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(corner=st.integers(0, 3), s=st.floats(-300.0, 300.0),
+           t=st.floats(-4.0, 16.0), theta=st.floats(0.0, 2 * math.pi),
+           t2=st.floats(0.0, 3.0))
+    def test_idempotence_property(self, preset_d1, corner, s, t, theta, t2):
+        # the start lies up to 150 strip widths across in a corner's cusp
+        # chart, often high in the cusp, where the descent winds for many
+        # pairings and calls fast_unwind (on about two draws in three)
+        chart = H.element(*preset_d1.corner_inv_mats[corner])
+        x = H.UnitTangent(H.compose_all(
+            chart, H.unipotent(s), H.translation(t), H.rotation(theta),
+            H.translation(t2),
+        ))
+        p = preset_d1.start_point(x)
+        assert preset_d1.start_point(p.rep) == p
+        _, idx, word = preset_d1.reduce_raw(
+            p.rep.rep.as_tuple(), p.index, collect_word=True
+        )
+        assert word == () and idx == p.index
+
     def test_equivariance(self, gamma2_d1):
         rng = np.random.default_rng(9)
         for _ in range(60):

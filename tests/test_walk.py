@@ -768,6 +768,39 @@ class TestKernelParity:
             assert {r.summary.orbit_states for r in on_c} == {1}
 
 
+def test_sincos_gives_the_bits_of_sin_and_cos():
+    """The C kernel takes an angle's cosine and sine from one libm sincos
+    call where it was built on glibc; that keeps the Python kernel's bits
+    only while sincos(h) equals (math.sin(h), math.cos(h)) for the half
+    angles h in [0, pi) that a parametric letter uses."""
+    import ctypes
+    import ctypes.util
+
+    if S.load_kernel() != "c":
+        pytest.skip("the C segment kernel cannot be built here")
+    uses_sincos = S._kernel.covwalk_uses_sincos
+    uses_sincos.argtypes, uses_sincos.restype = [], ctypes.c_int64
+    if not uses_sincos():
+        pytest.skip("the C segment kernel calls cos and sin here")
+    libm = ctypes.CDLL(ctypes.util.find_library("m"))
+    f64_p = ctypes.POINTER(ctypes.c_double)
+    libm.sincos.argtypes = [ctypes.c_double, f64_p, f64_p]
+    libm.sincos.restype = None
+    sin, cos = ctypes.c_double(), ctypes.c_double()
+    sin_p, cos_p = ctypes.byref(sin), ctypes.byref(cos)
+    edges = [0.0, math.pi / 4, math.pi / 2, math.nextafter(math.pi, 0.0)]
+    rng = np.random.default_rng(20261020)
+    wrong = []
+    for h in edges + (rng.random(10**6) * math.pi).tolist():
+        libm.sincos(h, sin_p, cos_p)
+        if (sin.value, cos.value) != (math.sin(h), math.cos(h)):
+            wrong.append(h)
+    assert wrong == []
+    for h in edges:  # bit for bit, the sign of a zero included
+        libm.sincos(h, sin_p, cos_p)
+        assert (sin.value.hex(), cos.value.hex()) == (math.sin(h).hex(), math.cos(h).hex())
+
+
 def test_zero_steps_with_returns(torus_d1):
     # the start is the one record and the one grid point, on both kernels
     cfg = W.WalkConfig(steps=0, trajectories=2, master_seed=47,
