@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import tempfile
-from typing import TYPE_CHECKING
 
 from . import __version__
 from . import config as config_mod
@@ -26,10 +25,6 @@ from . import hyp2
 from . import segments
 from . import stats as stats_mod
 from . import walk as walk_mod
-
-if TYPE_CHECKING:
-    import numpy
-
 
 # A load exits 2 on a config, lattice, cover or sample file that cannot be
 # read or built (ConfigError, the lattice-file and presentation errors and
@@ -145,6 +140,7 @@ def _analysis(bundle, results) -> dict:
     cfg = bundle.config
     out: dict = {}
     reports = set(cfg.reports)
+    t_norm = cfg.steps * cfg.dt if cfg.mode == "geodesic" else cfg.steps
     if "drift" in reports or not reports:
         target = None
         if (
@@ -162,7 +158,6 @@ def _analysis(bundle, results) -> dict:
             "max_dev_from_target": ds.max_dev_from_target,
         }
     if "cauchy" in reports:
-        t_norm = cfg.steps * cfg.dt if cfg.mode == "geodesic" else cfg.steps
         basis = bundle.spec.E_C_basis or tuple(
             tuple(1 if i == j else 0 for i in range(bundle.spec.d))
             for j in range(bundle.spec.d)
@@ -186,7 +181,6 @@ def _analysis(bundle, results) -> dict:
             )
         out["cauchy"] = fits
     if "gaussian" in reports:
-        t_norm = cfg.steps * cfg.dt if cfg.mode == "geodesic" else cfg.steps
         rt = math.sqrt(t_norm)
         fits = []
         for j in range(bundle.spec.d):
@@ -246,7 +240,7 @@ def _load_lattice(args):
     preset = name if name in ("gamma2", "punctured_square_torus") else ""
     try:
         return config_mod.load_lattice(
-            preset, "" if preset else name, (0.05, 1.3), args.word_bound
+            preset, "" if preset else name, config_mod.DEFAULT_CENTER, args.word_bound
         )
     except FileNotFoundError:
         raise FileNotFoundError(f"no such preset or file: {name}") from None
@@ -393,10 +387,12 @@ def cmd_lyapunov(args, bundle) -> int:
     return 0
 
 
-def _read_samples(path: str, column: str | None) -> numpy.ndarray:
+def _read_samples(path: str, column: str | None) -> list[float]:
+    """A column (drift1 by default) of a CSV file with a header, at the last
+    checkpoint of each trajectory where it has traj and n; or a file of one
+    number a line with ``#`` comments and blank lines, as ``np.loadtxt`` reads
+    it."""
     import csv  # a run writes its records without it
-
-    import numpy as np
 
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline()
@@ -406,31 +402,43 @@ def _read_samples(path: str, column: str | None) -> numpy.ndarray:
             has_header = False
         except ValueError:
             has_header = True
-        if has_header:
-            rows = list(csv.DictReader(fh))
-            if not rows:
-                raise ValueError(f"no samples in {path}")
-            col = column or ("drift1" if "drift1" in rows[0] else None)
-            if col is None or col not in rows[0]:
-                raise ValueError(
-                    f"column {column!r} not found; available: {list(rows[0])}"
-                )
-            by_traj = "traj" in rows[0] and "n" in rows[0]
-            # csv leaves None where a row is shorter than the header
-            for i, r in enumerate(rows, 1):
-                for key in (col, "traj", "n") if by_traj else (col,):
-                    if r[key] is None:
-                        raise ValueError(f"row {i} of {path} has no {key!r} value")
-            # terminal checkpoint per trajectory when the file has many rows
-            if by_traj:
-                last: dict[str, dict] = {}
-                for r in rows:
-                    prev = last.get(r["traj"])
-                    if prev is None or float(r["n"]) > float(prev["n"]):
-                        last[r["traj"]] = r
-                rows = list(last.values())
-            return np.array([float(r[col]) for r in rows])
-        return np.loadtxt(fh, ndmin=1)
+        if not has_header:
+            if column is not None:
+                raise ValueError(f"column {column!r} given, but {path} has no header")
+            samples = []
+            for i, line in enumerate(fh, 1):
+                text = line.split("#", 1)[0].strip()
+                try:  # float() also reads "1_0" and non-ASCII digits
+                    if "_" in text or not text.isascii():
+                        raise ValueError
+                    if text:
+                        samples.append(float(text))
+                except ValueError:
+                    raise ValueError(
+                        f"line {i} of {path} is not one number: {text!r}"
+                    ) from None
+            return samples
+        rows = list(csv.DictReader(fh))
+    if not rows:
+        raise ValueError(f"no samples in {path}")
+    col = column or "drift1"
+    if col not in rows[0]:
+        raise ValueError(f"column {column!r} not found; available: {list(rows[0])}")
+    by_traj = "traj" in rows[0] and "n" in rows[0]
+    # csv leaves None where a row is shorter than the header
+    for i, r in enumerate(rows, 1):
+        for key in (col, "traj", "n") if by_traj else (col,):
+            if r[key] is None:
+                raise ValueError(f"row {i} of {path} has no {key!r} value")
+    # terminal checkpoint per trajectory when the file has many rows
+    if by_traj:
+        last: dict[str, dict] = {}
+        for r in rows:
+            prev = last.get(r["traj"])
+            if prev is None or float(r["n"]) > float(prev["n"]):
+                last[r["traj"]] = r
+        rows = list(last.values())
+    return [float(r[col]) for r in rows]
 
 
 def _load_fit(args) -> str:
@@ -516,8 +524,6 @@ def cmd_report(args, summaries) -> int:
     _atomic_write(os.path.join(args.dir, "dashboard.txt"), text + "\n")
 
     # gnuplot-ready drift ECDFs next to each records.csv
-    import numpy as np
-
     for p, _ in summaries:
         d = os.path.dirname(p)
         csv_path = os.path.join(d, "records.csv")
@@ -527,12 +533,10 @@ def cmd_report(args, summaries) -> int:
             samples = _read_samples(csv_path, None)
         except ValueError:
             continue
-        samples = np.sort(samples)
-        ecdf = np.arange(1, len(samples) + 1) / len(samples)
+        samples.sort(key=lambda v: (v != v, v))  # NaNs last, as np.sort puts them
+        n = len(samples)
         body = "# terminal drift (column 1) vs empirical CDF (column 2)\n"
-        body += "\n".join(
-            f"{float(x)!r} {float(e)!r}" for x, e in zip(samples, ecdf)
-        )
+        body += "\n".join(f"{x!r} {i / n!r}" for i, x in enumerate(samples, 1))
         _atomic_write(os.path.join(d, "drift_ecdf.dat"), body + "\n")
     return 0
 

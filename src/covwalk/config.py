@@ -69,6 +69,8 @@ class ConfigError(ValueError):
 
 
 _SECTIONS = ("lattice", "weights", "measure", "walk", "analysis")
+# the Dirichlet center of a file lattice, in a run and in ``lattice check``
+DEFAULT_CENTER = (0.0, 1.0)
 
 
 @record
@@ -79,7 +81,7 @@ class ExperimentConfig:
     lattice_file: str = ""
     l1: float | None = None
     l2: float | None = None
-    center: tuple[float, float] = (0.0, 1.0)
+    center: tuple[float, float] = DEFAULT_CENTER
     word_bound: int = 12
     weights: tuple[tuple[str, tuple[int, ...]], ...] = ()
     measure_type: str = "atoms"
@@ -135,9 +137,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
         raise ConfigError("give exactly one of 'preset' or 'file'", lat)
     l1 = number(lat, "l1", None)
     l2 = number(lat, "l2", None)
-    center_raw = get(lat, "center", "0.0 1.0")
+    center_raw = get(lat, "center")
     try:
-        cx, cy = (float(v) for v in center_raw.split())
+        cx, cy = DEFAULT_CENTER if center_raw is None else map(float, center_raw.split())
     except ValueError:
         raise ConfigError("center needs two floats", lat, "center") from None
     word_bound = number(lat, "word_bound", "12", int)

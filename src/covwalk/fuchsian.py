@@ -871,7 +871,6 @@ def _core_box(
             xs.append(v.x)
     x_min, x_max = min(xs), max(xs)
 
-    y_cap = math.exp(h)
     has_inf_corner = False
     e_h = math.exp(h)
     y_min = math.inf

@@ -7,14 +7,13 @@ tail index by the Hill estimator on the top order statistics of the absolute
 centered sample.  A maximum-likelihood scale is available as a cross-check
 but the quantile estimators are the primary ones.
 
-What a walk or geodesic run computes (the drift and recurrence summaries,
-the Cauchy fit, the accumulation diagnostic) is plain Python, so a run
-imports no numpy.  Where these replace a numpy expression they keep its
-bits: a mean sums as numpy's pairwise ``np.sum`` does (``_pairwise_sum``,
-``_column_means``).  The Kolmogorov-Smirnov distance and the Hill estimator
-take ``math.atan`` and ``math.log``, which may differ from numpy's vectorized
-ones in the last bit.  ``cauchy_scale_mle`` and ``gaussian_fit`` import numpy
-when they are called.
+Everything here is plain Python and imports no numpy: the drift and
+recurrence summaries, every fit and the accumulation diagnostic.  Where
+these replace a numpy expression they keep its bits: a mean sums as numpy's
+pairwise ``np.sum`` does (``_pairwise_sum``, ``_column_means``), so the
+Gaussian fit's mean and sd are those of ``mean()`` and ``std(ddof=1)``.  The
+Kolmogorov-Smirnov distance and the Hill estimator take ``math.atan`` and
+``math.log``, which may differ from numpy's vectorized ones in the last bit.
 """
 
 from __future__ import annotations
@@ -190,20 +189,15 @@ def cauchy_scale_mle(samples: Sequence[float], location: float | None = None) ->
 
     Solves (1/n) sum c^2/(c^2 + (x-m)^2) = 1/2 by bisection; the left side is
     increasing in c."""
-    import numpy as np
-
-    x = np.asarray(samples, dtype=float)
+    x = list(map(float, samples))
     m = quantile(x) if location is None else location
-    r2 = (x - m) ** 2
-    lo, hi = 1e-12, float(np.max(np.abs(x - m))) + 1.0
-
-    def f(c: float) -> float:
-        c2 = c * c
-        return float(np.mean(c2 / (c2 + r2))) - 0.5
-
+    r2 = [(v - m) * (v - m) for v in x]
+    n = len(x)
+    lo, hi = 1e-12, _max([abs(v - m) for v in x]) + 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if f(mid) < 0:
+        c2 = mid * mid
+        if _pairwise_sum([c2 / (c2 + r) for r in r2]) / n < 0.5:
             lo = mid
         else:
             hi = mid
@@ -219,18 +213,17 @@ class GaussianFit:
 
 
 def gaussian_fit(samples: Sequence[float]) -> GaussianFit:
-    import numpy as np
-
-    x = np.asarray(samples, dtype=float)
-    if len(x) < 3:
+    x = list(map(float, samples))
+    n = len(x)
+    if n < 3:
         raise DegenerateSamplesError("need at least 3 samples")
-    mean = float(x.mean())
-    sd = float(x.std(ddof=1))
+    mean = _pairwise_sum(x) / n
+    sd = math.sqrt(_pairwise_sum([(v - mean) * (v - mean) for v in x]) / (n - 1))
     if sd <= 0:
         raise DegenerateSamplesError("zero standard deviation")
     scale = sd * math.sqrt(2.0)
     ks = ks_distance(x, lambda t: 0.5 * (1.0 + math.erf((t - mean) / scale)))
-    return GaussianFit(mean=mean, sd=sd, ks_distance=ks, n=len(x))
+    return GaussianFit(mean=mean, sd=sd, ks_distance=ks, n=n)
 
 
 # ---------------------------------------------------------------------------

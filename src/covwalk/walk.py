@@ -30,7 +30,7 @@ run starts, so that importing this module builds nothing).  numpy is
 imported only where it is used: in ``trajectory_rng``, which only the
 Python kernel and the tests call, in ``zariski_density_check`` for a
 parametric measure, and in ``lyapunov_estimate``; a run on the C kernel
-imports none.
+imports none, and neither do ``stats`` and the CLI's ``fit`` and ``report``.
 The greedy descent tries ``CoverSystem.fast_unwind`` on its iterations 7,
 15, 23, ... (``cover.UNWIND_MASK``): descent depth has the 1/x tail of the
 Haar cusp law, so a Haar start spends a good share of its pairings in cusp

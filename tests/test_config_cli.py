@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -102,6 +103,25 @@ return_radius = 2.0
 return_grid = 30 60
 [analysis]
 reports = drift cauchy accumulation recurrence
+"""
+
+GAUSSIAN = """
+[lattice]
+preset = punctured_square_torus
+[weights]
+g1 = 1 0
+g2 = 0 1
+[measure]
+type = atoms
+atom.1 = g1 0.5
+atom.2 = g2 0.5
+[walk]
+steps = 100
+trajectories = 100
+seed = 6
+checkpoints = linear:50
+[analysis]
+reports = gaussian
 """
 
 CONFIGS = sorted(
@@ -354,6 +374,22 @@ class TestLatticeCheckCommand:
         code, out = run_cli("lattice", "check", str(p), "--word-bound", "6")
         assert code == 0
         assert "v = " in out
+
+    def test_file_lattice_polygon_is_the_runs(self, tmp_path):
+        # check and a run build a file lattice's domain about one center
+        pres, _, _ = F.builtin_lattice("gamma2")
+        p = tmp_path / "gamma2.txt"
+        p.write_text(
+            "".join(f"[generator] {lab} = {g.a!r} {g.b!r} {g.c!r} {g.d!r}\n"
+                    for lab, g in pres.generators)
+            + "[weights]\nA = 1\nB = 0\n"
+        )
+        code, out = run_cli("lattice", "check", str(p), "--word-bound", "4")
+        bundle = CFG.build_bundle(CFG.parse_config_text(
+            f"[lattice]\nfile = {p}\nword_bound = 4\n[measure]\ntype = parametric\n"
+        ))
+        assert code == 0
+        assert f"polygon: {len(bundle.polygon.sides)} sides," in out
 
 
 class TestRunCommands:
@@ -684,6 +720,42 @@ class TestFitCommand:
         code, printed = run_cli("fit", "gaussian", "--in", str(p))
         assert (code, printed) == (2, f"error: row {row} of {p} has no {key!r} value\n")
 
+    def test_column_on_headerless_file(self, tmp_path):
+        p = tmp_path / "x.txt"
+        p.write_text("\n".join("0.5" for _ in range(200)) + "\n")
+        code, printed = run_cli("fit", "cauchy", "--in", str(p), "--column", "drift2")
+        assert (code, printed) == (
+            2, f"error: column 'drift2' given, but {p} has no header\n")
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(lines=st.lists(st.tuples(
+        st.sampled_from(["", " ", "\t"]),
+        st.one_of(st.none(), st.floats(width=64)),
+        st.sampled_from(["", " ", "# note", "  #1.5 2.5"]),
+    ), min_size=1, max_size=40))
+    def test_headerless_as_loadtxt(self, lines):
+        # blank lines and # comments are skipped, as np.loadtxt skips them
+        lines = [(" ", 1.0, "")] + lines  # a number first: no header
+        text = "".join(f"{pad}{'' if v is None else repr(v)}{note}\n"
+                       for pad, v, note in lines)
+        with tempfile.TemporaryDirectory() as d:
+            p = os.path.join(d, "x.txt")
+            with open(p, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            got = cli._read_samples(p, None)
+        want = np.loadtxt(io.StringIO(text), ndmin=1)
+        assert np.array(got).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", ["1.0 2.0", "1,5", "1_000", "\u0661", "x"])
+    def test_headerless_bad_line(self, tmp_path, bad):
+        p = tmp_path / "x.txt"
+        p.write_text(f"1.0\n\n# note\n{bad}  # note\n2.0\n")
+        with pytest.raises(ValueError):
+            np.loadtxt(str(p), ndmin=1, dtype=float)
+        code, printed = run_cli("fit", "gaussian", "--in", str(p))
+        assert (code, printed) == (
+            2, f"error: line 4 of {p} is not one number: {bad!r}\n")
+
 
 class TestRecurrenceCommand:
     def test_runs_and_reports(self, tmp_path):
@@ -721,6 +793,27 @@ class TestReportCommand:
                 f"'workers': {min(W.worker_count(), 20)}}}") in text
         assert (tmp_path / "dashboard.txt").exists()
         assert (out / "drift_ecdf.dat").exists()
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(drifts=st.lists(st.floats(width=64), min_size=1, max_size=300))
+    def test_ecdf_numpy_bits(self, drifts):
+        # + 0.0 turns -0.0 into 0.0, since a sort may put either zero first
+        drifts = [v + 0.0 for v in drifts]
+        with tempfile.TemporaryDirectory() as d:
+            with open(os.path.join(d, "summary.json"), "w") as fh:
+                fh.write('{"mode": "walk"}')
+            with open(os.path.join(d, "records.csv"), "w") as fh:
+                fh.write("traj,n,k1,drift1,cusp_height,cartan_t\n" + "".join(
+                    f"{t},{n},0,{v if n == 2 else 0.5!r},0.0,1.0\n"
+                    for t, v in enumerate(drifts) for n in (1, 2)))
+            code, _ = run_cli("report", "--dir", d)
+            with open(os.path.join(d, "drift_ecdf.dat")) as fh:
+                got = fh.read()
+        x = np.sort(np.array(drifts))
+        ecdf = np.arange(1, len(x) + 1) / len(x)
+        want = "# terminal drift (column 1) vs empirical CDF (column 2)\n" + "\n".join(
+            f"{float(v)!r} {float(e)!r}" for v, e in zip(x, ecdf)) + "\n"
+        assert (code, got) == (0, want)
 
     def test_skips_json_that_is_no_object(self, tmp_path):
         (tmp_path / "list.json").write_text("[1, 2]")
@@ -833,6 +926,45 @@ class TestEntryPoint:
         assert set(startup.split()) <= allowed
         summary = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert set(summary["analysis"]) == {"drift", "cauchy", "accumulation", "recurrence"}
+
+    def test_fit_report_and_gaussian_run_import_no_numpy(self, tmp_path):
+        # numpy is left to the Python kernel, lyapunov and their helpers: a
+        # run with a gaussian report on the C kernel, fit and report load none
+        cfgp = tmp_path / "exp.cfg"
+        cfgp.write_text(GAUSSIAN)
+        out = str(tmp_path / "o")
+        records = os.path.join(out, "records.csv")
+        commands = [
+            ["walk", "run", "--config", str(cfgp), "--out", out],
+            ["fit", "cauchy", "--in", records],
+            ["fit", "gaussian", "--in", records],
+            ["report", "--dir", out],
+        ]
+        for argv in commands:
+            res = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; before = set(sys.modules)\n"
+                 "import covwalk.cli as c\n"
+                 "code = c.main(sys.argv[1:])\n"
+                 "loaded = 'numpy' in sys.modules, *sorted("
+                 f"set(sys.modules) - before & {STARTUP_MODULES!r})\n"
+                 "print(code, c.segments.load_kernel(), *loaded)",
+                 *argv],
+                capture_output=True,
+                text=True,
+                env=src_env(),
+            )
+            assert res.returncode == 0, res.stderr
+            code, kernel, numpy, *startup = res.stdout.split("\n")[-2].split()
+            assert code == "0", argv
+            # only a run on the Python kernel draws numpy's uniforms, and
+            # numpy.random loads hashlib
+            on_python = argv[0] == "walk" and kernel == "python"
+            assert numpy == str(on_python), argv
+            assert set(startup) <= ({"hashlib", "_hashlib"} if on_python else set())
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert set(summary["analysis"]) == {"gaussian"}
+        assert os.path.exists(os.path.join(out, "drift_ecdf.dat"))
 
     @pytest.mark.parametrize("path", CONFIGS, ids=os.path.basename)
     def test_setup_probe_imports_no_numpy(self, path):

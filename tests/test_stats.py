@@ -284,6 +284,26 @@ def np_hill_tail_index(samples, center=None):
     return 1.0 / float(np.mean(np.log(a[n - k:] / a[n - k - 1])))
 
 
+def np_gaussian_moments(samples):
+    x = np.asarray(samples, dtype=float)
+    return float(x.mean()), float(x.std(ddof=1))
+
+
+def np_cauchy_scale_mle(samples, location=None):
+    x = np.asarray(samples, dtype=float)
+    m = float(np.median(x)) if location is None else location
+    r2 = (x - m) ** 2
+    lo, hi = 1e-12, float(np.max(np.abs(x - m))) + 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        c2 = mid * mid
+        if float(np.mean(c2 / (c2 + r2))) - 0.5 < 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def np_exact_finite_orbit_target(system, measure, start):
     atoms = [(g, prob) for g, prob in measure.atoms if prob > 0]
     table = system.orbit_table(start, tuple(g for g, _ in atoms), 4096)
@@ -404,6 +424,27 @@ class TestNumpyParity:
         assert fit.ks_distance == pytest.approx(want_ks, rel=1e-12)
         assert fit.tail_index == pytest.approx(np_hill_tail_index(x, loc), rel=1e-12)
         assert S.hill_tail_index(x) == pytest.approx(np_hill_tail_index(x), rel=1e-12)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), n=SIZES.filter(lambda k: k >= 3))
+    def test_gaussian_moments(self, data, n):
+        x = spread_values(data.draw, n)
+        mean, sd = np_gaussian_moments(x)
+        if sd > 0:
+            fit = S.gaussian_fit(x)
+            assert same_bits((fit.mean, fit.sd), (mean, sd))
+        else:  # every value zero
+            with pytest.raises(S.DegenerateSamplesError):
+                S.gaussian_fit(x)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 3000),
+           c=st.floats(1e-6, 1e6), loc=st.floats(-1e3, 1e3),
+           given_location=st.booleans())
+    def test_cauchy_scale_mle(self, seed, n, c, loc, given_location):
+        x = cauchy_samples(np.random.default_rng(seed), n, c, loc).tolist()
+        m = loc if given_location else None
+        assert same_bits(S.cauchy_scale_mle(x, m), np_cauchy_scale_mle(x, m))
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(data=st.data(), d=st.integers(1, 4))
