@@ -264,6 +264,8 @@ def cmd_lattice_check(args, lattice) -> int:
         f"  polygon: {len(polygon.sides)} sides, area {polygon.area:.9f}"
         f" (Gauss-Bonnet 2*pi*|chi| = {expected:.9f})"
     )
+    cap = fuchsian.DEFAULT_WORD_BOUND if weights is None else args.word_bound
+    print(f"  certified at word bound {polygon.certified_bound} (cap {cap})")
     print(f"  cusps: {len(cusps)}")
     for j, c in enumerate(cusps):
         fp = "inf" if math.isinf(c.fixed_point) else f"{c.fixed_point:.6f}"
@@ -553,7 +555,10 @@ def main(argv: list[str] | None = None) -> int:
     lat_sub = p_lat.add_subparsers(dest="subcommand", required=True)
     p_check = lat_sub.add_parser("check", help="validate a preset or lattice file")
     p_check.add_argument("lattice")
-    p_check.add_argument("--word-bound", type=int, default=12)
+    p_check.add_argument("--word-bound", type=int, default=fuchsian.DEFAULT_WORD_BOUND,
+                         help="cap for a lattice file (default %(default)s): the build"
+                         " stops at the first word bound that passes, and the cusp"
+                         " rescale reads the same words")
     p_check.set_defaults(load=_load_lattice, run=cmd_lattice_check)
 
     for mode, text in (("walk", "random walk runs"), ("geodesic", "geodesic flow runs")):

@@ -9,7 +9,9 @@ two configs get the same hash exactly when every semantic field agrees.
     preset = gamma2              # or: file = path/to/lattice.txt
     # punctured_square_torus accepts l1 = ..., l2 = ...
     center = 0.0 1.0             # Dirichlet center for file lattices
-    word_bound = 12
+    word_bound = 12              # file lattices: a cap, the build stops at the
+                                 # first word bound that passes, and the cusp
+                                 # rescale reads the same words
 
     [weights]
     A = 1
@@ -82,7 +84,7 @@ class ExperimentConfig:
     l1: float | None = None
     l2: float | None = None
     center: tuple[float, float] = DEFAULT_CENTER
-    word_bound: int = 12
+    word_bound: int = fuchsian.DEFAULT_WORD_BOUND
     weights: tuple[tuple[str, tuple[int, ...]], ...] = ()
     measure_type: str = "atoms"
     atoms: tuple[tuple[str, float], ...] = ()  # (word text, probability)
@@ -142,7 +144,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         cx, cy = DEFAULT_CENTER if center_raw is None else map(float, center_raw.split())
     except ValueError:
         raise ConfigError("center needs two floats", lat, "center") from None
-    word_bound = number(lat, "word_bound", "12", int)
+    word_bound = number(lat, "word_bound", fuchsian.DEFAULT_WORD_BOUND, int)
 
     weights: list[tuple[str, tuple[int, ...]]] = []
     if cp.has_section("weights"):
@@ -346,17 +348,16 @@ def load_lattice(
     dict[str, tuple[int, ...]] | None,
 ]:
     """The preset lattice ``preset`` (with lengths l1, l2), or else the one in
-    ``lattice_file`` with its Dirichlet domain about ``center`` over words
-    of length at most ``word_bound``; last come the file's weights (None
-    for a preset)."""
+    ``lattice_file`` with its Dirichlet domain about ``center``, certified at
+    the first word bound that passes, up to the cap ``word_bound``; last
+    come the file's weights (None for a preset)."""
     if preset:
         pres, polygon, cusps = fuchsian.builtin_lattice(preset, l1=l1, l2=l2)
         return pres, polygon, cusps, None
     with open(lattice_file, "r", encoding="utf-8") as fh:
         pres, file_weights = fuchsian.parse_lattice_text(fh.read())
     pres.validate()
-    polygon = fuchsian.dirichlet_domain(pres, hyp2.PointH(*center), word_bound)
-    cusps = fuchsian.derive_cusps(polygon, pres)
+    polygon, cusps = fuchsian.dirichlet_domain(pres, hyp2.PointH(*center), word_bound)
     return pres, polygon, cusps, file_weights
 
 

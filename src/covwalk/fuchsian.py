@@ -28,6 +28,7 @@ EPS_GEOM = 1e-9          # side-inequality tolerance for membership / reduction
 MAX_REDUCE_ITER = 10**6  # greedy descent iteration guard
 _KLEIN_BOX = 4.0         # initial clipping square half-width (disk has radius 1)
 _IDEAL_TOL = 1e-7        # |k| within this of 1 counts as an ideal vertex
+DEFAULT_WORD_BOUND = 12  # cap on the word length of a Dirichlet domain's ball
 
 
 class PresentationError(ValueError):
@@ -248,6 +249,12 @@ class FundamentalPolygon:
     def ideal_vertices(self) -> tuple[float, ...]:
         return tuple(v.boundary for v in self.vertices if v.ideal)
 
+    @property
+    def certified_bound(self) -> int:
+        """The word bound ``dirichlet_domain`` certified the polygon at: its
+        longest side word (with all shorter, the bound below passes first)."""
+        return max(len(s.source_word) for s in self.sides)
+
     def contains(self, x: float, y: float, tol: float = EPS_GEOM) -> bool:
         for s in self.sides:
             if s.plane.value(x, y) > tol:
@@ -266,7 +273,6 @@ def enumerate_ball(
     Deduplicates by the canonical matrix (catches relator coincidences), and
     evaluates words incrementally.
     """
-    gens = pres.gen_map()
     letters: list[tuple[tuple[str, int], GroupElement]] = []
     for lab, g in pres.generators:
         letters.append(((lab, 1), g))
@@ -336,11 +342,13 @@ def _clip(
         elif in2:
             t = f1 / (f1 - f2)
             out.append((v1 + t * (v2 - v1), s1))
-    # drop degenerate (duplicate) vertices, preferring to keep the edge id of
-    # the vertex that opens a genuinely new edge
+    # drop degenerate (duplicate) vertices: the edge from a vertex to its
+    # duplicate has no length, so the later edge id is the one that opens a
+    # genuinely new edge
     cleaned: list[tuple[complex, int]] = []
     for v, s in out:
         if cleaned and abs(v - cleaned[-1][0]) < 1e-12:
+            cleaned[-1] = (cleaned[-1][0], s)
             continue
         cleaned.append((v, s))
     if len(cleaned) >= 2 and abs(cleaned[0][0] - cleaned[-1][0]) < 1e-12:
@@ -354,21 +362,38 @@ _FREE_SRC = -1
 def dirichlet_domain(
     pres: LatticePresentation,
     center: PointH,
-    word_length_bound: int,
-) -> FundamentalPolygon:
-    """Dirichlet domain about ``center``: the points at least as close to the
-    center as to every enumerated orbit point.
-
-    The hyperbolic area must match 2*pi*|chi| of the presentation within 1e-6
-    (certifying that the word bound sufficed and the group is the lattice it
-    claims to be); otherwise AreaMismatchError, which a domain with free
-    boundary arcs (an infinite-area group) raises too.
+    word_bound: int,
+) -> tuple[FundamentalPolygon, tuple[CuspData, ...]]:
+    """Dirichlet domain about ``center`` and its cusps, from the word ball of
+    the first bound up to ``word_bound`` whose polygon passes the
+    certificate: area 2*pi*|chi| within 1e-6, no free boundary arc, every
+    side paired.  A polygon cut by some of the orbit points contains the true
+    domain, so one that passes is the domain; the cusp rescale reads the same
+    ball.  At the cap the certificate's AreaMismatchError is raised, as at
+    every bound for an infinite-area group; EllipticCenterError at any bound.
     """
-    elements = enumerate_ball(pres, word_length_bound)
-    c = complex(center.x, center.y)
+    for bound in range(1, word_bound + 1):
+        ball = enumerate_ball(pres, bound)
+        try:
+            polygon = _certified_polygon(pres, center, ball)
+        except AreaMismatchError:
+            if bound == word_bound:
+                raise
+        else:
+            return polygon, derive_cusps(polygon, ball)
+    raise AreaMismatchError("word bound produced no group elements")
 
+
+def _certified_polygon(
+    pres: LatticePresentation,
+    center: PointH,
+    ball: list[tuple[Word, GroupElement]],
+) -> FundamentalPolygon:
+    """The points at least as close to the center as to every orbit point of
+    ``ball``, if they pass ``dirichlet_domain``'s certificate."""
+    c = complex(center.x, center.y)
     candidates: list[tuple[float, Word, GroupElement, complex]] = []
-    for word, g in elements:
+    for word, g in ball:
         gc = complex(*hyp2.mobius_xy(g.a, g.b, g.c, g.d, center.x, center.y))
         d = hyp2.distance(center, PointH(gc.real, gc.imag)) if gc.imag > 0 else 0.0
         if d <= 1e-9:
@@ -387,16 +412,13 @@ def dirichlet_domain(
         (complex(-box, box), _FREE_SRC),
     ]
     planes: list[HalfPlane] = []
-    for idx, (_, _, g, gc) in enumerate(candidates):
+    for idx, (_, _, _, gc) in enumerate(candidates):
         plane = bisector_halfplane(c, gc)
         planes.append(plane)
         nx, ny, cc = _chord_line(plane, center_k)
         poly = _clip(poly, nx, ny, cc, idx)
         if not poly:
             raise AreaMismatchError("half-planes clipped the domain away entirely")
-
-    if not candidates:
-        raise AreaMismatchError("word bound produced no group elements")
 
     has_free = any(s == _FREE_SRC for _, s in poly) or any(
         abs(v) > 1.0 + _IDEAL_TOL for v, _ in poly
@@ -409,8 +431,7 @@ def dirichlet_domain(
     # surviving sides in ccw order, with their vertices
     sides: list[Side] = []
     vertices: list[Vertex] = []
-    srcs = [s for _, s in poly]
-    for i, (kv, src) in enumerate(poly):
+    for kv, src in poly:
         r = abs(kv)
         if r >= 1.0 - _IDEAL_TOL:
             w = kv / r
@@ -519,8 +540,7 @@ def _act_boundary(g: GroupElement, u: float) -> float:
 
 def derive_cusps(
     polygon: FundamentalPolygon,
-    pres: LatticePresentation,
-    ball: list[tuple[Word, GroupElement]] | None = None,
+    ball: list[tuple[Word, GroupElement]],
 ) -> tuple[CuspData, ...]:
     """Group the polygon's ideal vertices into cusp cycles.
 
@@ -529,7 +549,9 @@ def derive_cusps(
     accumulated partial products give the corner charts.  All normalizers are
     rescaled by a common factor so that horoball sectors at height h >= 0
     embed (tangency bound 1/|c| over conjugated group elements, taken over
-    ``ball`` or else the words of length at most 6).
+    ``ball``, the word ball the polygon was certified with).  Nothing bounds
+    the length of the element that attains the maximum, so a ball that
+    misses it gives too small a rescale, with no error.
     """
     n = len(polygon.sides)
     verts = polygon.vertices
@@ -606,8 +628,6 @@ def derive_cusps(
         data.append([fp, g, word, par, w, corners])
 
     # common rescale so horoballs at height >= 1 embed
-    if ball is None:
-        ball = enumerate_ball(pres, 6)
     y_star = 1.0
     norms = [g for _, g, _, _, _, _ in data]
     # the max over (gj, gk, gamma) is taken in any order, so gk^-1 gamma is
@@ -744,7 +764,8 @@ ARCSINH1 = math.asinh(1.0)
 def builtin_lattice(
     name: str, l1: float | None = None, l2: float | None = None
 ) -> tuple[LatticePresentation, FundamentalPolygon, tuple[CuspData, ...]]:
-    """Certified preset lattices.
+    """Certified preset lattices, their Dirichlet domain taken about i (at
+    the default lengths both certify at word bound 1).
 
     gamma2: the level-two congruence group, free on the two parabolics
         A = [[1,2],[0,1]] and B = [[1,0],[2,1]]; quotient is a sphere with
@@ -763,8 +784,6 @@ def builtin_lattice(
                 ("B", hyp2.element(1.0, 0.0, 2.0, 1.0)),
             ),
         )
-        center = PointH(0.0, 1.0)
-        bound = 3
     elif name == "punctured_square_torus":
         l1 = 2.0 * ARCSINH1 if l1 is None else l1
         l2 = 2.0 * ARCSINH1 if l2 is None else l2
@@ -783,15 +802,11 @@ def builtin_lattice(
                 ("g2", hyp2.translation(l2)),
             ),
         )
-        center = PointH(0.0, 1.0)
-        bound = 3
     else:
         raise PresentationError(f"unknown preset {name!r}")
 
     pres.validate()
-    polygon = dirichlet_domain(pres, center, bound)
-    ball = enumerate_ball(pres, 4)
-    cusps = derive_cusps(polygon, pres, ball=ball)
+    polygon, cusps = dirichlet_domain(pres, PointH(0.0, 1.0), DEFAULT_WORD_BOUND)
     return pres, polygon, cusps
 
 

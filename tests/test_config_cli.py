@@ -23,6 +23,7 @@ from covwalk import fuchsian as F
 from covwalk import hyp2 as H
 from covwalk import segments as S
 from covwalk import walk as W
+from helpers import format_lattice_text
 
 DRIFT_HALF = """
 [lattice]
@@ -384,12 +385,30 @@ class TestLatticeCheckCommand:
                     for lab, g in pres.generators)
             + "[weights]\nA = 1\nB = 0\n"
         )
-        code, out = run_cli("lattice", "check", str(p), "--word-bound", "4")
+        code, out = run_cli("lattice", "check", str(p))
         bundle = CFG.build_bundle(CFG.parse_config_text(
-            f"[lattice]\nfile = {p}\nword_bound = 4\n[measure]\ntype = parametric\n"
+            f"[lattice]\nfile = {p}\n[measure]\ntype = parametric\n"
         ))
         assert code == 0
         assert f"polygon: {len(bundle.polygon.sides)} sides," in out
+
+    def test_preset_certified_bound(self):
+        # a preset is built at the default cap whatever --word-bound says
+        for extra in ((), ("--word-bound", "5")):
+            code, out = run_cli("lattice", "check", "gamma2", *extra)
+            assert code == 0
+            assert "  certified at word bound 1 (cap 12)\n" in out
+
+    def test_file_certified_bound(self, tmp_path):
+        # gamma2's generators as a file: check reads the bound the domain
+        # about the default center was certified at, and the cap it was given
+        pres, _, _ = F.builtin_lattice("gamma2")
+        p = tmp_path / "gamma2.txt"
+        p.write_text(format_lattice_text(pres, {"A": (1,), "B": (0,)}))
+        poly, _ = F.dirichlet_domain(pres, H.PointH(*CFG.DEFAULT_CENTER), 12)
+        code, out = run_cli("lattice", "check", str(p), "--word-bound", "5")
+        assert code == 0
+        assert f"  certified at word bound {poly.certified_bound} (cap 5)\n" in out
 
 
 class TestRunCommands:

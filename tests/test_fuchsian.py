@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from covwalk import cover as C
 from covwalk import fuchsian as F
@@ -131,7 +132,7 @@ class TestPresets:
 class TestDirichlet:
     def test_generic_center_area(self, gamma2):
         pres, _, _ = gamma2
-        poly = F.dirichlet_domain(pres, H.PointH(0.1, 1.7), 8)
+        poly, _ = F.dirichlet_domain(pres, H.PointH(0.1, 1.7), 8)
         assert abs(poly.area - 2 * math.pi) < 1e-6
 
     def test_zero_bound_fails(self, gamma2):
@@ -343,7 +344,7 @@ class TestHexagonLattice:
         path.write_text(format_lattice_text(
             pres, {"g1": (1, 0), "g2": (0, 1), "g3": (0, 0)}))
         cfg = CFG.parse_config_text(
-            f"[lattice]\nfile = {path}\nword_bound = 4\n"
+            f"[lattice]\nfile = {path}\n"
             "[measure]\ntype = parametric\n[walk]\nsteps = 200\n"
             "trajectories = 20\nseed = 11\ncheckpoints = linear:100\n"
         )
@@ -393,13 +394,81 @@ class TestHexagonLattice:
         path, _ = hexagon
         cfgp = tmp_path / "hex.cfg"
         cfgp.write_text(
-            f"[lattice]\nfile = {path}\nword_bound = 4\n"
+            f"[lattice]\nfile = {path}\n"
             "[measure]\ntype = parametric\n[walk]\nsteps = 200\n"
             "trajectories = 20\nseed = 11\ncheckpoints = linear:100\n"
         )
         assert cli.main(["walk", "run", "--config", str(cfgp),
                          "--out", str(tmp_path / "o")]) == 0
         assert len((tmp_path / "o" / "records.csv").read_text().splitlines()) == 41
+
+
+def certified_lattices():
+    """The presentations the certified build is checked on: both presets,
+    the torus at unequal lengths l1 != l2 and the hexagon."""
+    l1 = 1.3
+    l2 = 2.0 * math.asinh(1.0 / math.sinh(l1 / 2))
+    return {
+        "gamma2": F.builtin_lattice("gamma2")[0],
+        "torus": F.builtin_lattice("punctured_square_torus")[0],
+        "torus_unequal": F.builtin_lattice("punctured_square_torus", l1=l1, l2=l2)[0],
+        "hexagon": F.LatticePresentation(generators=hexagon_generators()),
+    }
+
+
+class TestCertifiedBuild:
+    """The Dirichlet domain stops at the first word bound that certifies it,
+    and its cusp rescale reads that bound's ball."""
+
+    LATTICES = certified_lattices()
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(name=st.sampled_from(sorted(LATTICES)),
+           x=st.floats(-0.5, 0.5), y=st.floats(0.7, 1.6))
+    def test_first_passing_bound_is_the_domain(self, name, x, y):
+        pres = self.LATTICES[name]
+        center = H.PointH(x, y)
+        # a cap of 6 keeps a failure small: the hexagon's ball at the default
+        # cap would hold about 4e8 words
+        poly, cusps = F.dirichlet_domain(pres, center, 6)
+        b = poly.certified_bound
+        assert 1 <= b <= 4
+        # one bound lower does not pass, and two more cut nothing off
+        if b > 1:
+            with pytest.raises(F.AreaMismatchError):
+                F.dirichlet_domain(pres, center, b - 1)
+        wider = F._certified_polygon(pres, center, F.enumerate_ball(pres, b + 2))
+        assert repr(wider) == repr(poly)
+        # the tangency bound of a wider ball moves the rescale by rounding
+        # only: y_star picks up the rounding of longer words
+        ref = F.derive_cusps(poly, F.enumerate_ball(pres, b + 3))
+        assert len(ref) == len(cusps)
+        for got, want in zip(cusps, ref):
+            assert math.isclose(got.width, want.width, rel_tol=1e-12)
+            scale = max(abs(v) for v in want.normalizer.as_tuple())
+            for u, v in zip(got.normalizer.as_tuple(), want.normalizer.as_tuple()):
+                assert math.isclose(u, v, rel_tol=1e-12, abs_tol=1e-12 * scale)
+
+    @pytest.mark.parametrize("name,radius", [
+        ("gamma2", 8), ("torus", 8), ("hexagon", 6),
+    ])
+    def test_default_center_cusps_match_a_wide_ball(self, name, radius):
+        pres = self.LATTICES[name]
+        poly, cusps = F.dirichlet_domain(pres, H.PointH(0.0, 1.0), 6)
+        assert poly.certified_bound == 1
+        assert repr(F.derive_cusps(poly, F.enumerate_ball(pres, radius))) == repr(cusps)
+
+    @pytest.mark.parametrize("name,x,y,bound", [
+        ("torus", 0.0, 1.15, 3), ("torus_unequal", 0.0, 0.7, 3), ("gamma2", 0.1, 0.7, 2),
+    ])
+    def test_vertex_of_two_clips_keeps_the_later_edge(self, name, x, y, bound):
+        # about these centers two bisectors cross at one vertex, and the
+        # first clip's edge between the two copies of that vertex has no
+        # length; keeping it instead of the second clip's edge once gave a
+        # wrong area or a free boundary at every bound
+        poly, _ = F.dirichlet_domain(self.LATTICES[name], H.PointH(x, y), 6)
+        assert poly.certified_bound == bound
+        assert poly.area == pytest.approx(2.0 * math.pi, abs=1e-9)
 
 
 class TestTangencyBound:
