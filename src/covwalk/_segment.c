@@ -12,9 +12,12 @@
  * everything a step does happens here, with the arithmetic of the Python
  * reference (_pykernel._PySegments) in the same operation order:
  *
- *   - the letter: for atoms the first cumulative weight >= u (numpy's
- *     searchsorted, side="left"); for a parametric measure the increment
- *     rotation(th1) translation(tau) rotation(th2) of
+ *   - the letter: for atoms the count of the cumulative weights (all but
+ *     the last, which is 1.0) below u, taken without a branch; the weights
+ *     never decrease, zero-weight atoms included, so the count is the index
+ *     of the first weight >= u, numpy's searchsorted(side="left"), and a
+ *     two-atom walk mispredicts no branch on it; for a parametric measure
+ *     the increment rotation(th1) translation(tau) rotation(th2) of
  *     _pykernel._draw_block; for a flow the constant flow step;
  *   - the position: one orbit-table move, or the multiply followed by the
  *     greedy descent of CoverSystem.reduce_raw, with CoverSystem.fast_unwind
@@ -497,9 +500,11 @@ int covwalk_trajectory(walk_t *w)
                 gd = -s1 * e * s2 + c1 * ei * c2;
             } else {
                 if (w->letters == LETTERS_ATOMS) {
-                    double x = u[j];
-                    while (ai < w->n_letters - 1 && w->cum[ai] < x)
-                        ai++;
+                    /* the number of cumulative weights below u, which is
+                     * the first index whose weight is >= u */
+                    const double x = u[j];
+                    for (int64_t i = 0; i < w->n_letters - 1; i++)
+                        ai += w->cum[i] < x;
                     if (w->counts)
                         w->counts[ai]++;
                 }

@@ -145,6 +145,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
     except ValueError:
         raise ConfigError("center needs two floats", lat, "center") from None
     word_bound = number(lat, "word_bound", fuchsian.DEFAULT_WORD_BOUND, int)
+    if word_bound < 1:
+        raise ConfigError(f"must be at least 1, got {word_bound}", lat, "word_bound")
 
     weights: list[tuple[str, tuple[int, ...]]] = []
     if cp.has_section("weights"):

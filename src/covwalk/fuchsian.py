@@ -18,7 +18,9 @@ left-to-right as a matrix product.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 
 from ._record import record
 from . import hyp2
@@ -29,6 +31,7 @@ MAX_REDUCE_ITER = 10**6  # greedy descent iteration guard
 _KLEIN_BOX = 4.0         # initial clipping square half-width (disk has radius 1)
 _IDEAL_TOL = 1e-7        # |k| within this of 1 counts as an ideal vertex
 DEFAULT_WORD_BOUND = 12  # cap on the word length of a Dirichlet domain's ball
+MAX_BALL_WORDS = 100_000  # cap on the number of elements in that ball
 
 
 class PresentationError(ValueError):
@@ -268,10 +271,21 @@ class FundamentalPolygon:
 def enumerate_ball(
     pres: LatticePresentation, word_length_bound: int
 ) -> list[tuple[Word, GroupElement]]:
-    """All nontrivial elements given by reduced words up to the bound.
+    """All nontrivial elements given by reduced words up to the bound."""
+    return [e for shell in itertools.islice(_word_shells(pres), word_length_bound)
+            for e in shell]
+
+
+def _word_shells(
+    pres: LatticePresentation, max_words: float = math.inf
+) -> Iterator[list[tuple[Word, GroupElement]]]:
+    """The elements of reduced words of length 1, 2, ..., one list per
+    length, each holding the elements no shorter word gives.
 
     Deduplicates by the canonical matrix (catches relator coincidences), and
-    evaluates words incrementally.
+    evaluates words incrementally from the last length's.  Stops, without
+    yielding the length being built, once the lengths so far would hold more
+    than ``max_words`` elements.
     """
     letters: list[tuple[tuple[str, int], GroupElement]] = []
     for lab, g in pres.generators:
@@ -279,9 +293,8 @@ def enumerate_ball(
         letters.append(((lab, -1), hyp2.inverse(g)))
 
     seen = {_matrix_key(hyp2.IDENTITY)}
-    out: list[tuple[Word, GroupElement]] = []
     frontier: list[tuple[Word, GroupElement]] = [((), hyp2.IDENTITY)]
-    for _ in range(word_length_bound):
+    while True:
         nxt: list[tuple[Word, GroupElement]] = []
         for word, g in frontier:
             for letter, mat in letters:
@@ -292,11 +305,12 @@ def enumerate_ball(
                 k = _matrix_key(g2)
                 if k in seen:
                     continue
+                if len(seen) > max_words:  # seen holds the identity too
+                    return
                 seen.add(k)
                 nxt.append((w2, g2))
-        out.extend(nxt)
+        yield nxt
         frontier = nxt
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +385,21 @@ def dirichlet_domain(
     domain, so one that passes is the domain; the cusp rescale reads the same
     ball.  At the cap the certificate's AreaMismatchError is raised, as at
     every bound for an infinite-area group; EllipticCenterError at any bound.
+    The ball grows by one word length at a time from the last bound's, and a
+    bound whose ball would hold more than ``MAX_BALL_WORDS`` elements raises
+    AreaMismatchError naming the last bound tried.
     """
+    ball: list[tuple[Word, GroupElement]] = []
+    shells = _word_shells(pres, MAX_BALL_WORDS)
     for bound in range(1, word_bound + 1):
-        ball = enumerate_ball(pres, bound)
+        shell = next(shells, None)
+        if shell is None:
+            raise AreaMismatchError(
+                f"no domain certified up to word bound {bound - 1}, and the"
+                f" ball of word bound {bound} holds more than {MAX_BALL_WORDS}"
+                " words (infinite covolume, or a center that needs longer words)"
+            )
+        ball.extend(shell)
         try:
             polygon = _certified_polygon(pres, center, ball)
         except AreaMismatchError:

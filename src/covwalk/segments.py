@@ -34,7 +34,11 @@ same uniforms of the stream:
 
 A letter comes from the uniforms as ``_pykernel._draw_block`` makes it: an
 atom per uniform, the first whose cumulative weight is >= u, or a parametric
-increment per three uniforms (the block's last uniform is not used).  A
+increment per three uniforms (the block's last uniform is not used).  The C
+kernel takes that atom as the count of cumulative weights below u, with no
+branch to mispredict; ``_cumulative_weights`` never decrease, zero-weight
+atoms included, so the weights below u are the ones before the first >= u,
+and the count is the index numpy's ``searchsorted(side="left")`` gives.  A
 sheet index coordinate at or past 2**62 after a step is refused with
 ``OverflowError`` on both kernels.
 

@@ -23,6 +23,7 @@ from covwalk import fuchsian as F
 from covwalk import hyp2 as H
 from covwalk import segments as S
 from covwalk import walk as W
+from covwalk import tools
 from helpers import format_lattice_text
 
 DRIFT_HALF = """
@@ -303,6 +304,19 @@ class TestConfigErrors:
         code, printed = run_cli("walk", "run", "--config", str(cfgp))
         assert code == 2
         assert "error: config error [walk] steps: not a valid number: '1.5'" in printed
+
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    def test_word_bound_below_one(self, tmp_path, bound):
+        # refused for a preset too, which builds at the default cap
+        cfgp = tmp_path / "exp.cfg"
+        cfgp.write_text(with_key(DRIFT_HALF, "lattice", "word_bound", bound))
+        out = tmp_path / "o"
+        code, printed = run_cli("walk", "run", "--config", str(cfgp), "--out", str(out))
+        assert (code, printed) == (
+            2, f"error: config error [lattice] word_bound: must be at least 1, got {bound}\n")
+        assert not out.exists()
+        code, printed = run_cli("lattice", "check", "gamma2", "--word-bound", bound)
+        assert (code, printed) == (2, f"error: --word-bound must be at least 1, got {bound}\n")
 
     def test_no_section(self):
         assert str(CFG.ConfigError("bad")) == "config error: bad"
@@ -761,7 +775,7 @@ class TestFitCommand:
             p = os.path.join(d, "x.txt")
             with open(p, "w", encoding="utf-8") as fh:
                 fh.write(text)
-            got = cli._read_samples(p, None)
+            got = tools._read_samples(p, None)
         want = np.loadtxt(io.StringIO(text), ndmin=1)
         assert np.array(got).tobytes() == want.tobytes()
 
@@ -914,7 +928,7 @@ class TestEntryPoint:
         # a walk run at two threads, with every report that takes a median
         # or a quantile; np.median and np.quantile import numpy.ma.  On the
         # C kernel the run imports no numpy at all, and no run imports the
-        # start-up costs of STARTUP_MODULES
+        # start-up costs of STARTUP_MODULES, nor the commands of covwalk.tools
         cfgp = tmp_path / "exp.cfg"
         cfgp.write_text(ALL_REPORTS)
         env = src_env()
@@ -927,7 +941,7 @@ class TestEntryPoint:
              f"'--out', {str(tmp_path / 'o')!r}])\n"
              "print(code, c.segments.load_kernel(), *(m in sys.modules for m in "
              "('numpy.ma', 'concurrent.futures', 'multiprocessing', "
-             "'numpy.random', 'numpy')))\n"
+             "'numpy.random', 'numpy', 'covwalk.tools')))\n"
              f"print(*sorted(set(sys.modules) - before & {STARTUP_MODULES!r}))"],
             capture_output=True,
             text=True,
@@ -939,7 +953,7 @@ class TestEntryPoint:
         assert code == "0"
         # the C kernel draws the uniforms; only the Python one uses numpy's
         on_python = str(kernel != "c")
-        assert imported == ["False", "False", "False", on_python, on_python]
+        assert imported == ["False", "False", "False", on_python, on_python, "False"]
         # numpy.random, which only the Python kernel imports, loads hashlib
         allowed = {"hashlib", "_hashlib"} if kernel != "c" else set()
         assert set(startup.split()) <= allowed

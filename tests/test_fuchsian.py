@@ -156,6 +156,19 @@ class TestDirichlet:
         with pytest.raises(F.AreaMismatchError, match="free boundary"):
             F.dirichlet_domain(pres, H.PointH(0.0, 1.0), 2)
 
+    def test_ball_past_word_limit_fails(self, monkeypatch):
+        # a Schottky group never certifies: the build stops at the first bound
+        # whose ball would pass MAX_BALL_WORDS rather than at the cap, and
+        # names the last bound it tried
+        gs = [H.compose_all(H.rotation(k * math.pi / 3), H.translation(4.0),
+                            H.rotation(-k * math.pi / 3)) for k in range(3)]
+        pres = F.LatticePresentation(generators=tuple(zip("ABC", gs)))
+        monkeypatch.setattr(F, "MAX_BALL_WORDS", 200)  # 6 + 30 + 150 words fit
+        with pytest.raises(F.AreaMismatchError,
+                           match="up to word bound 3, and the ball of word bound 4 "
+                                 "holds more than 200 words"):
+            F.dirichlet_domain(pres, H.PointH(0.0, 1.0), F.DEFAULT_WORD_BOUND)
+
     def test_elliptic_center_guard(self):
         pres = F.LatticePresentation(
             generators=(("a", H.translation(1.0)), ("s", H.element(0, -1, 1, 0)))

@@ -726,13 +726,21 @@ class TestIndexLimit:
             walk(2)
 
 
+# atom weights with a zero-weight atom first, in the middle (two, so that
+# three cumulative weights tie) and last: a uniform equal to a tied weight
+# takes the first atom of the tie on both kernels
+ZERO_WEIGHTS = {"first": (0.0, 0.5, 0.25, 0.25), "middle": (0.5, 0.0, 0.0, 0.5),
+                "last": (0.25, 0.25, 0.5, 0.0)}
 # the shapes a run can take in the engine: atoms from Haar starts, a
-# parametric measure, a flow, an orbit table, and return tracking
-SHAPES = ("atoms", "parametric", "flow", "table", "returns")
+# parametric measure, a flow, an orbit table, and return tracking; then
+# atoms with a zero weight, through the multiply and through the orbit table
+SHAPES = ("atoms", "parametric", "flow", "table", "returns",
+          *(f"{path}zero {where}" for path in ("", "table ")
+            for where in ZERO_WEIGHTS))
 
 
 class TestKernelParity:
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(shape=st.sampled_from(SHAPES), seed=st.integers(0, 2**63 - 1),
            steps=st.integers(0, 5000), stride=st.integers(1, 5000),
            grid=st.lists(st.integers(1, 5000), max_size=3, unique=True))
@@ -752,6 +760,14 @@ class TestKernelParity:
                  (gm["g1"], 0.25), (H.inverse(gm["g1"]), 0.25)])
             system = torus_d1
             kw["start"] = W.StartSpec(mode="fixed", tangent=H.BASE_TANGENT)
+        elif "zero" in shape:
+            if shape.startswith("table"):
+                system = torus_d1
+                kw["start"] = W.StartSpec(mode="fixed", tangent=H.BASE_TANGENT)
+            gens = [g for _, g in system.pres.generators]
+            letters = [gens[1], H.inverse(gens[1]), gens[0], H.inverse(gens[0])]
+            measure = W.measure_from_atoms(
+                list(zip(letters, ZERO_WEIGHTS[shape.rsplit(" ", 1)[1]])))
         elif shape == "returns":
             pres, poly, cusps = F.builtin_lattice("punctured_square_torus")
             system = C.cover_system(
@@ -764,7 +780,7 @@ class TestKernelParity:
         on_c, on_python = on_both_kernels(
             lambda: W.run_trajectories(system, measure, cfg, geodesic, workers=1))
         assert on_c == on_python
-        if shape == "table":
+        if shape.startswith("table"):
             assert {r.summary.orbit_states for r in on_c} == {1}
 
 
