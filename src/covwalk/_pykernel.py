@@ -1,10 +1,12 @@
 """The trajectory loop in Python: the fallback where the C kernel of
 ``segments`` cannot be built, and the reference it is tested against.
 
-``_PySegments.run`` walks a trajectory in one loop, as ``_segment.c``'s
-``covwalk_trajectory`` does, with the walk's state in its locals: an outer
-loop stops at each checkpoint, each return grid point and each end of a
-block of letters, and an inner loop takes the steps between them.
+``_PySegments.run`` draws a Haar start with ``fuchsian.haar_sample`` and
+``CoverSystem.start_point`` when it is given no start, and walks a
+trajectory in one loop, as ``_segment.c``'s ``covwalk_trajectory`` does,
+with the walk's state in its locals: an outer loop stops at each
+checkpoint, each return grid point and each end of a block of letters, and
+an inner loop takes the steps between them.
 ``segments.trajectory_loops`` imports this module only when the C kernel
 does not load, so a run on the C kernel neither compiles nor imports it.
 Its uniforms come from numpy's generator of ``walk.trajectory_rng``; the
@@ -45,13 +47,17 @@ class _PySegments:
         self.rng = walk_mod.trajectory_rng(shared.cfg.master_seed, traj)
         self.random = self.rng.random
 
-    def run(self, p0) -> tuple[list, list, list, tuple[int, ...]]:
-        shared, rng = self.shared, self.rng
+    def run(self, p0) -> tuple[tuple, list, list, list, tuple[int, ...]]:
+        shared, rng, system = self.shared, self.rng, self.shared.system
         measure, letters, flow, cfg = (
             shared.measure, shared.letters, shared.geodesic, shared.cfg
         )
-        checkpoints, grid, cusps = shared.checkpoints, shared.grid, shared.system.cusps
-        reduce = shared.system.reduce_raw
+        checkpoints, grid, cusps = shared.checkpoints, shared.grid, system.cusps
+        reduce = system.reduce_raw
+        if p0 is None:
+            p0 = system.start_point(fuchsian.haar_sample(
+                system.polygon, cusps, system.pres, rng, shared.haar_parts
+            ))
         cum = _cumulative_weights(measure) if letters and not flow else None
         mats = [g.as_tuple() for g in letters]
         # a flow's every letter is the flow step, letter 0
@@ -144,7 +150,8 @@ class _PySegments:
                                 first_return = k
                         elif not left_zero and not inside:
                             left_zero = True
-        return cp_state, cp_index, at_grid, () if counts is None else tuple(counts)
+        return (p0.rep.rep.as_tuple(), cp_state, cp_index, at_grid,
+                () if counts is None else tuple(counts))
 
 
 def _draw_block(

@@ -1,24 +1,28 @@
 /* The trajectory engine, compiled.
  *
  * covwalk_trajectory runs one trajectory of walk.simulate_trajectory from its
- * reduced start to its last step in one loop, whose locals hold the walk's
- * state: an outer loop stops at each checkpoint, each return grid point and
- * each end of a block of uniforms, and an inner loop takes the steps between
- * them.  It draws the trajectory's uniforms itself, from a Philox4x64-10
- * stream bit-identical to numpy's Generator(Philox(SeedSequence([s, k]))):
- * covwalk_seed keys it and covwalk_random draws one double, which Python's
- * Haar sampler reads before the walk starts.  Python builds the start and
- * the orbit table and turns the state at each checkpoint into a record;
- * everything a step does happens here, with the arithmetic of the Python
- * reference (_pykernel._PySegments) in the same operation order:
+ * start to its last step in one loop, whose locals hold the walk's state: an
+ * outer loop stops at each checkpoint, each return grid point and each end
+ * of a block of uniforms, and an inner loop takes the steps between them.
+ * It draws the trajectory's uniforms itself, from a Philox4x64-10 stream
+ * bit-identical to numpy's Generator(Philox(SeedSequence([s, k]))):
+ * covwalk_seed keys it, and covwalk_random draws one double for the tests.
+ * Python builds a fixed start and the orbit table and turns the state at
+ * each checkpoint into a record; everything else happens here, with the
+ * arithmetic of the Python reference (_pykernel._PySegments) in the same
+ * operation order:
  *
+ *   - a Haar start: fuchsian.haar_sample's draw from the stream (the sector
+ *     by area, a sector's chart point through hyp2.compose, or the core by
+ *     rejection), reduced as CoverSystem.start_point reduces it;
  *   - the letter: for atoms the count of the cumulative weights (all but
  *     the last, which is 1.0) below u, taken without a branch; the weights
  *     never decrease, zero-weight atoms included, so the count is the index
  *     of the first weight >= u, numpy's searchsorted(side="left"), and a
  *     two-atom walk mispredicts no branch on it; for a parametric measure
  *     the increment rotation(th1) translation(tau) rotation(th2) of
- *     _pykernel._draw_block; for a flow the constant flow step;
+ *     _pykernel._draw_block, built for a whole block when its uniforms are
+ *     drawn, so the steps only read it; for a flow the constant flow step;
  *   - the position: one orbit-table move, or the multiply followed by the
  *     greedy descent of CoverSystem.reduce_raw, with CoverSystem.fast_unwind
  *     on iterations unwind_mask, 2 * unwind_mask + 1, ... and the
@@ -43,6 +47,7 @@
 
 #define _GNU_SOURCE /* glibc declares sincos only then */
 #include <math.h>
+#include <stddef.h>
 #include <stdint.h>
 
 #ifdef __GLIBC__
@@ -64,8 +69,14 @@ enum {
     ERR_DESCENT = 2,   /* fuchsian.NonTerminationError */
     ERR_ZERO = 3,      /* ZeroDivisionError */
     ERR_DOMAIN = 4,    /* ValueError: math domain error, floor of NaN */
-    ERR_RANGE = 5      /* OverflowError: float ** overflow, floor of infinity */
+    ERR_RANGE = 5,     /* OverflowError: float ** overflow, floor of infinity */
+    ERR_HAAR = 6       /* fuchsian.NonTerminationError: no core proposal accepted */
 };
+
+/* The step's helpers are inlined into covwalk_trajectory and haar_start
+ * alike: with two callers gcc would call them instead, and a call per
+ * descent costs a descent-bound walk about a tenth of its kernel time. */
+#define INLINE inline __attribute__((always_inline))
 
 #define RNG_BLOCK 4096             /* uniforms per block: _pykernel._RNG_BLOCK */
 #define INDEX_LIMIT (INT64_C(1) << 62)
@@ -99,7 +110,17 @@ typedef struct {
     /* return tracking */
     int64_t returns;
     double cosh_r;
-    /* the start: the reduced tangent and its base point */
+    /* the Haar start (fuchsian.haar_sample from CoverSystem.haar_parts),
+     * drawn from the stream when haar is set */
+    int64_t haar, n_sectors, max_proposals;
+    const double *sectors;         /* per sector: area, width, e^height, and
+                                      the cusp normalizer's a, b, c, d */
+    double area;                   /* the polygon's */
+    /* the core: its height, and its box's x range and 1 / y at its bottom
+     * and top */
+    double core_height, core_x_min, core_x_max, core_inv_lo, core_inv_hi;
+    /* the start: the reduced tangent and its base point, written here
+     * when the kernel draws it */
     double a, b, c, d, px, py;
     int64_t *index;                /* dim coordinates, the start's on entry */
     int64_t *counts;               /* per atom, or NULL */
@@ -264,8 +285,8 @@ static int square(double v, double *out)
 /* CoverSystem.fast_unwind on m with base point (x, y): sets *moved to 1 and
  * updates m and the index when the point winds deep enough in a cusp
  * sector, else leaves them and sets *moved to 0. */
-static int fast_unwind(const walk_t *w, double m[4], double x, double y,
-                       int64_t *index, int *moved)
+static INLINE int fast_unwind(const walk_t *w, double m[4], double x,
+                              double y, int64_t *index, int *moved)
 {
     const double a = m[0], b = m[1], c = m[2], d = m[3];
     int64_t best = -1;
@@ -323,8 +344,8 @@ static int fast_unwind(const walk_t *w, double m[4], double x, double y,
 
 /* CoverSystem.reduce_raw without a word: reduces m in place, charges the
  * index and leaves the reduced base point in *px, *py */
-static int descend(const walk_t *w, double m[4], int64_t *index,
-                   double *px, double *py)
+static INLINE int descend(const walk_t *w, double m[4], int64_t *index,
+                          double *px, double *py)
 {
     const int64_t mask = w->unwind_mask;
     for (int64_t it = 0; it < w->max_iter; it++) {
@@ -387,7 +408,7 @@ static int descend(const walk_t *w, double m[4], int64_t *index,
 
 /* fuchsian.cusp_height at (x, y): the log height in the deepest corner
  * chart, -inf where no chart puts the point above the real line */
-static int cusp_height(const walk_t *w, double x, double y, double *out)
+static INLINE int cusp_height(const walk_t *w, double x, double y, double *out)
 {
     double best = -INFINITY;
     for (int64_t i = 0; i < w->n_corners; i++) {
@@ -411,19 +432,180 @@ static int cusp_height(const walk_t *w, double x, double y, double *out)
     return OK;
 }
 
-/* The whole trajectory from the start in w, with the walk's state in this
- * function's locals.  The outer loop writes the outputs of step k (a grid
- * point's return counts, then a checkpoint's index, cusp height and Cartan
- * product), draws the next block of uniforms once the last one is used up,
- * and runs the inner loop to the next stop: the next checkpoint, grid point
- * or block end.  The blocks are the Python kernel's: RNG_BLOCK atom letters,
- * or RNG_BLOCK / 3 parametric steps, whose block leaves its last uniform
- * unused; a flow draws none.  A block is drawn only as far as the last step,
- * so the stream ends where the steps leave it, and the unused uniform of a
- * parametric block is skipped when the next block starts. */
+/* hyp2.canonical_entries: the sign of +-m with c > 0, or c == 0 and a > 0,
+ * or c == a == 0 and b > 0 */
+static void canonical(double m[4])
+{
+    if (m[2] < 0.0 || (m[2] == 0.0 && (m[0] < 0.0 || (m[0] == 0.0 && m[1] < 0.0))))
+        for (int i = 0; i < 4; i++)
+            m[i] = -m[i];
+}
+
+/* hyp2.element in place: the determinant rescaled to one where |det - 1|
+ * is above 1e-13 (1 + m^2), m the largest |entry|, then canonical */
+static int element(double m[4])
+{
+    double det = m[0] * m[3] - m[1] * m[2];
+    if (!(det > 0.0))
+        return ERR_DOMAIN;
+    double mx = __builtin_fabs(m[0]);
+    for (int i = 1; i < 4; i++)
+        if (__builtin_fabs(m[i]) > mx)
+            mx = __builtin_fabs(m[i]);
+    if (__builtin_fabs(det - 1.0) > 1e-13 * (1.0 + mx * mx)) {
+        double s = 1.0 / __builtin_sqrt(det);
+        for (int i = 0; i < 4; i++)
+            m[i] = m[i] * s;
+    }
+    canonical(m);
+    return OK;
+}
+
+/* hyp2.compose: out = element(g h); out may be g or h */
+static int compose(const double g[4], const double h[4], double out[4])
+{
+    double p[4] = {g[0] * h[0] + g[1] * h[2], g[0] * h[1] + g[1] * h[3],
+                   g[2] * h[0] + g[3] * h[2], g[2] * h[1] + g[3] * h[3]};
+    for (int i = 0; i < 4; i++)
+        out[i] = p[i];
+    return element(out);
+}
+
+/* haar_sample's tangent at height y over x: compose(unipotent(x),
+ * translation(log y)), composed on the left with the sector's normalizer
+ * (none for the core), then on the right with the fibre rotation; left in
+ * m.  translation(t)'s e^(t/2) is exp(0.5 * t), and both factors are
+ * already sign-canonical. */
+static int haar_tangent(double x, double y, const double *normalizer,
+                        const double rot[4], double m[4])
+{
+    double e = exp(0.5 * log(y));
+    double tr[4] = {e, 0.0, 0.0, 1.0 / e};
+    m[0] = 1.0;
+    m[1] = x;
+    m[2] = 0.0;
+    m[3] = 1.0;
+    int rc = compose(m, tr, m);
+    if (!rc && normalizer)
+        rc = compose(normalizer, m, m);
+    return rc ? rc : compose(m, rot, m);
+}
+
+/* fuchsian.haar_sample from w's stream, reduced as CoverSystem.start_point
+ * reduces it: the greedy descent, hyp2.element, and sheet index zero.  The
+ * reduced tangent and its base point are left in w's start.  The sector is
+ * chosen by area; a sector draw is exact in the sector's chart, and the
+ * core is drawn by rejection from its box, at most max_proposals times. */
+static __attribute__((noinline)) int haar_start(walk_t *w)
+{
+    double m[4], rot[4], c, s, x, y;
+    double u = next_double(w) * w->area;
+    double theta = next_double(w) * TWO_PI;
+    cos_sin(0.5 * theta, &c, &s);
+    rot[0] = c;
+    rot[1] = -s;
+    rot[2] = s;
+    rot[3] = c;
+    canonical(rot);
+    int rc = ERR_HAAR;
+    int64_t i;
+    for (i = 0; i < w->n_sectors; i++) {
+        const double *sec = w->sectors + 7 * i;
+        if (u < sec[0]) {
+            x = next_double(w) * sec[1];
+            y = sec[2] / (1.0 - next_double(w));
+            rc = haar_tangent(x, y, sec + 3, rot, m);
+            break;
+        }
+        u -= sec[0];
+    }
+    for (int64_t t = 0; i == w->n_sectors && t < w->max_proposals; t++) {
+        x = w->core_x_min + next_double(w) * (w->core_x_max - w->core_x_min);
+        double den = w->core_inv_lo - next_double(w) * (w->core_inv_lo - w->core_inv_hi);
+        if (den == 0.0)
+            return ERR_ZERO;
+        y = 1.0 / den;
+        double r2 = x * x + y * y, h;
+        int64_t j = 0;
+        while (j < w->n_sides) {
+            const double *pl = w->planes + 3 * j;
+            if (pl[0] * r2 + pl[1] * x + pl[2] > w->eps)
+                break;
+            j++;
+        }
+        if (j < w->n_sides)  /* outside the polygon */
+            continue;
+        int hrc = cusp_height(w, x, y, &h);
+        if (hrc)
+            return hrc;
+        if (h > w->core_height)
+            continue;
+        rc = haar_tangent(x, y, NULL, rot, m);
+        break;
+    }
+    rc = rc ? rc : descend(w, m, w->index, &x, &y);
+    for (i = 0; i < w->dim; i++)
+        w->index[i] = 0;
+    rc = rc ? rc : element(m);
+    if (rc)
+        return rc;
+    double den = m[2] * m[2] + m[3] * m[3];
+    if (den == 0.0)
+        return ERR_ZERO;
+    w->a = m[0];
+    w->b = m[1];
+    w->c = m[2];
+    w->d = m[3];
+    w->px = (m[0] * m[2] + m[1] * m[3]) / den;
+    w->py = 1.0 / den;
+    return OK;
+}
+
+/* The letters of n parametric steps from their uniforms u, three a step,
+ * in _pykernel._draw_block's operation order: the increment rotation(th1)
+ * translation(tau) rotation(th2) as a, b, c, d in g */
+static void parametric_letters(const walk_t *w, const double *u, int64_t n,
+                               double *g)
+{
+    for (int64_t i = 0; i < n; i++, u += 3, g += 4) {
+        double th1 = u[0] * TWO_PI;
+        double tau = w->tau_min + u[1] * w->tau_span;
+        double th2 = u[2] * TWO_PI;
+        double h1 = 0.5 * th1, h2 = 0.5 * th2;
+        double c1, s1, c2, s2;
+        cos_sin(h1, &c1, &s1);
+        cos_sin(h2, &c2, &s2);
+        double e = exp(0.5 * tau);
+        double ei = 1.0 / e;
+        g[0] = c1 * e * c2 - s1 * ei * s2;
+        g[1] = -c1 * e * s2 - s1 * ei * c2;
+        g[2] = s1 * e * c2 + c1 * ei * s2;
+        g[3] = -s1 * e * s2 + c1 * ei * c2;
+    }
+}
+
+/* The whole trajectory from the start in w, or, when w->haar is set, from
+ * a Haar start drawn first and written back to w's start, with the walk's
+ * state in this function's locals.  The outer loop writes the outputs of
+ * step k (a grid point's return counts, then a checkpoint's index, cusp
+ * height and Cartan product), draws the next block of uniforms once the
+ * last one is used up, and runs the inner loop to the next stop: the next
+ * checkpoint, grid point or block end.  The blocks are the Python kernel's:
+ * RNG_BLOCK atom letters, or RNG_BLOCK / 3 parametric steps, whose block
+ * leaves its last uniform unused and whose letters are built as it is
+ * drawn, into an array beside u; a flow draws none.  A block is drawn only
+ * as far as the last step, so the stream ends where the steps leave it, and
+ * the unused uniform of a parametric block is skipped when the next block
+ * starts. */
 int covwalk_trajectory(walk_t *w)
 {
     double u[RNG_BLOCK];
+    double letter[4 * (RNG_BLOCK / 3)]; /* a parametric block's letters */
+    int rc = w->haar ? haar_start(w) : OK;
+    if (rc) {
+        w->fail_step = 0;
+        return rc;
+    }
     const int parametric = w->letters == LETTERS_PARAMETRIC;
     const int64_t block_len = parametric ? RNG_BLOCK / 3 : RNG_BLOCK;
     const int64_t dim = w->dim;
@@ -436,7 +618,6 @@ int covwalk_trajectory(walk_t *w)
     int64_t state = 0;
     int64_t left_zero = 0, first_return = -1, n_returns = 0, max_exc = 0;
     int64_t k = 0, j = 0, bend = 0, cp = 0, gp = 0;
-    int rc = OK;
 
     for (;;) {
         if (gp < w->n_grid && w->grid[gp] == k) {
@@ -468,6 +649,8 @@ int covwalk_trajectory(walk_t *w)
                     next_double(w);
                 for (int64_t i = 0; i < (parametric ? 3 : 1) * steps; i++)
                     u[i] = next_double(w);
+                if (parametric)
+                    parametric_letters(w, u, steps, letter);
             }
             j = 0;
             bend = k + block_len;
@@ -484,20 +667,11 @@ int covwalk_trajectory(walk_t *w)
             int64_t ai = 0;
             double ga, gb, gc, gd;
             if (parametric) {
-                const double *v = u + 3 * j;
-                double th1 = v[0] * TWO_PI;
-                double tau = w->tau_min + v[1] * w->tau_span;
-                double th2 = v[2] * TWO_PI;
-                double h1 = 0.5 * th1, h2 = 0.5 * th2;
-                double c1, s1, c2, s2;
-                cos_sin(h1, &c1, &s1);
-                cos_sin(h2, &c2, &s2);
-                double e = exp(0.5 * tau);
-                double ei = 1.0 / e;
-                ga = c1 * e * c2 - s1 * ei * s2;
-                gb = -c1 * e * s2 - s1 * ei * c2;
-                gc = s1 * e * c2 + c1 * ei * s2;
-                gd = -s1 * e * s2 + c1 * ei * c2;
+                const double *g = letter + 4 * j;
+                ga = g[0];
+                gb = g[1];
+                gc = g[2];
+                gd = g[3];
             } else {
                 if (w->letters == LETTERS_ATOMS) {
                     /* the number of cumulative weights below u, which is

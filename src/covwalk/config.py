@@ -216,6 +216,13 @@ def parse_config_text(text: str) -> ExperimentConfig:
         raise ConfigError(f"entries must differ, got {return_grid}", wk, "return_grid")
 
     reports = tuple((get("analysis", "reports", "") or "").split())
+    normalized = [r for r in reports if r in ("cauchy", "gaussian")]
+    if steps == 0 and normalized:
+        # both divide the final index by the run's length
+        raise ConfigError(
+            f"{' and '.join(normalized)} need steps >= 1, got steps = 0",
+            "analysis", "reports",
+        )
 
     return ExperimentConfig(
         preset=preset,

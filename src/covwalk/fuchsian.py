@@ -386,13 +386,21 @@ def dirichlet_domain(
     ball.  At the cap the certificate's AreaMismatchError is raised, as at
     every bound for an infinite-area group; EllipticCenterError at any bound.
     The ball grows by one word length at a time from the last bound's, and a
-    bound whose ball would hold more than ``MAX_BALL_WORDS`` elements raises
-    AreaMismatchError naming the last bound tried.
+    bound whose ball would hold more than ``MAX_BALL_WORDS`` elements, or
+    whose words lose their determinant to rounding, raises AreaMismatchError
+    naming the last bound tried.
     """
     ball: list[tuple[Word, GroupElement]] = []
     shells = _word_shells(pres, MAX_BALL_WORDS)
     for bound in range(1, word_bound + 1):
-        shell = next(shells, None)
+        try:
+            shell = next(shells, None)
+        except ValueError:  # hyp2.element met a determinant of 0 or less
+            raise AreaMismatchError(
+                f"no domain certified up to word bound {bound - 1}, and the"
+                f" words of word bound {bound} outgrew double precision"
+                " (infinite covolume, or a center that needs longer words)"
+            ) from None
         if shell is None:
             raise AreaMismatchError(
                 f"no domain certified up to word bound {bound - 1}, and the"
@@ -1043,8 +1051,14 @@ def haar_sample(
             continue
         g = hyp2.compose(hyp2.unipotent(x), hyp2.translation(math.log(y)))
         return UnitTangent(hyp2.compose(g, hyp2.rotation(theta)))
-    raise NonTerminationError(
-        f"Haar core sampling accepted none of {HAAR_MAX_PROPOSALS} proposals"
+    raise haar_refusal(HAAR_MAX_PROPOSALS, core)
+
+
+def haar_refusal(proposals: int, core: CoreRegion) -> NonTerminationError:
+    """The error of a Haar draw whose core accepted none of its proposals,
+    in ``haar_sample`` and in the compiled kernel alike."""
+    return NonTerminationError(
+        f"Haar core sampling accepted none of {proposals} proposals"
         f" from the box {core}"
     )
 

@@ -1,36 +1,40 @@
 """The trajectory engine's inner loop, in C and in Python.
 
 ``walk.simulate_trajectory`` takes a trajectory's loop from
-``trajectory_loops``, draws a Haar start from the loop's uniform stream
-(``random()``) where the run has no fixed start, reduces it with
-``CoverSystem.start_point``, and hands the reduced start to ``run``, which
-walks every step and returns the state at each checkpoint and the return
-counts at each grid point.  Both kernels run a trajectory in one function
-whose locals hold the walk's state: an outer loop stops at each of the
-run's checkpoints and return grid points (``walk._Run.checkpoints`` and
+``trajectory_loops`` and calls its ``run`` with the run's reduced fixed
+start, or with None where the run has Haar starts: the loop then draws a
+Haar start from its own uniform stream, as ``fuchsian.haar_sample`` does,
+and reduces it as ``CoverSystem.start_point`` does.  ``run`` walks every
+step and returns the reduced start, the state at each checkpoint and the
+return counts at each grid point.  Both kernels run a trajectory in one
+function whose locals hold the walk's state: an outer loop stops at each of
+the run's checkpoints and return grid points (``walk._Run.checkpoints`` and
 ``.grid``, each ascending, the last checkpoint being the last step) and at
 each end of a block of uniforms, and an inner loop takes the steps between
 them.  The two kernels give the same output bits, each step reading the
 same uniforms of the stream:
 
 - The C kernel (``_segment.c``, one ``covwalk_trajectory`` call through
-  ``ctypes`` per trajectory, which releases the GIL for the call) does every
-  step: the Philox draws, the letter, the table move or the multiply, greedy
-  descent, ``CoverSystem.fast_unwind`` at ``cover.UNWIND_MASK`` and
-  determinant renormalization exactly as ``CoverSystem.reduce_raw`` does
-  them, the int64 sheet index, the running Cartan product with its
-  renormalization every 64 steps, the atom counts and return tracking, and
+  ``ctypes`` per trajectory, which releases the GIL for the call) draws and
+  reduces a Haar start and does every step: the Philox draws, the letter
+  (a parametric block's letters are built when its uniforms are drawn),
+  the table move or the multiply, greedy descent,
+  ``CoverSystem.fast_unwind`` at ``cover.UNWIND_MASK`` and determinant
+  renormalization exactly as ``CoverSystem.reduce_raw`` does them, the
+  int64 sheet index, the running Cartan product with its renormalization
+  every 64 steps, the atom counts and return tracking, and
   ``fuchsian.cusp_height`` at each checkpoint.  Its uniform stream is
   Philox4x64-10 keyed by SeedSequence([seed, traj]), drawn in C bit for bit
   as numpy's ``walk.trajectory_rng`` draws it, so a run imports no numpy.
   It draws each block of uniforms only as far as the trajectory's last
   step, so nothing past the last step is drawn.
-- The Python kernel (``_pykernel._PySegments``) does the same steps through
-  ``CoverSystem.reduce_raw`` with a tuple index, on the numpy generator of
-  ``walk.trajectory_rng``.  It is the reference the C kernel is tested
-  against, and the fallback.  It holds the GIL, so the threads of a run
-  take turns on it.  ``trajectory_loops`` imports it only when the C kernel
-  does not load, and with it numpy.
+- The Python kernel (``_pykernel._PySegments``) draws a Haar start with
+  ``fuchsian.haar_sample`` and ``CoverSystem.start_point`` and does the
+  same steps through ``CoverSystem.reduce_raw`` with a tuple index, on the
+  numpy generator of ``walk.trajectory_rng``.  It is the reference the C
+  kernel is tested against, and the fallback.  It holds the GIL, so the
+  threads of a run take turns on it.  ``trajectory_loops`` imports it only
+  when the C kernel does not load, and with it numpy.
 
 A letter comes from the uniforms as ``_pykernel._draw_block`` makes it: an
 atom per uniform, the first whose cumulative weight is >= u, or a parametric
@@ -77,18 +81,21 @@ def trajectory_loops(run: _Run):
     kernel when it loads, else in Python.  The loops read the run's system,
     measure, config, step letters (the flow step, the atoms, or none for a
     parametric measure), orbit table or None, and its checkpoint and return
-    grid steps, each ascending.  Returns ``loop``: ``loop(traj)`` is
-    trajectory traj's loop, keyed by ``cfg.master_seed`` and traj.  Its
-    ``random()`` draws one uniform of the stream, and ``run(p0)`` walks from
-    the reduced start p0 and returns (state, index, returns, counts): the
-    list of (cusp height, ta, tb, tc, td, tlog) laid end to end over the
-    checkpoints, where the Cartan product is (ta, tb, tc, td) times e^tlog;
-    the list of the checkpoints' sheet indices laid end to end; per grid
-    point (first return or None, returns, maximum excursion); and the atom
-    counts.
+    grid steps, each ascending, and for Haar starts its ``haar_parts``.
+    Returns ``loop``: ``loop(traj)`` is trajectory traj's loop, keyed by
+    ``cfg.master_seed`` and traj.  Its ``random()`` draws one uniform of the
+    stream (the tests' probe of it), and ``run(p0)`` walks from the reduced
+    start p0, or from a Haar start it draws when p0 is None, and returns
+    (start, state, index, returns, counts): the reduced start's entries
+    (a, b, c, d); the list of (cusp height, ta, tb, tc, td, tlog) laid end
+    to end over the checkpoints, where the Cartan product is (ta, tb, tc, td)
+    times e^tlog; the list of the checkpoints' sheet indices laid end to
+    end; per grid point (first return or None, returns, maximum excursion);
+    and the atom counts.
 
     The C kernel's constant arrays (the cover, the letters and cumulative
-    weights, the orbit table, the stops) are built here, once per run, and
+    weights, the Haar sectors and core, the orbit table, the stops) are
+    built here, once per run, and
     only read after.  Each loop owns its state, so the loops of a run may
     run in threads at once."""
     if load_kernel() == "c":
@@ -123,7 +130,11 @@ class _Walk(ctypes.Structure):
         + _fields(_PI64, "table_next table_delta")
         + _fields(_PF64, "table_xy")
         + _fields(_I64, "returns")
-        + _fields(_F64, "cosh_r a b c d px py")
+        + _fields(_F64, "cosh_r")
+        + _fields(_I64, "haar n_sectors max_proposals")
+        + _fields(_PF64, "sectors")
+        + _fields(_F64, "area core_height core_x_min core_x_max core_inv_lo"
+                        " core_inv_hi a b c d px py")
         + _fields(_PI64, "index counts")
         + _fields(_I64, "fail_step")
         + _fields(_PI64, "checkpoints")
@@ -147,6 +158,7 @@ _KERNEL_ERRORS = {
     4: (ValueError, "math domain error"),
     5: (OverflowError, "float overflow"),
 }
+_ERR_HAAR = 6  # the Haar core accepted none of its proposals
 
 
 def _array(ctype, rows) -> ctypes.Array:
@@ -174,8 +186,9 @@ def _seed_words(*values: int) -> list[int]:
 class _CShared:
     """What the compiled trajectory loops of one run share: ``walk``, a
     ``_Walk`` that holds the run's constants (the cover, the letters, the
-    orbit table, the return radius, the stops).  The arrays it points at
-    live as long as it does; the kernel only reads them."""
+    Haar sectors and core with ``fuchsian.HAAR_MAX_PROPOSALS`` as it reads
+    now, the orbit table, the return radius, the stops).  The arrays it
+    points at live as long as it does; the kernel only reads them."""
 
     def __init__(self, run: _Run):
         system, cfg, letters = run.system, run.cfg, run.letters
@@ -216,6 +229,20 @@ class _CShared:
         if cfg.returns is not None:
             w.returns = 1
             w.cosh_r = math.cosh(cfg.returns.radius)
+        if run.haar_parts is not None:
+            sectors, self.core = run.haar_parts
+            w.n_sectors = len(sectors)
+            w.max_proposals = fuchsian.HAAR_MAX_PROPOSALS
+            w.sectors = _array(_F64, [
+                (s.area, s.width, math.exp(s.height),
+                 *system.cusps[s.cusp_index].normalizer.as_tuple())
+                for s in sectors
+            ])
+            w.area = system.polygon.area
+            w.core_height = self.core.height
+            w.core_x_min, w.core_x_max = self.core.x_min, self.core.x_max
+            w.core_inv_lo = 1.0 / self.core.y_min
+            w.core_inv_hi = 1.0 / self.core.y_max
         w.checkpoints = _array(_I64, [run.checkpoints])
         w.n_checkpoints = len(run.checkpoints)
         w.grid = _array(_I64, [run.grid])
@@ -227,9 +254,9 @@ class _CShared:
 class _CTrajectory:
     """One trajectory on the compiled kernel: its start, its outputs and its
     Philox stream live in ``w``, a copy of the run's ``_CShared.walk``.
-    ``run`` is one ``covwalk_trajectory`` call, for which ``ctypes``
-    releases the GIL; the seeding and ``random`` are short calls that keep
-    it."""
+    ``run`` is one ``covwalk_trajectory`` call, Haar start included, for
+    which ``ctypes`` releases the GIL; the seeding and ``random`` are short
+    calls that keep it."""
 
     def __init__(self, shared: _CShared, traj: int):
         self.shared = shared  # keeps the arrays the copy points at alive
@@ -244,13 +271,17 @@ class _CTrajectory:
     def random(self) -> float:
         return _kernel.covwalk_random(self.ref)
 
-    def run(self, p0) -> tuple[list, list, list, tuple[int, ...]]:
+    def run(self, p0) -> tuple[tuple, list, list, list, tuple[int, ...]]:
         shared, w = self.shared, self.w
         n_cp = w.n_checkpoints
-        w.a, w.b, w.c, w.d = p0.rep.rep.as_tuple()
-        w.px, w.py = base_xy(w.a, w.b, w.c, w.d)
         # w keeps the arrays it points at alive
-        w.index = _array(_I64, [p0.index])
+        w.haar = p0 is None
+        if p0 is None:  # the kernel draws the start and writes it here
+            w.index = (_I64 * w.dim)()
+        else:
+            w.a, w.b, w.c, w.d = p0.rep.rep.as_tuple()
+            w.px, w.py = base_xy(w.a, w.b, w.c, w.d)
+            w.index = _array(_I64, [p0.index])
         counts = None
         if shared.n_counts:  # NULL otherwise: the kernel counts no atoms
             w.counts = counts = (_I64 * shared.n_counts)()
@@ -258,6 +289,8 @@ class _CTrajectory:
         w.cp_index = cp_index = (_I64 * (w.dim * n_cp))()
         w.grid_returns = grid = (_I64 * (3 * w.n_grid))()
         code = _kernel.covwalk_trajectory(self.ref)
+        if code == _ERR_HAAR:
+            raise fuchsian.haar_refusal(w.max_proposals, shared.core)
         if code:
             exc, what = _KERNEL_ERRORS[code]
             raise exc(f"trajectory {self.traj} step {w.fail_step}: {what}")
@@ -266,7 +299,7 @@ class _CTrajectory:
             (None if g[i] < 0 else g[i], g[i + 1], g[i + 2])
             for i in range(0, len(g), 3)
         ]
-        return (cp_state[:], cp_index[:], at_grid,
+        return ((w.a, w.b, w.c, w.d), cp_state[:], cp_index[:], at_grid,
                 () if counts is None else tuple(counts))
 
 

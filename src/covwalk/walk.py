@@ -4,9 +4,10 @@ A trajectory multiplies a reduced tangent by random increments, reduces it
 back into the fundamental polygon after each step, and charges the deck
 moves to an exact integer sheet index.
 
-A run's start, Haar-sampled or fixed, is reduced by
-``CoverSystem.start_point``.  Each step is a pure function of the current
-state and the letter drawn, with the same split as ``CoverSystem.stepper``.
+A run's start, Haar-sampled or fixed, is reduced as
+``CoverSystem.start_point`` reduces it.  Each step is a pure function of
+the current state and the letter drawn, with the same split as
+``CoverSystem.stepper``.
 A fixed start whose orbit under the step letters (the atoms, or the flow
 step) has at most ``ENGINE_ORBIT_STATES`` states walks that orbit's compiled
 ``OrbitTable`` in integers, so its index path is exact however long the run.
@@ -21,16 +22,19 @@ so runs are bit-reproducible under any scheduling of trajectories.  The
 threads of a run share only what ``_Run`` builds before they start, and
 read it; each trajectory owns its stream, its start and its loop's state.
 
-``simulate_trajectory`` draws a Haar start from the trajectory's stream,
-reduces it, and turns the state its loop reports at the checkpoints into
-the columns of its records (``Checkpoints``).  The loop walks every step in
-the compiled C kernel, which draws the same stream in C, or in its Python
-reference where the kernel cannot be built (``segments``, imported when a
-run starts, so that importing this module builds nothing).  numpy is
-imported only where it is used: in ``trajectory_rng``, which only the
-Python kernel and the tests call, in ``zariski_density_check`` for a
+``simulate_trajectory`` runs the trajectory's loop once and turns the
+state it reports at the checkpoints into the columns of its records
+(``Checkpoints``).  The loop draws a Haar start from the trajectory's
+stream and reduces it, then walks every step, in the compiled C kernel,
+which draws the same stream in C, or in its Python reference where the
+kernel cannot be built (``segments``, imported when a run starts, so that
+importing this module builds nothing).  On the C kernel a trajectory is
+one call that releases the GIL, from the Haar draw to the last step.
+numpy is imported only where it is used: in ``trajectory_rng``, which only
+the Python kernel and the tests call, in ``zariski_density_check`` for a
 parametric measure, and in ``lyapunov_estimate``; a run on the C kernel
-imports none, and neither do ``stats`` and the CLI's ``fit`` and ``report``.
+imports none, and neither do ``stats`` and the CLI's ``fit`` and
+``report``.
 The greedy descent tries ``CoverSystem.fast_unwind`` on its iterations 7,
 15, 23, ... (``cover.UNWIND_MASK``): descent depth has the 1/x tail of the
 Haar cusp law, so a Haar start spends a good share of its pairings in cusp
@@ -403,13 +407,7 @@ def simulate_trajectory(
     if run is None:
         run = _Run(system, measure, cfg, geodesic)
     n = cfg.steps
-    loop = run.loop(traj)
-    p0 = run.start
-    if p0 is None:
-        p0 = system.start_point(fuchsian.haar_sample(
-            system.polygon, system.cusps, system.pres, loop, run.haar_parts
-        ))
-    state, index, at_grid, counts = loop.run(p0)
+    start, state, index, at_grid, counts = run.loop(traj).run(run.start)
     records = _checkpoints(run, traj, state, index)
 
     rstats = None
@@ -436,7 +434,7 @@ def simulate_trajectory(
         final_index=idx,
         terminal_drift=tuple(v / tt for v in idx),
         cartan_t=records.cartan_t[-1],
-        start_rep=p0.rep.rep.as_tuple(),
+        start_rep=start,
         returns=rstats,
         atom_counts=counts,
         orbit_states=None if run.table is None else len(run.table.reps),

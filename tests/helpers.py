@@ -1,5 +1,5 @@
 """Helpers only the tests use: word reduction, lattice-file formatting, the
-geodesic flow of one tangent, cusp excursions of a per-step trace, the
+hexagon lattice's generators, the geodesic flow of one tangent, cusp excursions of a per-step trace, the
 empirical cusp bound of the one-step index change and a rational-arithmetic
 reference for ``cover.integer_rank``."""
 
@@ -39,6 +39,20 @@ def format_lattice_text(
         for lab in sorted(weights):
             lines.append(f"{lab} = " + " ".join(str(k) for k in weights[lab]))
     return "\n".join(lines) + "\n"
+
+
+def hexagon_generators() -> tuple[tuple[str, GroupElement], ...]:
+    """The regular ideal hexagon about i with opposite sides paired: the
+    translations by 2 ln(2 + sqrt 3) along the axes through i at angles 0,
+    pi/3 and 2pi/3.  The surface is a torus with two punctures, and no
+    ideal vertex lies at infinity."""
+    length = 2.0 * math.log(2.0 + math.sqrt(3.0))
+    return tuple(
+        (f"g{k + 1}", hyp2.compose_all(hyp2.rotation(k * math.pi / 3),
+                                       hyp2.translation(length),
+                                       hyp2.rotation(-k * math.pi / 3)))
+        for k in range(3)
+    )
 
 
 def geodesic_flow(x: UnitTangent, t: float) -> UnitTangent:

@@ -322,6 +322,29 @@ class TestConfigErrors:
         assert str(CFG.ConfigError("bad")) == "config error: bad"
         assert str(CFG.ConfigError("bad", "walk")) == "config error [walk]: bad"
 
+    @pytest.mark.parametrize("command, base, report", [
+        ("walk run", DRIFT_HALF, "cauchy"),
+        ("walk run", DRIFT_HALF, "gaussian"),
+        ("geodesic run", GEODESIC + "[analysis]\nreports = drift\n", "cauchy"),
+    ], ids=["walk-cauchy", "walk-gaussian", "geodesic-cauchy"])
+    def test_zero_steps_with_normalized_report(self, tmp_path, command, base, report):
+        # both reports divide the final index by the run's length
+        text = with_value(with_value(base, "steps", "0"), "reports", f"drift {report}")
+        with pytest.raises(CFG.ConfigError) as ei:
+            CFG.parse_config_text(text)
+        assert (ei.value.section, ei.value.key) == ("analysis", "reports")
+        cfgp = tmp_path / "exp.cfg"
+        cfgp.write_text(text)
+        out = tmp_path / "o"
+        code, printed = run_cli(*command.split(), "--config", str(cfgp), "--out", str(out))
+        assert (code, printed) == (
+            2, f"error: config error [analysis] reports: {report} need steps >= 1,"
+               " got steps = 0\n")
+        assert not out.exists()
+        # with steps the same config runs; with no normalized report too
+        CFG.parse_config_text(with_value(text, "steps", "1"))
+        CFG.parse_config_text(with_value(text, "reports", "drift"))
+
     @pytest.mark.parametrize("command", ["walk run", "recurrence", "lyapunov"])
     def test_infinite_covolume_exits_2(self, tmp_path, command):
         # a Schottky-type pair: the Dirichlet domain keeps a free boundary
@@ -405,6 +428,28 @@ class TestLatticeCheckCommand:
         ))
         assert code == 0
         assert f"polygon: {len(bundle.polygon.sides)} sides," in out
+
+    @pytest.mark.parametrize("command", ["lattice check", "walk run"])
+    def test_words_past_double_precision_exit_2(self, tmp_path, command):
+        # three parabolics of infinite covolume: before the ball reaches
+        # MAX_BALL_WORDS the entries of its words pass 1e8, and a*d - b*c
+        # cancels to 0
+        lat = tmp_path / "lat.txt"
+        lat.write_text(
+            "[generator] A = 1 6 0 1\n[generator] B = 1 0 6 1\n"
+            "[generator] C = 19 -54 6 -17\n[weights]\nA = 1\nB = 0\nC = 0\n"
+        )
+        cfgp = tmp_path / "exp.cfg"
+        cfgp.write_text(f"[lattice]\nfile = {lat}\n[measure]\ntype = parametric\n")
+        out = tmp_path / "o"
+        argv = ([str(lat)] if command == "lattice check"
+                else ["--config", str(cfgp), "--out", str(out)])
+        code, printed = run_cli(*command.split(), *argv)
+        assert code == 2
+        assert printed.startswith("error: no domain certified up to word bound ")
+        assert "outgrew double precision" in printed
+        assert "Traceback" not in printed
+        assert not out.exists()
 
     def test_preset_certified_bound(self):
         # a preset is built at the default cap whatever --word-bound says

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from covwalk import cover as C
 from covwalk import fuchsian as F
 from covwalk import hyp2 as H
-from helpers import free_reduce, format_lattice_text
+from helpers import free_reduce, format_lattice_text, hexagon_generators
 
 R2 = math.sqrt(2.0)
 
@@ -328,20 +328,6 @@ class TestCoreBox:
         plane = F.HalfPlane(alpha=1.0, beta=0.0, delta=-1.0)
         y = F._lowest_crossing(plane, 1.0, 0.5)
         assert y == pytest.approx(8.0 / 17.0, rel=1e-12)
-
-
-def hexagon_generators():
-    """The regular ideal hexagon about i with opposite sides paired: the
-    translations by 2 ln(2 + sqrt 3) along the axes through i at angles 0,
-    pi/3 and 2pi/3.  The surface is a torus with two punctures, and no
-    ideal vertex lies at infinity."""
-    length = 2.0 * math.log(2.0 + math.sqrt(3.0))
-    return tuple(
-        (f"g{k + 1}", H.compose_all(H.rotation(k * math.pi / 3),
-                                    H.translation(length),
-                                    H.rotation(-k * math.pi / 3)))
-        for k in range(3)
-    )
 
 
 class TestHexagonLattice:

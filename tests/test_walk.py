@@ -16,6 +16,7 @@ from covwalk import fuchsian as F
 from covwalk import hyp2 as H
 from covwalk import segments as S
 from covwalk import walk as W
+from helpers import format_lattice_text, hexagon_generators
 
 L_DEFAULT = 2.0 * math.asinh(1.0)
 
@@ -830,6 +831,111 @@ def test_zero_steps_with_returns(torus_d1):
         assert res.summary.returns == W.ReturnStats(
             first_return=None, n_returns=0, returned_by=((0, False),),
             window_returns=((0, 0),), max_excursion_by=((0, 0.0),))
+
+
+@pytest.fixture(scope="module")
+def hexagon(tmp_path_factory):
+    """The hexagon lattice read from a lattice file, weights (2,1)."""
+    from covwalk import config as CFG
+
+    path = tmp_path_factory.mktemp("hexagon") / "hexagon.txt"
+    path.write_text(format_lattice_text(
+        F.LatticePresentation(generators=hexagon_generators(), relators=()),
+        {"g1": (1, 0), "g2": (0, 1), "g3": (0, 0)}))
+    return CFG.build_bundle(CFG.parse_config_text(
+        f"[lattice]\nfile = {path}\n[measure]\ntype = parametric\n")).system
+
+
+class _ListStream:
+    """Stands in for a trajectory's Philox generator: draws the given
+    uniforms one at a time."""
+
+    def __init__(self, uniforms):
+        self.uniforms = iter(uniforms)
+
+    def random(self):
+        return next(self.uniforms)
+
+
+class TestHaarStarts:
+    """The C kernel draws and reduces a Haar start itself; the Python
+    kernel calls haar_sample and start_point."""
+
+    @pytest.mark.parametrize("steps", [0, 50])
+    @pytest.mark.parametrize("lattice", ["gamma2_d1", "torus_d1", "hexagon"])
+    def test_same_starts_records_and_summaries(self, request, lattice, steps):
+        system = request.getfixturevalue(lattice)
+        measure = (W.two_atom_measure(system.pres) if lattice == "torus_d1"
+                   else W.parametric_measure(0.5, 1.5))
+        cfg = W.WalkConfig(steps=steps, trajectories=300, master_seed=2026,
+                           checkpoints=W.CheckpointPlan(stride=20))
+        on_c, on_python = on_both_kernels(
+            lambda: W.run_trajectories(system, measure, cfg, workers=1))
+        assert on_c == on_python
+        # both branches were drawn: a sector start lies above cusp height 0,
+        # a core start at or below it
+        heights = [F.cusp_height(system.cusps, *S.base_xy(*r.summary.start_rep))
+                   for r in on_c]
+        assert any(h > 0.0 for h in heights) and any(h <= 0.0 for h in heights)
+        if steps == 0:
+            for r in on_c:
+                assert r.summary.final_index == system.zero
+                assert r.records.cusp_height[0] == F.cusp_height(
+                    system.cusps, *S.base_xy(*r.summary.start_rep))
+
+    def test_area_tie_takes_the_next_sector(self, gamma2_d1, monkeypatch):
+        # gamma2's three sectors have area 2.0 each; the first uniform puts
+        # u - 2.0 exactly at the second sector's area, which is past it, so
+        # the draw comes from the third cusp, at height log 2
+        sectors, _ = gamma2_d1.haar_parts
+        r = 5734161139222659 * 2.0**-53
+        assert r * gamma2_d1.polygon.area - sectors[0].area == sectors[1].area
+        uniforms = [r, 0.5, 0.5, 0.5]
+        monkeypatch.setattr(W, "trajectory_rng",
+                            lambda seed, traj: _ListStream(uniforms))
+        seeded = S._CTrajectory.__init__
+
+        def buffered(self, *args):
+            seeded(self, *args)
+            self.w.buffer[:] = [int(v * 2**53) << 11 for v in uniforms]
+            self.w.buffer_pos = 0
+
+        monkeypatch.setattr(S._CTrajectory, "__init__", buffered)
+        cfg = W.WalkConfig(steps=0, trajectories=1)
+        on_c, on_python = on_both_kernels(lambda: W.simulate_trajectory(
+            gamma2_d1, W.parametric_measure(0.5, 1.5), cfg, 0))
+        assert on_c == on_python
+        xy = S.base_xy(*on_c.summary.start_rep)
+        per_cusp = [F.cusp_height((c,), *xy) for c in gamma2_d1.cusps]
+        assert max(per_cusp) == per_cusp[2] == pytest.approx(math.log(2.0), abs=1e-9)
+
+    @pytest.mark.parametrize("cap", [0, 1])
+    def test_core_proposal_cap(self, torus_d1, monkeypatch, cap):
+        # most of the torus is core: with at most `cap` proposals a core draw
+        # gives up, with the same error on both kernels, or accepts its first
+        # proposal; the same trajectories do either on both
+        monkeypatch.setattr(F, "HAAR_MAX_PROPOSALS", cap)
+        cfg = W.WalkConfig(steps=0, trajectories=40, master_seed=1)
+        measure = W.two_atom_measure(torus_d1.pres)
+
+        def outcomes():
+            out = []
+            for traj in range(cfg.trajectories):
+                try:
+                    out.append(W.simulate_trajectory(torus_d1, measure, cfg, traj))
+                except F.NonTerminationError as exc:
+                    out.append(str(exc))
+            return out
+
+        on_c, on_python = on_both_kernels(outcomes)
+        assert on_c == on_python
+        _, core = torus_d1.haar_parts
+        refusal = f"Haar core sampling accepted none of {cap} proposals from the box {core}"
+        assert refusal in on_c
+        starts = [F.cusp_height(torus_d1.cusps, *S.base_xy(*r.summary.start_rep))
+                  for r in on_c if r != refusal]
+        assert any(h > 0.0 for h in starts)
+        assert any(h <= 0.0 for h in starts) == (cap > 0)
 
 
 class _ConstantStream:
