@@ -347,10 +347,6 @@ def main(argv: list[str] | None = None) -> int:
     lat_sub = p_lat.add_subparsers(dest="subcommand", required=True)
     p_check = lat_sub.add_parser("check", help="validate a preset or lattice file")
     p_check.add_argument("lattice")
-    p_check.add_argument("--word-bound", type=int, default=fuchsian.DEFAULT_WORD_BOUND,
-                         help="cap for a lattice file (default %(default)s): the build"
-                         " stops at the first word bound that passes, and the cusp"
-                         " rescale reads the same words; at least 1")
     p_check.set_defaults(load=_tool("load_lattice_check"), run=_tool("cmd_lattice_check"))
 
     for mode, text in (("walk", "random walk runs"), ("geodesic", "geodesic flow runs")):

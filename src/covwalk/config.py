@@ -9,9 +9,6 @@ two configs get the same hash exactly when every semantic field agrees.
     preset = gamma2              # or: file = path/to/lattice.txt
     # punctured_square_torus accepts l1 = ..., l2 = ...
     center = 0.0 1.0             # Dirichlet center for file lattices
-    word_bound = 12              # file lattices: a cap, the build stops at the
-                                 # first word bound that passes, and the cusp
-                                 # rescale reads the same words
 
     [weights]
     A = 1
@@ -37,6 +34,8 @@ two configs get the same hash exactly when every semantic field agrees.
 
     [analysis]
     reports = drift cauchy
+
+Any key not shown above, other than [weights] labels and atom.N, is refused.
 """
 
 from __future__ import annotations
@@ -84,7 +83,6 @@ class ExperimentConfig:
     l1: float | None = None
     l2: float | None = None
     center: tuple[float, float] = DEFAULT_CENTER
-    word_bound: int = fuchsian.DEFAULT_WORD_BOUND
     weights: tuple[tuple[str, tuple[int, ...]], ...] = ()
     measure_type: str = "atoms"
     atoms: tuple[tuple[str, float], ...] = ()  # (word text, probability)
@@ -118,7 +116,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if sec not in _SECTIONS:
             raise ConfigError(f"unknown section [{sec}]", sec)
 
+    read: set[tuple[str, str]] = set()
+
     def get(sec: str, key: str, default=None):
+        read.add((sec, key))
         if cp.has_option(sec, key):
             return cp.get(sec, key).strip()
         return default
@@ -144,9 +145,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
         cx, cy = DEFAULT_CENTER if center_raw is None else map(float, center_raw.split())
     except ValueError:
         raise ConfigError("center needs two floats", lat, "center") from None
-    word_bound = number(lat, "word_bound", fuchsian.DEFAULT_WORD_BOUND, int)
-    if word_bound < 1:
-        raise ConfigError(f"must be at least 1, got {word_bound}", lat, "word_bound")
 
     weights: list[tuple[str, tuple[int, ...]]] = []
     if cp.has_section("weights"):
@@ -224,13 +222,18 @@ def parse_config_text(text: str) -> ExperimentConfig:
             "analysis", "reports",
         )
 
+    for sec in cp.sections():
+        for key in cp.options(sec):
+            listed = sec == "weights" or (sec == "measure" and key.startswith("atom."))
+            if not listed and (sec, key) not in read:
+                raise ConfigError("unknown key", sec, key)
+
     return ExperimentConfig(
         preset=preset,
         lattice_file=lattice_file,
         l1=l1,
         l2=l2,
         center=(cx, cy),
-        word_bound=word_bound,
         weights=tuple(weights),
         measure_type=mtype,
         atoms=tuple(atoms),
@@ -292,7 +295,6 @@ def canonical_text(cfg: ExperimentConfig) -> str:
     else:
         out.write(f"file = {cfg.lattice_file}\n")
         out.write(f"center = {cfg.center[0]!r} {cfg.center[1]!r}\n")
-        out.write(f"word_bound = {cfg.word_bound}\n")
     out.write("[weights]\n")
     for lab, vec in cfg.weights:
         out.write(f"{lab} = " + " ".join(str(v) for v in vec) + "\n")
@@ -347,7 +349,6 @@ def load_lattice(
     preset: str,
     lattice_file: str,
     center: tuple[float, float],
-    word_bound: int,
     l1: float | None = None,
     l2: float | None = None,
 ) -> tuple[
@@ -358,21 +359,21 @@ def load_lattice(
 ]:
     """The preset lattice ``preset`` (with lengths l1, l2), or else the one in
     ``lattice_file`` with its Dirichlet domain about ``center``, certified at
-    the first word bound that passes, up to the cap ``word_bound``; last
-    come the file's weights (None for a preset)."""
+    the first word bound that passes; last come the file's weights (None
+    for a preset)."""
     if preset:
         pres, polygon, cusps = fuchsian.builtin_lattice(preset, l1=l1, l2=l2)
         return pres, polygon, cusps, None
     with open(lattice_file, "r", encoding="utf-8") as fh:
         pres, file_weights = fuchsian.parse_lattice_text(fh.read())
     pres.validate()
-    polygon, cusps = fuchsian.dirichlet_domain(pres, hyp2.PointH(*center), word_bound)
+    polygon, cusps = fuchsian.dirichlet_domain(pres, hyp2.PointH(*center))
     return pres, polygon, cusps, file_weights
 
 
 def build_bundle(cfg: ExperimentConfig) -> Bundle:
     pres, polygon, cusps, file_weights = load_lattice(
-        cfg.preset, cfg.lattice_file, cfg.center, cfg.word_bound, cfg.l1, cfg.l2
+        cfg.preset, cfg.lattice_file, cfg.center, cfg.l1, cfg.l2
     )
     weights = dict(cfg.weights) if cfg.weights else (file_weights or {})
     if not weights:

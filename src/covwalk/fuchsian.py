@@ -29,8 +29,9 @@ from .hyp2 import GroupElement, PointH, UnitTangent
 EPS_GEOM = 1e-9          # side-inequality tolerance for membership / reduction
 MAX_REDUCE_ITER = 10**6  # greedy descent iteration guard
 _KLEIN_BOX = 4.0         # initial clipping square half-width (disk has radius 1)
-_IDEAL_TOL = 1e-7        # |k| within this of 1 counts as an ideal vertex
-DEFAULT_WORD_BOUND = 12  # cap on the word length of a Dirichlet domain's ball
+_IDEAL_TOL = 1e-12       # |k| within this below 1 counts as an ideal vertex
+_FREE_TOL = 1e-7         # |k| past 1 by more than this is a free boundary
+MAX_WORD_BOUND = 12      # cap on the word length of a Dirichlet domain's ball
 MAX_BALL_WORDS = 100_000  # cap on the number of elements in that ball
 
 
@@ -153,7 +154,9 @@ class HalfPlane:
 
     def endpoints(self) -> tuple[float, float]:
         """Ideal endpoints of the bounding geodesic (math.inf for infinity)."""
-        if abs(self.alpha) < 1e-14 * max(abs(self.beta), 1.0):
+        # relative to beta alone: a circle centred at 0 (beta = 0) of any
+        # radius stays a circle
+        if abs(self.alpha) < 1e-14 * abs(self.beta):
             return (-self.delta / self.beta, math.inf)
         disc = self.beta * self.beta - 4.0 * self.alpha * self.delta
         rt = math.sqrt(max(disc, 0.0))
@@ -376,23 +379,22 @@ _FREE_SRC = -1
 def dirichlet_domain(
     pres: LatticePresentation,
     center: PointH,
-    word_bound: int,
 ) -> tuple[FundamentalPolygon, tuple[CuspData, ...]]:
     """Dirichlet domain about ``center`` and its cusps, from the word ball of
-    the first bound up to ``word_bound`` whose polygon passes the
-    certificate: area 2*pi*|chi| within 1e-6, no free boundary arc, every
-    side paired.  A polygon cut by some of the orbit points contains the true
-    domain, so one that passes is the domain; the cusp rescale reads the same
-    ball.  At the cap the certificate's AreaMismatchError is raised, as at
-    every bound for an infinite-area group; EllipticCenterError at any bound.
-    The ball grows by one word length at a time from the last bound's, and a
-    bound whose ball would hold more than ``MAX_BALL_WORDS`` elements, or
-    whose words lose their determinant to rounding, raises AreaMismatchError
-    naming the last bound tried.
+    the first bound whose polygon passes the certificate: area 2*pi*|chi|
+    within 1e-6, no free boundary arc, every side paired.  A polygon cut by
+    some of the orbit points contains the true domain, so one that passes is
+    the domain; the cusp rescale reads the same ball.  EllipticCenterError
+    at any bound.  The ball grows by one word length at a time from the last
+    bound's; an AreaMismatchError names the last bound tried when the
+    certificate still fails at ``MAX_WORD_BOUND`` (as for every infinite-area
+    group whose ball grows slowly), when the ball would hold more than
+    ``MAX_BALL_WORDS`` elements, or when its words lose their determinant to
+    rounding.
     """
     ball: list[tuple[Word, GroupElement]] = []
     shells = _word_shells(pres, MAX_BALL_WORDS)
-    for bound in range(1, word_bound + 1):
+    for bound in range(1, MAX_WORD_BOUND + 1):
         try:
             shell = next(shells, None)
         except ValueError:  # hyp2.element met a determinant of 0 or less
@@ -410,12 +412,13 @@ def dirichlet_domain(
         ball.extend(shell)
         try:
             polygon = _certified_polygon(pres, center, ball)
-        except AreaMismatchError:
-            if bound == word_bound:
-                raise
+        except AreaMismatchError as exc:
+            if bound == MAX_WORD_BOUND:
+                raise AreaMismatchError(
+                    f"no domain certified up to word bound {bound}: {exc}"
+                ) from None
         else:
             return polygon, derive_cusps(polygon, ball)
-    raise AreaMismatchError("word bound produced no group elements")
 
 
 def _certified_polygon(
@@ -455,7 +458,7 @@ def _certified_polygon(
             raise AreaMismatchError("half-planes clipped the domain away entirely")
 
     has_free = any(s == _FREE_SRC for _, s in poly) or any(
-        abs(v) > 1.0 + _IDEAL_TOL for v, _ in poly
+        abs(v) > 1.0 + _FREE_TOL for v, _ in poly
     )
     if has_free:
         raise AreaMismatchError(
@@ -840,7 +843,7 @@ def builtin_lattice(
         raise PresentationError(f"unknown preset {name!r}")
 
     pres.validate()
-    polygon, cusps = dirichlet_domain(pres, PointH(0.0, 1.0), DEFAULT_WORD_BOUND)
+    polygon, cusps = dirichlet_domain(pres, PointH(0.0, 1.0))
     return pres, polygon, cusps
 
 

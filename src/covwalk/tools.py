@@ -22,13 +22,11 @@ from . import cli
 
 
 def load_lattice_check(args):
-    if args.word_bound < 1:
-        raise ValueError(f"--word-bound must be at least 1, got {args.word_bound}")
     name = args.lattice
     preset = name if name in ("gamma2", "punctured_square_torus") else ""
     try:
         return config_mod.load_lattice(
-            preset, "" if preset else name, config_mod.DEFAULT_CENTER, args.word_bound
+            preset, "" if preset else name, config_mod.DEFAULT_CENTER
         )
     except FileNotFoundError:
         raise FileNotFoundError(f"no such preset or file: {name}") from None
@@ -52,8 +50,7 @@ def cmd_lattice_check(args, lattice) -> int:
         f"  polygon: {len(polygon.sides)} sides, area {polygon.area:.9f}"
         f" (Gauss-Bonnet 2*pi*|chi| = {expected:.9f})"
     )
-    cap = fuchsian.DEFAULT_WORD_BOUND if weights is None else args.word_bound
-    print(f"  certified at word bound {polygon.certified_bound} (cap {cap})")
+    print(f"  certified at word bound {polygon.certified_bound}")
     print(f"  cusps: {len(cusps)}")
     for j, c in enumerate(cusps):
         fp = "inf" if math.isinf(c.fixed_point) else f"{c.fixed_point:.6f}"

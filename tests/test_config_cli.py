@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -125,6 +126,14 @@ checkpoints = linear:50
 [analysis]
 reports = gaussian
 """
+
+# two hyperbolics on one axis, B = A^2: infinite covolume, and a word ball
+# that grows by four words a length
+COMMUTING_LATTICE = (
+    "[generator] A = 3 0 0 0.3333333333333333\n"
+    "[generator] B = 9 0 0 0.1111111111111111\n"
+    "[weights]\nA = 1\nB = 0\n"
+)
 
 CONFIGS = sorted(
     glob.glob(os.path.join(os.path.dirname(os.path.dirname(__file__)), "configs", "*.cfg"))
@@ -271,11 +280,21 @@ def with_key(text: str, section: str, key: str, value: str) -> str:
     return text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n", 1)
 
 
+# keys no section reads: misspellings, and word_bound, which the build no
+# longer takes
+UNKNOWN_KEYS = [
+    ("lattice", "word_bound"),
+    ("walk", "word_bound"),
+    ("walk", "stepz"),
+    ("walk", "return_raduis"),
+    ("measure", "atom1"),
+    ("analysis", "report"),
+]
+
 # every number the parser converts, with a value it cannot convert
 BAD_NUMBERS = [
     ("lattice", "l1", "one"),
     ("lattice", "l2", "one"),
-    ("lattice", "word_bound", "1.5"),
     ("measure", "tau_min", "half"),
     ("measure", "tau_max", "half"),
     ("walk", "steps", "1.5"),
@@ -305,18 +324,43 @@ class TestConfigErrors:
         assert code == 2
         assert "error: config error [walk] steps: not a valid number: '1.5'" in printed
 
-    @pytest.mark.parametrize("bound", ["0", "-3"])
-    def test_word_bound_below_one(self, tmp_path, bound):
-        # refused for a preset too, which builds at the default cap
+    @pytest.mark.parametrize("section, key", UNKNOWN_KEYS,
+                             ids=[f"{s}-{k}" for s, k in UNKNOWN_KEYS])
+    def test_unknown_key(self, tmp_path, section, key):
+        # a misspelt or retired key is refused rather than left at its default
+        text = with_key(DRIFT_HALF, section, key, "4")
+        with pytest.raises(CFG.ConfigError) as ei:
+            CFG.parse_config_text(text)
+        assert (ei.value.section, ei.value.key) == (section, key)
         cfgp = tmp_path / "exp.cfg"
-        cfgp.write_text(with_key(DRIFT_HALF, "lattice", "word_bound", bound))
+        cfgp.write_text(text)
         out = tmp_path / "o"
         code, printed = run_cli("walk", "run", "--config", str(cfgp), "--out", str(out))
-        assert (code, printed) == (
-            2, f"error: config error [lattice] word_bound: must be at least 1, got {bound}\n")
+        assert (code, printed) == (2, f"error: config error [{section}] {key}: unknown key\n")
         assert not out.exists()
-        code, printed = run_cli("lattice", "check", "gamma2", "--word-bound", bound)
-        assert (code, printed) == (2, f"error: --word-bound must be at least 1, got {bound}\n")
+
+    def test_every_known_key_parses(self):
+        # each key the parser reads, atom.N and any [weights] label, at once
+        text = (
+            "[lattice]\npreset = punctured_square_torus\nl1 = 1.7627471740390859\n"
+            "l2 = 1.7627471740390859\ncenter = 0.0 1.0\n"
+            "[weights]\ng1 = 1 0\ng2 = 0 1\nanything = 0 0\n"
+            "[measure]\ntype = atoms\natom.1 = g1 0.5\natom.7 = g2 0.5\n"
+            "tau_min = 0.5\ntau_max = 1.5\n"
+            "[walk]\nmode = walk\nsteps = 10\ntrajectories = 1\nseed = 1\n"
+            "checkpoints = linear:5\nstart = haar\ndt = 0.25\nreturn_radius = 2.0\n"
+            "return_grid = 5 10\n"
+            "[analysis]\nreports = drift\n"
+        )
+        cfg = CFG.parse_config_text(text)
+        assert cfg.atoms == (("g1", 0.5), ("g2", 0.5))
+        assert CFG.parse_config_text(CFG.canonical_text(cfg)) == cfg
+
+    def test_word_bound_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as ei:
+            cli.main(["lattice", "check", "gamma2", "--word-bound", "5"])
+        assert ei.value.code == 2
+        assert "unrecognized arguments: --word-bound 5" in capsys.readouterr().err
 
     def test_no_section(self):
         assert str(CFG.ConfigError("bad")) == "config error: bad"
@@ -347,15 +391,12 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("command", ["walk run", "recurrence", "lyapunov"])
     def test_infinite_covolume_exits_2(self, tmp_path, command):
-        # a Schottky-type pair: the Dirichlet domain keeps a free boundary
+        # two hyperbolics on one axis, B = A^2: an elementary group, whose
+        # Dirichlet domain keeps a free boundary at every word bound
         lat = tmp_path / "lat.txt"
-        lat.write_text(
-            "[generator] A = 3 0 0 0.3333333333333333\n"
-            "[generator] B = 2 1 1 1\n"
-            "[weights]\nA = 1\nB = 0\n"
-        )
+        lat.write_text(COMMUTING_LATTICE)
         text = RECURRENCE.replace(
-            "preset = punctured_square_torus", f"file = {lat}\nword_bound = 4"
+            "preset = punctured_square_torus", f"file = {lat}"
         ).replace("g1 = 1 0\ng2 = 0 1\n", "A = 1\nB = 0\n")
         text = text.replace("atom.1 = g1", "atom.1 = A").replace("atom.2 = g2", "atom.2 = B")
         cfgp = tmp_path / "inf.cfg"
@@ -363,7 +404,8 @@ class TestConfigErrors:
         out = tmp_path / "o"
         code, printed = run_cli(*command.split(), "--config", str(cfgp), "--out", str(out))
         assert code == 2
-        assert "error: domain has free boundary" in printed
+        assert printed.startswith("error: no domain certified up to word bound 12: domain has"
+                                  " free boundary")
         assert "Traceback" not in printed
         assert not out.exists()
 
@@ -396,7 +438,7 @@ class TestLatticeCheckCommand:
             "B = 0\n"
         )
         # the relator does not hold for these generators -> validation error
-        code, out = run_cli("lattice", "check", str(p), "--word-bound", "3")
+        code, out = run_cli("lattice", "check", str(p))
         assert code == 2
 
     def test_lattice_file_weights_not_killing_relator(self, tmp_path):
@@ -409,7 +451,7 @@ class TestLatticeCheckCommand:
             "A = 1\n"
             "B = 2\n"
         )
-        code, out = run_cli("lattice", "check", str(p), "--word-bound", "6")
+        code, out = run_cli("lattice", "check", str(p))
         assert code == 0
         assert "v = " in out
 
@@ -452,22 +494,51 @@ class TestLatticeCheckCommand:
         assert not out.exists()
 
     def test_preset_certified_bound(self):
-        # a preset is built at the default cap whatever --word-bound says
-        for extra in ((), ("--word-bound", "5")):
-            code, out = run_cli("lattice", "check", "gamma2", *extra)
-            assert code == 0
-            assert "  certified at word bound 1 (cap 12)\n" in out
+        code, out = run_cli("lattice", "check", "gamma2")
+        assert code == 0
+        assert "  certified at word bound 1\n" in out
 
     def test_file_certified_bound(self, tmp_path):
         # gamma2's generators as a file: check reads the bound the domain
-        # about the default center was certified at, and the cap it was given
+        # about the default center was certified at
         pres, _, _ = F.builtin_lattice("gamma2")
         p = tmp_path / "gamma2.txt"
         p.write_text(format_lattice_text(pres, {"A": (1,), "B": (0,)}))
-        poly, _ = F.dirichlet_domain(pres, H.PointH(*CFG.DEFAULT_CENTER), 12)
-        code, out = run_cli("lattice", "check", str(p), "--word-bound", "5")
+        poly, _ = F.dirichlet_domain(pres, H.PointH(*CFG.DEFAULT_CENTER))
+        code, out = run_cli("lattice", "check", str(p))
         assert code == 0
-        assert f"  certified at word bound {poly.certified_bound} (cap 5)\n" in out
+        assert f"  certified at word bound {poly.certified_bound}\n" in out
+
+    @pytest.mark.parametrize("command", ["lattice check", "walk run"])
+    @pytest.mark.parametrize("lattice", ["commuting", "long-generator"])
+    def test_degenerate_lattice_file_exits_2(self, tmp_path, command, lattice):
+        # B = A^2 grows the word ball by four words a length, so only
+        # MAX_WORD_BOUND stops the build, within a second and naming the
+        # bound.  The long generator (translation length 35) puts an orbit
+        # point of the center at height 1.6e15, whose bisector with the
+        # center is a circle about 0 of radius 4e7; taken for a vertical
+        # line, it divided by zero (so did B = A^2 from word bound 8)
+        lat = tmp_path / "lat.txt"
+        lat.write_text(COMMUTING_LATTICE if lattice == "commuting" else (
+            "[generator] A = 39824784.39757623 0 0 2.5109991557439816e-08\n"
+            "[generator] B = 1 0 2 1\n[weights]\nA = 1\nB = 0\n"))
+        cfgp = tmp_path / "exp.cfg"
+        cfgp.write_text(f"[lattice]\nfile = {lat}\n[measure]\ntype = parametric\n")
+        out = tmp_path / "o"
+        argv = ([str(lat)] if command == "lattice check"
+                else ["--config", str(cfgp), "--out", str(out)])
+        start = time.perf_counter()
+        code, printed = run_cli(*command.split(), *argv)
+        assert code == 2
+        assert "Traceback" not in printed
+        assert not out.exists()
+        if lattice == "commuting":
+            assert time.perf_counter() - start < 1.0
+            assert printed == (
+                "error: no domain certified up to word bound 12: domain has free boundary"
+                " (word bound too small or infinite covolume)\n")
+        else:
+            assert printed.startswith("error: ")
 
 
 class TestRunCommands:

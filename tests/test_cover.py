@@ -378,7 +378,7 @@ class TestSigma:
         # second domain's sheet off the first domain's representative gives
         # a uniformly bounded discrepancy (the domain-overlap charge)
         pres, poly1, cusps1 = F.builtin_lattice("gamma2")
-        poly2, cusps2 = F.dirichlet_domain(pres, H.PointH(0.1, 1.7), 8)
+        poly2, cusps2 = F.dirichlet_domain(pres, H.PointH(0.1, 1.7))
         w = {"A": (1,), "B": (0,)}
         s1 = C.cover_system(pres, poly1, cusps1, C.validate_cover(pres, cusps1, w))
         s2 = C.cover_system(pres, poly2, cusps2, C.validate_cover(pres, cusps2, w))
