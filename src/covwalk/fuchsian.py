@@ -29,8 +29,9 @@ from .hyp2 import GroupElement, PointH, UnitTangent
 EPS_GEOM = 1e-9          # side-inequality tolerance for membership / reduction
 MAX_REDUCE_ITER = 10**6  # greedy descent iteration guard
 _KLEIN_BOX = 4.0         # initial clipping square half-width (disk has radius 1)
-_IDEAL_TOL = 1e-12       # |k| within this below 1 counts as an ideal vertex
-_FREE_TOL = 1e-7         # |k| past 1 by more than this is a free boundary
+_IDEAL_TOL = 1e-7        # |k| within this of 1 counts as an ideal vertex
+_SLIVER_TOL = 1e-6       # a cut that moves an ideal vertex less than this is ignored
+_CUSP_SNAP_TOL = 1e-14   # a cusp vertex this far off its fixed point is moved on
 MAX_WORD_BOUND = 12      # cap on the word length of a Dirichlet domain's ball
 MAX_BALL_WORDS = 100_000  # cap on the number of elements in that ball
 
@@ -347,6 +348,17 @@ def _clip(
     n = len(poly)
     vals = [nx * v.real + ny * v.imag - c for v, _ in poly]
     tol = 1e-13
+    cut = [i for i in range(n) if vals[i] > tol]
+    if len(cut) == 1 and n >= 3:
+        # one ideal vertex traded for new ones within _SLIVER_TOL of it (about
+        # a center a rounding error off a symmetric one) would count two ideal
+        # vertices for one and add pi to the area: the vertex stays
+        (v, _), f = poly[cut[0]], vals[cut[0]]
+        new = [poly[k][0] + vals[k] / (vals[k] - f) * (v - poly[k][0])
+               for k in (cut[0] - 1, (cut[0] + 1) % n)]
+        if all(abs(abs(k) - 1.0) < _IDEAL_TOL and abs(k - v) < _SLIVER_TOL
+               for k in (v, *new)):
+            return poly
     for i in range(n):
         (v1, s1), f1 = poly[i], vals[i]
         (v2, _), f2 = poly[(i + 1) % n], vals[(i + 1) % n]
@@ -458,7 +470,7 @@ def _certified_polygon(
             raise AreaMismatchError("half-planes clipped the domain away entirely")
 
     has_free = any(s == _FREE_SRC for _, s in poly) or any(
-        abs(v) > 1.0 + _FREE_TOL for v, _ in poly
+        abs(v) > 1.0 + _IDEAL_TOL for v, _ in poly
     )
     if has_free:
         raise AreaMismatchError(
@@ -649,13 +661,19 @@ def derive_cusps(
             raise AreaMismatchError(
                 f"cusp cycle product is {kind.kind}, expected parabolic"
             )
-        if math.isinf(fp):
-            g = hyp2.IDENTITY
-        else:
-            g = hyp2.element(fp, -1.0, 1.0, 0.0)
+        g = _cusp_normalizer(fp)
         q = hyp2.compose(hyp2.compose(hyp2.inverse(g), cyc), g)
         if abs(q.c) > 1e-7:
             raise AreaMismatchError("cusp cycle does not stabilize its vertex")
+        # an ideal vertex that misses its cusp by more than rounding (about a
+        # center a little off a symmetric one) moves onto the parabolic's
+        # fixed point, which the width and the rescale's long words read
+        exact = min(hyp2.fixed_points_on_boundary(cyc), default=fp,
+                    key=lambda u: _boundary_gap(u, fp))
+        if _boundary_gap(exact, fp) > _CUSP_SNAP_TOL:
+            fp = exact
+            g = _cusp_normalizer(fp)
+            q = hyp2.compose(hyp2.compose(hyp2.inverse(g), cyc), g)
         w = q.b / q.a  # q = +/- [[1, w], [0, 1]] up to rounding
         word, par = cyc_word, cyc
         if w < 0:
@@ -705,6 +723,11 @@ def derive_cusps(
     out.sort(key=lambda c: (0, 0.0) if math.isinf(c.fixed_point) else (1, c.fixed_point))
     _check_corner_widths(polygon, out)
     return tuple(out)
+
+
+def _cusp_normalizer(fp: float) -> GroupElement:
+    """The element taking infinity to the cusp point ``fp``."""
+    return hyp2.IDENTITY if math.isinf(fp) else hyp2.element(fp, -1.0, 1.0, 0.0)
 
 
 def _composed_abs_c(
@@ -761,7 +784,8 @@ def _check_corner_widths(polygon: FundamentalPolygon, cusps: list[CuspData]) -> 
             for side in (polygon.sides[i - 1], polygon.sides[i]):
                 e1, e2 = side.plane.endpoints()
                 v = polygon.vertices[i].boundary
-                other = e2 if _same_boundary(e1, v) else e1
+                # the endpoint away from the vertex
+                other = max((e1, e2), key=lambda e: _boundary_gap(e, v))
                 us.append(_act_boundary(m, other))
             if any(math.isinf(u) for u in us):
                 raise AreaMismatchError("corner chart failed to rectify sides")
@@ -772,8 +796,8 @@ def _check_corner_widths(polygon: FundamentalPolygon, cusps: list[CuspData]) -> 
             )
 
 
-def _same_boundary(u: float, v: float) -> bool:
-    return abs(_cayley_boundary(u) - _cayley_boundary(v)) < 1e-7
+def _boundary_gap(u: float, v: float) -> float:
+    return abs(_cayley_boundary(u) - _cayley_boundary(v))
 
 
 def cusp_height(cusps: tuple[CuspData, ...], x: float, y: float) -> float:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from covwalk import cover as C
 from covwalk import fuchsian as F
@@ -141,16 +141,16 @@ class TestDirichlet:
             # one-letter ball about a far-off center cannot close the domain
             F._certified_polygon(pres, H.PointH(4.0, 0.05), F.enumerate_ball(pres, 1))
 
-    def test_pingpong_free_group(self):
+    def test_pingpong_free_group(self, monkeypatch):
         h1 = H.translation(10.0)
         u = H.compose(H.translation(12.0), H.rotation(math.pi / 2))
         h2 = H.compose_all(u, h1, H.inverse(u))
         pres = F.LatticePresentation(generators=(("h1", h1), ("h2", h2)))
         # a Schottky group has infinite covolume: its domain keeps free
         # boundary arcs, and no finite-area polygon is certified
-        with pytest.raises(F.AreaMismatchError, match="free boundary"):
-            F._certified_polygon(pres, H.PointH(0.0, 1.0), F.enumerate_ball(pres, 2))
-        with pytest.raises(F.AreaMismatchError, match="no domain certified up to word bound"):
+        monkeypatch.setattr(F, "MAX_WORD_BOUND", 2)
+        with pytest.raises(F.AreaMismatchError,
+                           match="up to word bound 2: domain has free boundary"):
             F.dirichlet_domain(pres, H.PointH(0.0, 1.0))
 
     def test_ball_past_word_limit_fails(self, monkeypatch):
@@ -412,37 +412,6 @@ def certified_lattices():
     }
 
 
-# The clipped polygon is resolved to about 1e-12 in the Klein disk.  A center
-# close to a symmetric one puts corners of its domain below that, and a wider
-# ball may then cut a sliver that the bound below passed with.  Off the
-# mirror x = 0 that takes an offset of about 1e-13 to 2e-11 (about 1e-6 at
-# y = 1 on the torus and the hexagon, whose corners close in as the offset
-# squared); centers within MIRROR_BAND of the mirror are drawn onto it
-MIRROR_BAND = 1e-10
-
-
-def check_first_passing_bound(pres, center):
-    """The certified bound b is the first that passes, a ball two longer
-    cuts nothing off, and the cusps of a wider ball agree to rounding."""
-    poly, cusps = F.dirichlet_domain(pres, center)
-    b = poly.certified_bound
-    assert 1 <= b <= 4
-    if b > 1:
-        with pytest.raises(F.AreaMismatchError):
-            F._certified_polygon(pres, center, F.enumerate_ball(pres, b - 1))
-    wider = F._certified_polygon(pres, center, F.enumerate_ball(pres, b + 2))
-    assert repr(wider) == repr(poly)
-    # the tangency bound of a wider ball moves the rescale by rounding
-    # only: y_star picks up the rounding of longer words
-    ref = F.derive_cusps(poly, F.enumerate_ball(pres, b + 3))
-    assert len(ref) == len(cusps)
-    for got, want in zip(cusps, ref):
-        assert math.isclose(got.width, want.width, rel_tol=1e-12)
-        scale = max(abs(v) for v in want.normalizer.as_tuple())
-        for u, v in zip(got.normalizer.as_tuple(), want.normalizer.as_tuple()):
-            assert math.isclose(u, v, rel_tol=1e-12, abs_tol=1e-12 * scale)
-
-
 class TestCertifiedBuild:
     """The Dirichlet domain stops at the first word bound that certifies it,
     and its cusp rescale reads that bound's ball."""
@@ -451,20 +420,56 @@ class TestCertifiedBuild:
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(name=st.sampled_from(sorted(LATTICES)),
-           x=st.floats(-0.5, 0.5).map(lambda x: x if abs(x) >= MIRROR_BAND else 0.0),
-           y=st.floats(0.7, 1.6))
+           x=st.floats(-0.5, 0.5), y=st.floats(0.7, 1.6))
+    # centers a little off the mirror x = 0: a cut that only split an ideal
+    # vertex once certified a polygon that a wider ball disowned, a cusp
+    # vertex off its fixed point gave widths that moved with the ball, and
+    # a side endpoint near the vertex was taken for it in the corner check
+    @example(name="gamma2", x=4.04e-13, y=1.0)
+    @example(name="gamma2", x=1e-9, y=0.7)
+    @example(name="torus", x=1e-9, y=1.15)
+    @example(name="torus", x=1e-7, y=0.7)
+    @example(name="torus", x=1e-5, y=1.0)
+    @example(name="torus_unequal", x=1e-9, y=0.7)
+    @example(name="hexagon", x=1e-9, y=1.0)
     def test_first_passing_bound_is_the_domain(self, name, x, y):
-        check_first_passing_bound(self.LATTICES[name], H.PointH(x, y))
+        pres = self.LATTICES[name]
+        center = H.PointH(x, y)
+        poly, cusps = F.dirichlet_domain(pres, center)
+        b = poly.certified_bound
+        assert 1 <= b <= 4
+        # one bound lower does not pass, and two more cut nothing off
+        if b > 1:
+            with pytest.raises(F.AreaMismatchError):
+                F._certified_polygon(pres, center, F.enumerate_ball(pres, b - 1))
+        wider = F._certified_polygon(pres, center, F.enumerate_ball(pres, b + 2))
+        assert repr(wider) == repr(poly)
+        # the tangency bound of a wider ball moves the rescale by rounding
+        # only: y_star picks up the rounding of longer words
+        ref = F.derive_cusps(poly, F.enumerate_ball(pres, b + 3))
+        assert len(ref) == len(cusps)
+        for got, want in zip(cusps, ref):
+            assert math.isclose(got.width, want.width, rel_tol=1e-12)
+            scale = max(abs(v) for v in want.normalizer.as_tuple())
+            for u, v in zip(got.normalizer.as_tuple(), want.normalizer.as_tuple()):
+                assert math.isclose(u, v, rel_tol=1e-12, abs_tol=1e-12 * scale)
 
-    @pytest.mark.parametrize("name,x,y", [
-        ("gamma2", 1e-9, 1.0), ("gamma2", 1e-7, 1.5), ("torus", 1e-9, 1.15),
-        ("torus", 1e-5, 1.0), ("torus_unequal", 1e-9, 0.7), ("hexagon", 1e-9, 1.0),
-    ])
-    def test_near_mirror_center(self, name, x, y):
-        # corners within 1e-7 of the circle, flanking a cusp, are finite:
-        # counted as ideal vertices with angle 0 they let a polygon missing
-        # a side pass at a low bound, and every wider ball fail
-        check_first_passing_bound(self.LATTICES[name], H.PointH(x, y))
+    @pytest.mark.parametrize("s", [10.0, 100.0])
+    def test_thin_domain_keeps_its_cusps(self, s):
+        # gamma2 conjugated by diag(s, 1/s): the cusps at infinity and at
+        # +-s^2 lie 2/s^2 apart on the Klein circle, and the cut that parts
+        # them takes a vertex a little outside the circle off; it is no sliver
+        d = H.element(s, 0.0, 0.0, 1.0 / s)
+        gens = tuple((lab, H.compose_all(d, g, H.inverse(d)))
+                     for lab, g in self.LATTICES["gamma2"].generators)
+        poly, cusps = F.dirichlet_domain(F.LatticePresentation(generators=gens),
+                                         H.PointH(0.0, 1.0))
+        assert (len(poly.sides), poly.certified_bound, len(cusps)) == (4, 1, 3)
+        assert sum(v.ideal for v in poly.vertices) == 4
+        assert poly.area == pytest.approx(2.0 * math.pi, abs=1e-9)
+        # the cusp at -s^2 is its parabolic's fixed point, not the vertex
+        # the chords crossing at a small angle put near it
+        assert cusps[1].fixed_point == pytest.approx(-s * s, rel=1e-12)
 
     @pytest.mark.parametrize("name,radius", [
         ("gamma2", 8), ("torus", 8), ("hexagon", 6),
